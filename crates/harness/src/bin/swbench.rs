@@ -24,7 +24,7 @@
 //!       --baseline CELL    leakage baseline cell (default: first cell)
 //!       --out FILE         JSON output path
 //!
-//! swbench perf [<bench>|--all] [--quick] [--scalar] [--repeats N]
+//! swbench perf [<bench>|--all] [--quick] [--repeats N]
 //!              [--warmup N] [--threads N] [--out FILE]
 //!              [--baseline FILE | --baseline-dir DIR]
 //!              [--max-regress FRAC]
@@ -34,15 +34,14 @@
 //!     BENCH_<bench>.json (default: BENCH_<bench>.json in the working
 //!     directory). With --baseline, exits nonzero when events/sec fell
 //!     more than --max-regress (default 0.30) below the baseline file's —
-//!     the CI perf gate. --scalar runs the pre-batching reference paths,
-//!     for measuring the batching speedup.
+//!     the CI perf gate.
 //!     --all runs every registered bench in one pass and writes the
 //!     consolidated BENCH_trajectory.json (--out overrides its path); with
 //!     --baseline-dir every bench is gated against the directory's
 //!     BENCH_<bench>-baseline.json and a missing baseline is an error, so
 //!     a newly added bench cannot silently skip the gate.
 //!
-//! swbench profile [<bench>] [--quick] [--scalar] [--threads N] [--out FILE]
+//! swbench profile [<bench>] [--quick] [--threads N] [--out FILE]
 //!     Run a named perf bench once with the phase timers on and write the
 //!     schema-versioned PROFILE_*.json breakdown (setup/run/aggregate wall
 //!     per pass). Without a bench name, profiles every registered bench
@@ -131,13 +130,13 @@ swbench — sweep driver of the StopWatch reproduction
   swbench run <preset> [opts]      run a named sweep, write its JSON aggregate
   swbench sweep --workload NAME [--axis K=V1,V2]... [opts]
                                    free-form cartesian sweep
-  swbench perf [bench|--all] [--quick] [--scalar] [--repeats N] [--warmup N]
+  swbench perf [bench|--all] [--quick] [--repeats N] [--warmup N]
                [--profile] [--baseline FILE | --baseline-dir DIR]
                [--max-regress FRAC] [opts]
                                    named throughput benchmarks + CI gate;
                                    --profile also writes the PROFILE_*.json
                                    phase breakdown of the timed passes
-  swbench profile [bench] [--quick] [--scalar] [opts]
+  swbench profile [bench] [--quick] [opts]
                                    phase-timer breakdown (setup/run/aggregate)
                                    of one bench, or of every registered bench
 
@@ -403,7 +402,6 @@ struct PerfInvocation {
     bench: Option<String>,
     all: bool,
     quick: bool,
-    scalar: bool,
     warmup: Option<usize>,
     repeats: Option<usize>,
     threads: usize,
@@ -419,7 +417,6 @@ fn parse_perf(args: &[String]) -> Result<PerfInvocation, String> {
         bench: None,
         all: false,
         quick: false,
-        scalar: false,
         warmup: None,
         repeats: None,
         threads: 0,
@@ -434,7 +431,6 @@ fn parse_perf(args: &[String]) -> Result<PerfInvocation, String> {
         match args[i].as_str() {
             "--all" => inv.all = true,
             "--quick" => inv.quick = true,
-            "--scalar" => inv.scalar = true,
             "--profile" => inv.profile = true,
             "--warmup" => {
                 let v = take_value(args, &mut i, "--warmup")?;
@@ -503,7 +499,6 @@ fn run_perf_bench(inv: PerfInvocation) -> Result<(), String> {
         warmup: inv.warmup.unwrap_or(1),
         repeats: inv.repeats.unwrap_or(if inv.quick { 3 } else { 5 }),
         threads: inv.threads,
-        scalar: inv.scalar,
     };
     eprintln!(
         "perf {bench:?}: {} mode, {} warmup + {} timed passes",
@@ -549,7 +544,6 @@ fn run_perf_all(inv: PerfInvocation) -> Result<(), String> {
         warmup: inv.warmup.unwrap_or(1),
         repeats: inv.repeats.unwrap_or(if inv.quick { 3 } else { 5 }),
         threads: inv.threads,
-        scalar: inv.scalar,
     };
     // Baselines are resolved up front: with a baseline dir, every
     // registered bench must have one checked in — a bench added without a
@@ -630,7 +624,6 @@ fn run_perf_all(inv: PerfInvocation) -> Result<(), String> {
 struct ProfileInvocation {
     bench: Option<String>,
     quick: bool,
-    scalar: bool,
     threads: usize,
     out: Option<PathBuf>,
 }
@@ -639,7 +632,6 @@ fn parse_profile(args: &[String]) -> Result<ProfileInvocation, String> {
     let mut inv = ProfileInvocation {
         bench: None,
         quick: false,
-        scalar: false,
         threads: 0,
         out: None,
     };
@@ -647,7 +639,6 @@ fn parse_profile(args: &[String]) -> Result<ProfileInvocation, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => inv.quick = true,
-            "--scalar" => inv.scalar = true,
             "--threads" => inv.threads = parse_threads(&take_value(args, &mut i, "--threads")?)?,
             "--out" => inv.out = Some(PathBuf::from(take_value(args, &mut i, "--out")?)),
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
@@ -666,7 +657,6 @@ fn run_profile_cmd(inv: ProfileInvocation) -> Result<(), String> {
     let opts = ProfileOptions {
         quick: inv.quick,
         threads: inv.threads,
-        scalar: inv.scalar,
     };
     let (doc, default_out) = match &inv.bench {
         Some(bench) => {
@@ -799,9 +789,9 @@ mod tests {
 
     #[test]
     fn perf_flags_parse_with_defaults() {
-        let inv = parse_perf(&argv(&["delta-n", "--quick", "--scalar"])).unwrap();
+        let inv = parse_perf(&argv(&["delta-n", "--quick"])).unwrap();
         assert_eq!(inv.bench.as_deref(), Some("delta-n"));
-        assert!(inv.quick && inv.scalar);
+        assert!(inv.quick);
         assert_eq!(inv.threads, 0, "default: all cores");
         assert_eq!(inv.max_regress, 0.30, "CI gate tolerance default");
         assert!(inv.warmup.is_none() && inv.repeats.is_none());

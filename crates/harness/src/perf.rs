@@ -219,9 +219,6 @@ pub struct PerfOptions {
     pub repeats: usize,
     /// Worker threads (0 = one per core).
     pub threads: usize,
-    /// Run the pre-batching scalar reference paths instead of the batched
-    /// ones — the comparison arm for measuring the batching speedup.
-    pub scalar: bool,
 }
 
 impl Default for PerfOptions {
@@ -231,7 +228,6 @@ impl Default for PerfOptions {
             warmup: 1,
             repeats: 5,
             threads: 0,
-            scalar: false,
         }
     }
 }
@@ -243,8 +239,6 @@ pub struct PerfReport {
     pub bench: String,
     /// Whether the quick (smoke) shape ran.
     pub quick: bool,
-    /// Whether the scalar reference paths ran (false = batched engine).
-    pub scalar: bool,
     /// Worker threads actually used.
     pub threads: u64,
     /// Scenarios per pass (the benchmark's cell count).
@@ -298,10 +292,6 @@ impl PerfReport {
             .with("schema_version", Json::U64(BENCH_SCHEMA_VERSION))
             .with("bench", Json::str(&self.bench))
             .with("mode", Json::str(if self.quick { "quick" } else { "full" }))
-            .with(
-                "engine",
-                Json::str(if self.scalar { "scalar" } else { "batched" }),
-            )
             .with("threads", Json::U64(self.threads))
             .with("scenarios", Json::U64(self.scenarios))
             .with("warmup", Json::U64(self.warmup))
@@ -324,10 +314,9 @@ impl PerfReport {
     /// One human line for the terminal.
     pub fn summary(&self) -> String {
         format!(
-            "{} [{}] {} scenarios x {} repeats on {} threads: median {:.1} ms \
+            "{} {} scenarios x {} repeats on {} threads: median {:.1} ms \
              (setup {:.1} + run {:.1}), {:.0} events/s, {:.0} packets/s",
             self.bench,
-            if self.scalar { "scalar" } else { "batched" },
             self.scenarios,
             self.repeats,
             self.threads,
@@ -461,10 +450,7 @@ pub fn run_perf(name: &str, opts: &PerfOptions) -> Result<PerfReport, String> {
             known.join(", ")
         )
     })?;
-    let mut scenarios = bench.scenarios(opts.quick)?;
-    for s in &mut scenarios {
-        s.scalar_reference = opts.scalar;
-    }
+    let scenarios = bench.scenarios(opts.quick)?;
     let runner = RunnerOptions {
         threads: opts.threads,
         progress: false,
@@ -515,7 +501,6 @@ pub fn run_perf(name: &str, opts: &PerfOptions) -> Result<PerfReport, String> {
     Ok(PerfReport {
         bench: bench.name.to_string(),
         quick: opts.quick,
-        scalar: opts.scalar,
         threads: runner.effective_threads().min(scenarios.len()).max(1) as u64,
         scenarios: scenarios.len() as u64,
         warmup: opts.warmup as u64,
@@ -598,14 +583,6 @@ pub fn check_against_baseline(
             "baseline mode {mode:?} != this run's {current_mode:?}; compare like with like"
         ));
     }
-    let engine = json_string(baseline_json, "engine").ok_or("baseline has no engine arm")?;
-    let current_engine = if report.scalar { "scalar" } else { "batched" };
-    if engine != current_engine {
-        return Err(format!(
-            "baseline engine arm {engine:?} != this run's {current_engine:?}; \
-             compare like with like"
-        ));
-    }
     // Throughput scales with worker threads, so a 4-core run vs a 1-core
     // baseline would hide a large per-thread regression. Pin --threads in
     // the gate invocation (CI uses --threads 1).
@@ -647,7 +624,6 @@ mod tests {
         PerfReport {
             bench: "delta-n".to_string(),
             quick: true,
-            scalar: false,
             threads: 4,
             scenarios: 16,
             warmup: 1,
@@ -684,7 +660,6 @@ mod tests {
         assert!(json.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")));
         assert!(json.contains("\"bench\": \"delta-n\""));
         assert!(json.contains("\"mode\": \"quick\""));
-        assert!(json.contains("\"engine\": \"batched\""));
         assert!(json.contains("\"scenarios\": 16"));
         assert!(json.contains("\"wall_ms_median\": 11.0"));
         assert!(json.contains("\"wall_ms_min\": 10.0"));
@@ -743,7 +718,6 @@ mod tests {
             warmup: 0,
             repeats: 1,
             threads: 1,
-            scalar: false,
         };
         let report = run_perf("timer-storm", &opts).expect("perf run");
         assert!(report.events > 0);
@@ -760,7 +734,6 @@ mod tests {
             warmup: 0,
             repeats: 1,
             threads: 1,
-            scalar: false,
         };
         let report = run_perf("cache-storm", &opts).expect("perf run");
         assert!(report.events > 0);
@@ -801,11 +774,6 @@ mod tests {
         full_mode.quick = false;
         let err = check_against_baseline(&full_mode, &baseline, 0.30).unwrap_err();
         assert!(err.contains("mode"), "{err}");
-
-        let mut scalar_arm = fake_report(100_000.0);
-        scalar_arm.scalar = true;
-        let err = check_against_baseline(&scalar_arm, &baseline, 0.30).unwrap_err();
-        assert!(err.contains("engine arm"), "{err}");
 
         let mut other_threads = fake_report(100_000.0);
         other_threads.threads = 8;
@@ -872,7 +840,6 @@ mod tests {
             warmup: 0,
             repeats: 1,
             threads: 1,
-            scalar: false,
         };
         let report = run_perf("packet-storm", &opts).expect("perf run");
         assert_eq!(report.scenarios, 1);
@@ -889,19 +856,5 @@ mod tests {
         );
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"packet-storm\""));
-        // A scalar-reference pass replays the identical trace.
-        let scalar = run_perf(
-            "packet-storm",
-            &PerfOptions {
-                scalar: true,
-                ..opts
-            },
-        )
-        .expect("scalar perf run");
-        assert_eq!(
-            scalar.events, report.events,
-            "scalar arm replays the same trace"
-        );
-        assert_eq!(scalar.packets, report.packets);
     }
 }

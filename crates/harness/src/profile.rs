@@ -65,8 +65,6 @@ pub struct ProfileOptions {
     pub quick: bool,
     /// Worker threads (0 = one per core).
     pub threads: usize,
-    /// Profile the scalar reference paths instead of the batched engine.
-    pub scalar: bool,
 }
 
 /// One bench's phase breakdown, ready to render as `PROFILE_<name>.json`.
@@ -76,8 +74,6 @@ pub struct ProfileReport {
     pub bench: String,
     /// Whether the quick (smoke) shape ran.
     pub quick: bool,
-    /// Whether the scalar reference paths ran.
-    pub scalar: bool,
     /// Scenarios per pass.
     pub scenarios: u64,
     /// Passes the phase totals cover (1 for `swbench profile`, the timed
@@ -94,7 +90,6 @@ impl ProfileReport {
         ProfileReport {
             bench: report.bench.clone(),
             quick: report.quick,
-            scalar: report.scalar,
             scenarios: report.scenarios,
             passes: report.repeats,
             phases: report.phases,
@@ -112,10 +107,6 @@ impl ProfileReport {
             .with("kind", Json::str("phase-profile"))
             .with("bench", Json::str(&self.bench))
             .with("mode", Json::str(if self.quick { "quick" } else { "full" }))
-            .with(
-                "engine",
-                Json::str(if self.scalar { "scalar" } else { "batched" }),
-            )
             .with("scenarios", Json::U64(self.scenarios))
             .with("passes", Json::U64(self.passes))
             .with("setup_ms", per_pass(self.phases.setup_ns()))
@@ -140,10 +131,9 @@ impl ProfileReport {
         let total = self.phases.total_ns().max(1) as f64;
         let pct = |ns: u64| ns as f64 / total * 100.0;
         format!(
-            "{} [{}] {} scenarios: setup {:.2} ms ({:.0}% — resolve {:.2} + build {:.2}), \
+            "{} {} scenarios: setup {:.2} ms ({:.0}% — resolve {:.2} + build {:.2}), \
              run {:.2} ms ({:.0}%), aggregate {:.2} ms ({:.0}%)",
             self.bench,
-            if self.scalar { "scalar" } else { "batched" },
             self.scenarios,
             ms(self.phases.setup_ns()),
             pct(self.phases.setup_ns()),
@@ -194,10 +184,7 @@ pub fn run_profile(name: &str, opts: &ProfileOptions) -> Result<ProfileReport, S
             known.join(", ")
         )
     })?;
-    let mut scenarios = bench.scenarios(opts.quick)?;
-    for s in &mut scenarios {
-        s.scalar_reference = opts.scalar;
-    }
+    let scenarios = bench.scenarios(opts.quick)?;
     let runner = RunnerOptions {
         threads: opts.threads,
         progress: false,
@@ -214,7 +201,6 @@ pub fn run_profile(name: &str, opts: &ProfileOptions) -> Result<ProfileReport, S
     Ok(ProfileReport {
         bench: bench.name.to_string(),
         quick: opts.quick,
-        scalar: opts.scalar,
         scenarios: scenarios.len() as u64,
         passes: 1,
         phases,
@@ -249,7 +235,6 @@ mod tests {
         let report = ProfileReport {
             bench: "packet-storm".to_string(),
             quick: true,
-            scalar: false,
             scenarios: 1,
             passes: 2,
             phases: Phases {
@@ -283,7 +268,6 @@ mod tests {
         let opts = ProfileOptions {
             quick: true,
             threads: 1,
-            scalar: false,
         };
         let report = run_profile("packet-storm", &opts).expect("profile run");
         assert_eq!(report.scenarios, 1);

@@ -60,12 +60,6 @@ pub struct Scenario {
     pub drain: SimDuration,
     /// `CloudConfig` overrides applied over the default configuration.
     pub overrides: Vec<(String, String)>,
-    /// Run on the pre-batching scalar hot paths (one-pop event loop,
-    /// per-proposal median agreement) instead of the batched ones. The
-    /// two modes produce identical results; this switch exists so
-    /// determinism tests and `swbench perf --scalar` can measure the
-    /// batched engine against its reference.
-    pub scalar_reference: bool,
 }
 
 impl Scenario {
@@ -86,7 +80,6 @@ impl Scenario {
             duration: SimDuration::from_secs(60),
             drain: SimDuration::from_millis(500),
             overrides: Vec::new(),
-            scalar_reference: false,
         }
     }
 
@@ -161,11 +154,7 @@ impl Scenario {
         let seed = cfg.seed; // post-override: workload streams follow the cloud
         let mut b = CloudBuilder::new(cfg, hosts);
         let wl = registry::install(&self.workload, &mut b, &replica_hosts, &self.params(), seed)?;
-        let mut sim = b.build();
-        if self.scalar_reference {
-            sim.set_scalar_reference(true);
-        }
-        Ok((sim, wl))
+        Ok((b.build(), wl))
     }
 
     /// Runs the scenario to completion and extracts its measurements.
@@ -231,9 +220,6 @@ impl Scenario {
         let mut b = CloudBuilder::new(cfg, hosts);
         let wl = registry::install_prepared(&workload, &mut b, &replica_hosts, &params, seed)?;
         let mut sim = b.build();
-        if self.scalar_reference {
-            sim.set_scalar_reference(true);
-        }
         lap(&mut phases.build_ns);
         let deadline = SimTime::ZERO + self.duration;
         let finished_at = sim.run_until_clients_done(deadline);

@@ -68,9 +68,6 @@ pub struct SweepSpec {
     pub duration: SimDuration,
     /// Post-completion drain per scenario.
     pub drain: SimDuration,
-    /// Run every scenario on the pre-batching scalar reference paths
-    /// (see [`Scenario::scalar_reference`]).
-    pub scalar_reference: bool,
 }
 
 impl SweepSpec {
@@ -88,7 +85,6 @@ impl SweepSpec {
             seeds: vec![42],
             duration: SimDuration::from_secs(60),
             drain: SimDuration::from_millis(500),
-            scalar_reference: false,
         }
     }
 
@@ -280,7 +276,6 @@ impl SweepSpec {
             duration: self.duration,
             drain: self.drain,
             overrides,
-            scalar_reference: self.scalar_reference,
         })
     }
 }

@@ -18,21 +18,17 @@
 //! handler-chained immediate events pay no queue traffic at all. The lane
 //! is a persistent allocation reused across batches and runs.
 //!
-//! The batched queue itself is a hierarchical time-wheel
-//! (`crate::wheel`): O(1) filing per event, occupancy-bitmap scans to the
-//! next timestamp, and pooled bucket storage so steady-state runs perform
-//! no queue allocations. The scalar reference loop keeps the original
-//! binary heap.
+//! The queue itself is a hierarchical time-wheel (`crate::wheel`): O(1)
+//! filing per event, occupancy-bitmap scans to the next timestamp, and
+//! pooled bucket storage so steady-state runs perform no queue
+//! allocations.
 //!
 //! Batching changes only *where* events wait, never *when* or in what
-//! order they run: the execution order is identical to the scalar
-//! one-pop-per-event loop, which is retained as
-//! [`Sim::set_scalar_reference`] so differential tests can prove it.
-//! Switching modes migrates the pending events between the wheel and the
-//! heap; their `(at, seq)` keys restore the exact order either way.
+//! order they run: events execute in global `(at, seq)` order, exactly as
+//! one-pop-per-event from a binary heap would. The engine's property
+//! tests (`tests/engine_wheel.rs`) check this against a model heap.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::fxhash::FxHashSet;
 use crate::time::{SimDuration, SimTime};
@@ -44,33 +40,10 @@ pub struct EventId(u64);
 
 type Handler<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
 
+/// A lane entry; its time is always the engine's `now`.
 struct Scheduled<W> {
-    at: SimTime,
     seq: u64,
     handler: Handler<W>,
-}
-
-impl<W> PartialEq for Scheduled<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<W> Eq for Scheduled<W> {}
-
-impl<W> PartialOrd for Scheduled<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<W> Ord for Scheduled<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse for earliest-first, then FIFO.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A deterministic discrete-event simulation executor.
@@ -95,9 +68,7 @@ impl<W> Ord for Scheduled<W> {
 pub struct Sim<W> {
     now: SimTime,
     next_seq: u64,
-    /// Scalar-reference queue: only populated in scalar mode.
-    queue: BinaryHeap<Scheduled<W>>,
-    /// Batched-mode queue: a hierarchical time-wheel with pooled buckets.
+    /// Future events: a hierarchical time-wheel with pooled buckets.
     wheel: Wheel<Handler<W>>,
     /// Same-time FIFO lane: events due exactly at `now`, in `seq` order.
     /// Invariant: whenever the lane is non-empty, every queued entry is
@@ -106,9 +77,6 @@ pub struct Sim<W> {
     lane: VecDeque<Scheduled<W>>,
     cancelled: FxHashSet<u64>,
     executed: u64,
-    /// Run the pre-batching one-pop-per-event loop instead (differential
-    /// reference; see [`Sim::set_scalar_reference`]).
-    scalar_reference: bool,
 }
 
 impl<W> Default for Sim<W> {
@@ -123,43 +91,11 @@ impl<W> Sim<W> {
         Sim {
             now: SimTime::ZERO,
             next_seq: 0,
-            queue: BinaryHeap::new(),
             wheel: Wheel::new(),
             lane: VecDeque::new(),
             cancelled: FxHashSet::default(),
             executed: 0,
-            scalar_reference: false,
         }
-    }
-
-    /// Switches between the batched run loop (default) and the scalar
-    /// one-pop-per-event reference loop. The two execute identical event
-    /// orders; the scalar path exists so determinism tests can diff the
-    /// batched engine against it.
-    ///
-    /// Pending events migrate between the batched time-wheel (plus the
-    /// same-time lane) and the scalar heap in both directions — their
-    /// `(at, seq)` keys restore their exact place, so flipping the mode
-    /// never reorders anything.
-    pub fn set_scalar_reference(&mut self, scalar: bool) {
-        if scalar && !self.scalar_reference {
-            while let Some(ev) = self.lane.pop_front() {
-                self.queue.push(ev);
-            }
-            let queue = &mut self.queue;
-            self.wheel.drain_all(&mut |at, seq, handler| {
-                queue.push(Scheduled {
-                    at: SimTime::from_nanos(at),
-                    seq,
-                    handler,
-                });
-            });
-        } else if !scalar && self.scalar_reference {
-            for ev in std::mem::take(&mut self.queue) {
-                self.wheel.insert(ev.at.as_nanos(), ev.seq, ev.handler);
-            }
-        }
-        self.scalar_reference = scalar;
     }
 
     /// Current simulation time.
@@ -174,7 +110,7 @@ impl<W> Sim<W> {
 
     /// Number of events still pending (including cancelled tombstones).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.wheel.len() + self.lane.len()
+        self.wheel.len() + self.lane.len()
     }
 
     /// Schedules `handler` to run at absolute time `at`.
@@ -189,18 +125,11 @@ impl<W> Sim<W> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.scalar_reference {
-            self.queue.push(Scheduled {
-                at,
-                seq,
-                handler: Box::new(handler),
-            });
-        } else if at == self.now {
+        if at == self.now {
             // Same-time fast path: an event due right now joins the FIFO
             // lane (its seq is larger than everything staged there) and
             // skips the queue entirely.
             self.lane.push_back(Scheduled {
-                at,
                 seq,
                 handler: Box::new(handler),
             });
@@ -246,9 +175,6 @@ impl<W> Sim<W> {
     /// Runs events with timestamps `<= deadline`; time stops at the deadline
     /// (or at the last event, whichever is earlier). Returns the final time.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
-        if self.scalar_reference {
-            return self.run_until_scalar(world, deadline);
-        }
         loop {
             // Drain the same-time lane: everything staged at `now`, plus
             // whatever handlers append to it while it drains.
@@ -277,39 +203,13 @@ impl<W> Sim<W> {
     /// Moves every wheel event due exactly at `t_nanos` onto the lane,
     /// dropping cancellation tombstones on the way.
     fn stage_batch(&mut self, t_nanos: u64) {
-        let t = SimTime::from_nanos(t_nanos);
         let (wheel, lane, cancelled) = (&mut self.wheel, &mut self.lane, &mut self.cancelled);
         wheel.drain_at(t_nanos, &mut |seq, handler| {
             if !cancelled.is_empty() && cancelled.remove(&seq) {
                 return;
             }
-            lane.push_back(Scheduled {
-                at: t,
-                seq,
-                handler,
-            });
+            lane.push_back(Scheduled { seq, handler });
         });
-    }
-
-    /// The pre-batching scalar loop: pops one event per heap operation.
-    /// Kept as the differential-testing reference for the batched
-    /// [`Sim::run_until`]; only runs events scheduled in scalar mode.
-    fn run_until_scalar(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
-        while let Some(head) = self.queue.peek() {
-            if head.at > deadline {
-                self.now = deadline.min(head.at);
-                return self.now;
-            }
-            let ev = self.queue.pop().expect("peeked entry must pop");
-            debug_assert!(ev.at >= self.now, "event queue went backwards");
-            self.now = ev.at;
-            if self.take_tombstone(ev.seq) {
-                continue;
-            }
-            self.executed += 1;
-            (ev.handler)(self, world);
-        }
-        self.now
     }
 
     /// Runs at most `n` (non-cancelled) events; returns how many ran.
@@ -325,21 +225,10 @@ impl<W> Sim<W> {
                 (ev.handler)(self, world);
                 continue;
             }
-            if self.scalar_reference {
-                let Some(ev) = self.queue.pop() else { break };
-                self.now = ev.at;
-                if self.take_tombstone(ev.seq) {
-                    continue;
-                }
-                self.executed += 1;
-                ran += 1;
-                (ev.handler)(self, world);
-                continue;
-            }
             // Lane empty: advance to the next timestamp and stage its
             // whole batch, so later same-time schedules keep FIFO order
             // with the not-yet-run remainder. Time advances even when the
-            // batch was all tombstones, matching the scalar loop.
+            // batch was all tombstones, as in `run_until`.
             let Some(t_nanos) = self.wheel.next_at() else {
                 break;
             };
@@ -525,73 +414,5 @@ mod tests {
         assert_eq!(w, vec![2_000_000; 5]);
         assert_eq!(sim.events_executed(), 5);
         assert_eq!(sim.pending(), 0);
-    }
-
-    /// One pseudo-random torture trace, executed by both loops.
-    fn torture_trace(scalar: bool) -> Vec<(u64, u64)> {
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            *state >> 33
-        }
-        struct W {
-            log: Vec<(u64, u64)>, // (now_ns, event tag)
-            rng: u64,
-            spawned: u32,
-        }
-        fn ev(sim: &mut Sim<W>, w: &mut W, tag: u64) {
-            w.log.push((sim.now().as_nanos(), tag));
-            // Spawn a few follow-ups at pseudo-random (often colliding)
-            // times, sometimes cancelling one.
-            for _ in 0..=(next(&mut w.rng) % 3) {
-                if w.spawned >= 400 {
-                    break;
-                }
-                w.spawned += 1;
-                let tag = u64::from(w.spawned);
-                let delta = next(&mut w.rng) % 4; // 0..3 ms, 0 = same time
-                let id = sim.schedule_in(SimDuration::from_millis(delta), move |sim, w| {
-                    ev(sim, w, tag)
-                });
-                if next(&mut w.rng) % 7 == 0 {
-                    sim.cancel(id);
-                }
-            }
-        }
-        let mut sim: Sim<W> = Sim::new();
-        sim.set_scalar_reference(scalar);
-        let mut w = W {
-            log: Vec::new(),
-            rng: 0x5eed,
-            spawned: 0,
-        };
-        for i in 0..10 {
-            sim.schedule(SimTime::from_millis(i % 3), move |sim, w: &mut W| {
-                ev(sim, w, 1000 + i)
-            });
-        }
-        sim.run(&mut w);
-        w.log
-    }
-
-    #[test]
-    fn entering_scalar_mode_returns_staged_events_to_the_heap() {
-        // Events staged in the same-time lane before the mode flip (the
-        // build-then-flip pattern) must survive it in order.
-        let mut sim: Sim<Vec<u32>> = Sim::new();
-        let mut w = Vec::new();
-        sim.schedule(SimTime::ZERO, |_, w: &mut Vec<u32>| w.push(1)); // lane
-        sim.schedule(SimTime::from_millis(1), |_, w: &mut Vec<u32>| w.push(2));
-        sim.set_scalar_reference(true);
-        assert_eq!(sim.pending(), 2);
-        sim.run(&mut w);
-        assert_eq!(w, vec![1, 2]);
-    }
-
-    #[test]
-    fn batched_loop_matches_scalar_reference_on_torture_trace() {
-        let batched = torture_trace(false);
-        let scalar = torture_trace(true);
-        assert!(batched.len() > 100, "trace too small to be convincing");
-        assert_eq!(batched, scalar, "batched loop must replay scalar order");
     }
 }

@@ -3,7 +3,7 @@
 //! The batched run loop's access pattern is "pop every event at the next
 //! timestamp, then jump there": a classic hierarchical timing wheel serves
 //! it with O(1) inserts and per-*batch* (not per-event) advancement, where
-//! the binary heap paid a log-depth sift per event. Layout:
+//! a binary heap pays a log-depth sift per event. Layout:
 //!
 //! * [`LEVELS`] levels of 64 slots each; level 0 slots are 2^12 ns
 //!   (~4.1 µs) wide and each level's slots are 64× the previous, so the
@@ -18,14 +18,13 @@
 //!   buffer are pooled: capacity circulates between them via `swap`, so a
 //!   steady-state run performs no queue allocations at all.
 //!
-//! Exactness: the wheel reproduces the heap's `(at, seq)` total order
+//! Exactness: the wheel reproduces a binary heap's `(at, seq)` total order
 //! bit-for-bit. A drained bucket is sorted by `(at, seq)` before delivery,
 //! and [`Wheel::next_at`] is read-only so probing the queue (e.g. against
 //! a `run_until` deadline) commits nothing. Cursor movement — and thus
 //! cascading — happens only in [`Wheel::drain_at`], once the engine has
-//! committed to executing that timestamp. The scalar reference loop keeps
-//! using the binary heap; the differential tests in `engine` and the
-//! `engine_wheel` proptests pin the two orders against each other.
+//! committed to executing that timestamp. The `engine_wheel` proptests
+//! pin the engine's order against a model binary heap.
 
 const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS; // 64 slots per level
@@ -87,7 +86,7 @@ impl<T> Wheel<T> {
         }
     }
 
-    /// Entries stored (cancellation tombstones included, like the heap).
+    /// Entries stored (cancellation tombstones included).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -259,25 +258,6 @@ impl<T> Wheel<T> {
             self.buckets[i].append(&mut self.active);
         }
     }
-
-    /// Empties the wheel through `sink` in no particular order (the
-    /// scalar-mode migration re-sorts via the heap).
-    pub fn drain_all(&mut self, sink: &mut impl FnMut(u64, u64, T)) {
-        for e in self.active.drain(..) {
-            sink(e.at, e.seq, e.item);
-        }
-        self.active_slot = None;
-        for b in &mut self.buckets {
-            for e in b.drain(..) {
-                sink(e.at, e.seq, e.item);
-            }
-        }
-        self.occ = [0; LEVELS];
-        for e in self.overflow.drain(..) {
-            sink(e.at, e.seq, e.item);
-        }
-        self.len = 0;
-    }
 }
 
 fn bucket_min<T>(bucket: &[Entry<T>]) -> Option<u64> {
@@ -398,19 +378,5 @@ mod tests {
         assert_eq!(drain_next(&mut w).unwrap().0, far + 10);
         assert_eq!(drain_next(&mut w).unwrap().0, farther);
         assert_eq!(w.len(), 0);
-    }
-
-    #[test]
-    fn drain_all_returns_everything() {
-        let mut w: Wheel<u32> = Wheel::new();
-        w.insert(10, 0, 0);
-        w.insert(1 << 25, 1, 1);
-        w.insert(1 << 50, 2, 2);
-        let mut seen = Vec::new();
-        w.drain_all(&mut |at, seq, item| seen.push((at, seq, item)));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(10, 0, 0), (1 << 25, 1, 1), (1 << 50, 2, 2)]);
-        assert_eq!(w.len(), 0);
-        assert_eq!(w.next_at(), None);
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::config::{CloudConfig, DiskKind};
 use netsim::background::BroadcastSource;
-use netsim::infra::{EgressDecision, EgressNode, IngressNode};
+use netsim::infra::{EgressDecision, EgressNode};
 use netsim::link::{Fabric, NetNode};
 use netsim::packet::{EndpointId, Packet};
 use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender};
@@ -83,8 +83,6 @@ struct VmRecord {
 }
 
 struct ClientRecord {
-    #[allow(dead_code)] // retained for debugging / future addressing checks
-    endpoint: EndpointId,
     node: NetNode,
     app: Box<dyn ClientApp>,
 }
@@ -110,8 +108,6 @@ pub struct Cloud {
     cfg: CloudConfig,
     hosts: Vec<HostMachine>,
     fabric: Fabric,
-    #[allow(dead_code)] // routing table kept for operator introspection/tests
-    ingress: IngressNode,
     ingress_node: NetNode,
     egress: EgressNode,
     egress_node: NetNode,
@@ -131,11 +127,6 @@ pub struct Cloud {
     pgm_tx: FxHashMap<(usize, usize), PgmSender<ProposalMsg>>,
     pgm_rx: FxHashMap<(usize, usize, usize), PgmReceiver<ProposalMsg>>,
     tunnel_last: FxHashMap<usize, SimTime>,
-    /// Run the pre-batching scalar paths (per-proposal median agreement,
-    /// per-message wake recomputation) — the differential-testing
-    /// reference for the batched hot paths. See
-    /// [`CloudSim::set_scalar_reference`].
-    scalar_reference: bool,
     /// First structured slot failure, if any: a malformed scenario fails
     /// its cell (surfaced via [`CloudSim::error`]) instead of panicking
     /// the whole sweep process.
@@ -601,18 +592,10 @@ impl Cloud {
         let out = rx.on_packet(pkt);
         let now = sim.now();
         let (h, s) = self.vms[vm_idx].replicas[receiver_replica];
-        if self.scalar_reference {
-            // Reference path: one median-agreement call and one wake
-            // recomputation per delivered message.
-            for msg in &out.delivered {
-                if self.hosts[h].add_proposal(s, now, msg.kind, msg.seq, msg.proposal) {
-                    self.reschedule_wake(sim, h, s);
-                }
-            }
-        } else if !out.delivered.is_empty() {
-            // Batched path: the whole delivered backlog (one message in
-            // the common case, more after NAK recovery) runs through the
-            // one median-agreement pass — every channel kind together,
+        if !out.delivered.is_empty() {
+            // The whole delivered backlog (one message in the common
+            // case, more after NAK recovery) runs through one
+            // median-agreement pass — every channel kind together,
             // streamed, no per-message allocation — and the slot's wake
             // is recomputed once at the end if any delivery time got
             // fixed.
@@ -969,7 +952,6 @@ impl CloudBuilder {
             .map(|_| rtc.uniform_u64(0, 2_000_000))
             .collect();
 
-        let mut ingress = IngressNode::new();
         let mut vms = Vec::new();
         let mut by_endpoint = FxHashMap::default();
         for (vm_idx, (host_list, programs, mode)) in self.vms.into_iter().enumerate() {
@@ -995,7 +977,6 @@ impl CloudBuilder {
                 let s = hosts[h].add_slot(slot);
                 replicas.push((h, s));
             }
-            ingress.register(endpoint, host_list.iter().map(|&h| NetNode(h)).collect());
             by_endpoint.insert(endpoint, vm_idx);
             vms.push(VmRecord {
                 endpoint,
@@ -1009,7 +990,6 @@ impl CloudBuilder {
         for (ci, app) in self.clients.into_iter().enumerate() {
             let endpoint = EndpointId(2000 + ci as u64);
             clients.push(ClientRecord {
-                endpoint,
                 node: NetNode(self.host_count + 2 + ci),
                 app,
             });
@@ -1020,7 +1000,6 @@ impl CloudBuilder {
             cfg,
             hosts,
             fabric,
-            ingress,
             ingress_node,
             egress: EgressNode::new(),
             egress_node,
@@ -1034,7 +1013,6 @@ impl CloudBuilder {
             pgm_tx: FxHashMap::default(),
             pgm_rx: FxHashMap::default(),
             tunnel_last: FxHashMap::default(),
-            scalar_reference: false,
             error: None,
             stats: Counters::new(),
         };
@@ -1124,25 +1102,6 @@ impl CloudSim {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
-    }
-
-    /// Runs this cloud on the pre-batching scalar hot paths (one-pop
-    /// event loop, per-proposal median agreement, per-message wake
-    /// recomputation) instead of the batched ones. The two modes execute
-    /// identical event orders; this switch exists so determinism tests
-    /// can diff the batched engine against the scalar reference. Flip it
-    /// right after [`CloudBuilder::build`], before running.
-    pub fn set_scalar_reference(&mut self, scalar: bool) {
-        self.sim.set_scalar_reference(scalar);
-        self.cloud.scalar_reference = scalar;
-        // The reference arm also runs the guest action queues without
-        // consecutive-compute coalescing, so every pre-batching queue
-        // entry is executed one by one.
-        for host in &mut self.cloud.hosts {
-            for s in 0..host.slot_count() {
-                host.slot_mut(s).set_coalesce_compute(!scalar);
-            }
-        }
     }
 
     /// The first structured slot failure of this run, if any (a malformed

@@ -15,9 +15,8 @@
 //! interrupt injections never unpin it, and compute completion emits no
 //! output — so the merged queue walks an identical pc trajectory and
 //! emits identical outputs while popping (and rescanning injection
-//! candidates) once instead of twice. The scalar-reference arm runs with
-//! coalescing disabled, and the sweep-level parity tests diff the two
-//! engines byte for byte.
+//! candidates) once instead of twice. Coalescing is always on; the
+//! golden report digests pin that it changes no report byte.
 //!
 //! One case must not merge: when the front entry is an **executing**
 //! compute. Its completion point is already pinned, and the completion
@@ -33,7 +32,6 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub struct ActionQueue {
     buf: VecDeque<GuestAction>,
-    coalesce: bool,
     front_pinned: bool,
 }
 
@@ -50,39 +48,23 @@ impl ActionQueue {
     /// into ordinary `VecDeque` growth and the capacity is kept.
     pub const INLINE_CAPACITY: usize = 32;
 
-    /// An empty queue with coalescing enabled and the backing buffer
-    /// pre-allocated.
+    /// An empty queue with the backing buffer pre-allocated.
     pub fn new() -> Self {
         ActionQueue {
             buf: VecDeque::with_capacity(Self::INLINE_CAPACITY),
-            coalesce: true,
             front_pinned: false,
         }
     }
 
-    /// Enables or disables `Compute` coalescing (the scalar-reference arm
-    /// runs with it off so the pre-batching behaviour stays bit-exact in
-    /// every internal step, not just at the outputs).
-    pub fn set_coalesce(&mut self, on: bool) {
-        self.coalesce = on;
-    }
-
-    /// Whether `Compute` coalescing is enabled.
-    pub fn coalesce(&self) -> bool {
-        self.coalesce
-    }
-
-    /// Appends an action, merging consecutive `Compute` runs when
-    /// coalescing is on and the merge target is not an executing front.
+    /// Appends an action, merging consecutive `Compute` runs unless the
+    /// merge target is an executing front.
     pub fn push(&mut self, action: GuestAction) {
-        if self.coalesce {
-            if let GuestAction::Compute { branches: add } = action {
-                let back_is_executing = self.buf.len() == 1 && self.front_pinned;
-                if !back_is_executing {
-                    if let Some(GuestAction::Compute { branches }) = self.buf.back_mut() {
-                        *branches += add;
-                        return;
-                    }
+        if let GuestAction::Compute { branches: add } = action {
+            let back_is_executing = self.buf.len() == 1 && self.front_pinned;
+            if !back_is_executing {
+                if let Some(GuestAction::Compute { branches }) = self.buf.back_mut() {
+                    *branches += add;
+                    return;
                 }
             }
         }
@@ -145,15 +127,6 @@ mod tests {
         q.push(GuestAction::Call { token: 7 });
         q.push(GuestAction::Compute { branches: 2 });
         assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn coalescing_off_preserves_every_entry() {
-        let mut q = ActionQueue::new();
-        q.set_coalesce(false);
-        q.push(GuestAction::Compute { branches: 100 });
-        q.push(GuestAction::Compute { branches: 50 });
-        assert_eq!(q.len(), 2);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl<'a> GuestEnv<'a> {
     }
 
     /// Queues `branches` of computation (consecutive runs coalesce into
-    /// one queue entry unless the slot runs in scalar-reference mode).
+    /// one queue entry).
     pub fn compute(&mut self, branches: u64) {
         self.actions.push(GuestAction::Compute { branches });
     }

@@ -112,19 +112,24 @@ impl PendingTable {
         self.live
     }
 
-    /// Live `(kind, seq, needed, proposals so far)` rows — test/debug aid.
+    /// Live rows as `(kind, seq, needed, proposals so far, fixed delivery
+    /// and its cached injection branch)`, sorted — test/debug aid.
     #[cfg(test)]
-    pub fn snapshot(&self) -> Vec<(ChannelKind, u64, usize, usize)> {
+    #[allow(clippy::type_complexity)]
+    pub fn snapshot(&self) -> Vec<(ChannelKind, u64, usize, usize, Option<(VirtNanos, u64)>)> {
         let mut rows: Vec<_> = self
             .index
             .values()
             .map(|&r| {
-                let (kind, seq) = self.keys[r as usize];
+                let r = r as usize;
+                let (kind, seq) = self.keys[r];
+                let fixed = self.deliver[r].map(|d| (d, self.inj_branch[r]));
                 (
                     kind,
                     seq,
-                    self.needed[r as usize] as usize,
-                    self.prop_len[r as usize] as usize,
+                    self.needed[r] as usize,
+                    self.prop_len[r] as usize,
+                    fixed,
                 )
             })
             .collect();

@@ -385,14 +385,6 @@ impl GuestSlot {
         !self.actions.is_empty()
     }
 
-    /// Enables or disables consecutive-`Compute` coalescing in the action
-    /// queue (on by default; the cloud's scalar-reference mode turns it
-    /// off so the reference arm executes the pre-batching action stream
-    /// entry for entry).
-    pub fn set_coalesce_compute(&mut self, on: bool) {
-        self.actions.set_coalesce(on);
-    }
-
     /// Physical branches retired as of the last sync.
     pub fn branches(&self) -> u64 {
         self.branches
@@ -1193,8 +1185,9 @@ impl GuestSlot {
         seq < next
     }
 
-    /// The median-agreement core shared by every channel and by the
-    /// scalar and batched entry points. `cur_virt` is the replica's
+    /// The median-agreement core shared by every channel and by both
+    /// entry points ([`GuestSlot::add_proposal`] and
+    /// [`GuestSlot::add_proposals`]). `cur_virt` is the replica's
     /// current virtual time (read once per batch by the callers).
     fn record_proposal(
         &mut self,
@@ -2388,6 +2381,131 @@ mod tests {
             4,
         );
         GuestSlot::new(Box::new(IdleGuest), cfg, clock(), DiskImage::new(16));
+    }
+
+    /// A guest that opens an entry on every guest-initiated channel at
+    /// boot: two cache probes (ids 0 and 1), a disk read (op 0), and a
+    /// one-shot virtual timer (fire 0).
+    struct MixedGuest;
+
+    impl GuestProgram for MixedGuest {
+        fn on_boot(&mut self, env: &mut GuestEnv) {
+            env.cache_touch(3, 1);
+            env.cache_probe(3, 1);
+            env.cache_probe(4, 9);
+            env.disk_read(BlockRange::new(0, 4));
+            env.set_timer(1, VirtNanos::from_millis(5));
+        }
+        fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
+        fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
+    }
+
+    /// Everything a proposal can change: the pending rows (fixed
+    /// deliveries and cached injection branches included), the early
+    /// buffer, the counters, and the next wake.
+    #[allow(clippy::type_complexity)]
+    fn agreement_state(
+        slot: &GuestSlot,
+        p: &SpeedProfile,
+        now: SimTime,
+    ) -> (
+        Vec<(ChannelKind, u64, usize, usize, Option<(VirtNanos, u64)>)>,
+        Vec<((u8, u64), Vec<VirtNanos>)>,
+        Vec<(String, u64)>,
+        Option<SimTime>,
+    ) {
+        let mut early: Vec<_> = slot.early.iter().map(|(k, v)| (*k, v.clone())).collect();
+        early.sort();
+        let counters = slot
+            .counters()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        (
+            slot.pending.snapshot(),
+            early,
+            counters,
+            slot.next_wake(p, now),
+        )
+    }
+
+    #[test]
+    fn add_proposals_burst_matches_one_add_proposal_per_entry() {
+        use ChannelKind::{Cache, Disk, Net, Timer};
+        let p = profile();
+        let v = VirtNanos::from_nanos;
+        let (hit, miss) = (v(CacheModel::HIT_NS), v(CacheModel::MISS_NS));
+        let boot = || {
+            let mut cache = CacheModel::new(8, 2);
+            let mut slot = slot_with(Box::new(MixedGuest), stopwatch_cfg().mode);
+            let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+            assert_eq!(out.len(), 4, "two probes, a disk submit, a timer arm");
+            for seq in 0..2 {
+                let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
+                slot.on_packet_arrival(&p, SimTime::from_millis(1), seq, pkt);
+            }
+            (slot, cache)
+        };
+        let (mut burst_slot, mut burst_cache) = boot();
+        let (mut single_slot, mut single_cache) = boot();
+        let first: &[(ChannelKind, u64, VirtNanos)] = &[
+            (Net, 0, v(11_000_000)),
+            (Cache, 0, hit),
+            // Probe 5 is not issued yet: buffered for its local open.
+            (Cache, 5, hit),
+            (Net, 0, v(11_500_000)),
+            // A packet this replica never received: dropped.
+            (Net, 9, v(11_000_000)),
+            // Two equal timer proposals of three determine the median.
+            (Timer, 0, v(15_000_000)),
+            (Disk, 0, v(10_000_000)),
+            (Timer, 0, v(15_000_000)),
+            (Net, 0, v(12_000_000)),
+            (Cache, 0, miss),
+            (Cache, 0, hit),
+        ];
+        // Net 0 and probe 0 are delivered by now, so late proposals for
+        // them are strays (probe 0 sits below the allocation cursor). Net
+        // 1's median lies in this replica's past: clamped and counted.
+        let second: &[(ChannelKind, u64, VirtNanos)] = &[
+            (Net, 0, v(11_000_000)),
+            (Net, 1, v(2_000_000)),
+            (Cache, 0, hit),
+            (Timer, 0, v(16_000_000)),
+            (Disk, 0, v(10_000_000)),
+            (Cache, 1, miss),
+            (Disk, 0, v(10_500_000)),
+            (Cache, 1, miss),
+            (Net, 1, v(2_000_000)),
+            (Cache, 1, hit),
+            (Net, 1, v(2_500_000)),
+        ];
+        let horizon = SimTime::from_millis(12);
+        for (now, burst) in [(SimTime::from_millis(2), first), (horizon, second)] {
+            let fixed = burst_slot.add_proposals(&p, now, burst.iter().copied());
+            let fixed_single = burst
+                .iter()
+                .filter(|&&(kind, seq, prop)| single_slot.add_proposal(&p, now, kind, seq, prop))
+                .count();
+            assert_eq!(fixed, fixed_single, "fixed-entry count");
+            let state = agreement_state(&burst_slot, &p, now);
+            assert_eq!(state, agreement_state(&single_slot, &p, now));
+            // Deliver everything due by the horizon on both replicas.
+            let mut t = now;
+            while let Some(wake) = burst_slot.next_wake(&p, t).filter(|&w| w <= horizon) {
+                let out = burst_slot.process(&p, &mut burst_cache, wake);
+                let out_single = single_slot.process(&p, &mut single_cache, wake);
+                assert_eq!(format!("{out:?}"), format!("{out_single:?}"));
+                t = wake;
+            }
+        }
+        let (rows, ..) = agreement_state(&burst_slot, &p, horizon);
+        let fixed: Vec<_> = rows.iter().map(|r| (r.0, r.1, r.4.is_some())).collect();
+        assert_eq!(fixed, [(Disk, 0, true), (Timer, 0, true)], "{rows:?}");
+        assert_eq!(burst_slot.early_buffered(), 1, "only probe 5 awaits");
+        assert_eq!(burst_slot.counters().get("net_irq"), 2);
+        assert_eq!(burst_slot.counters().get("cache_irq"), 2);
+        assert_eq!(burst_slot.counters().get("sync_violations"), 1);
     }
 
     #[test]

@@ -24,12 +24,7 @@ fn demo_spec() -> SweepSpec {
 }
 
 fn sweep_json(threads: usize) -> String {
-    sweep_json_mode(threads, false)
-}
-
-fn sweep_json_mode(threads: usize, scalar_reference: bool) -> String {
-    let mut spec = demo_spec();
-    spec.scalar_reference = scalar_reference;
+    let spec = demo_spec();
     let scenarios = spec.scenarios().expect("spec expands");
     assert_eq!(scenarios.len(), 8, "2 x 2 grid x 2 seeds");
     let outcomes = run_scenarios(
@@ -74,29 +69,12 @@ fn repeated_runs_are_identical() {
     assert_eq!(sweep_json(4), sweep_json(4), "same spec, same bytes");
 }
 
-/// The hot-path batching contract: the batched engine (same-time FIFO
-/// lane, burst median agreement) and the retained scalar reference paths
-/// (one heap pop per event, one median per proposal) must produce
-/// **byte-identical** sweep JSON — batching changed speed, not behavior.
-/// `events_executed` is embedded per cell, so even a silently
-/// created-then-cancelled extra event would show up here.
-#[test]
-fn batched_and_scalar_engines_produce_identical_sweep_json() {
-    let batched = sweep_json_mode(4, false);
-    let scalar = sweep_json_mode(4, true);
-    assert_eq!(batched, scalar, "batched vs scalar-reference JSON");
-    assert!(
-        batched.contains("\"failures\": []"),
-        "runs were not vacuous"
-    );
-}
-
-/// The same contracts for the cache-channel workload, whose probe
+/// The same contract for the cache-channel workload, whose probe
 /// proposals ride the PGM streams next to network proposals: thread
-/// count and engine arm must not change a byte of the aggregate.
+/// count must not change a byte of the aggregate.
 #[test]
-fn cache_channel_sweep_is_thread_count_and_engine_arm_invariant() {
-    let json = |threads: usize, scalar_reference: bool| {
+fn cache_channel_sweep_is_thread_count_invariant() {
+    let json = |threads: usize| {
         let mut spec = SweepSpec::new("cache-det", "cache-channel")
             .axis("cfg.defense", &["baseline", "stopwatch"])
             .seed_shards(7, 2);
@@ -110,7 +88,6 @@ fn cache_channel_sweep_is_thread_count_and_engine_arm_invariant() {
             ("disk".to_string(), "ssd".to_string()),
         ];
         spec.duration = SimDuration::from_secs(60);
-        spec.scalar_reference = scalar_reference;
         let scenarios = spec.scenarios().expect("spec expands");
         let outcomes = run_scenarios(
             &scenarios,
@@ -121,9 +98,8 @@ fn cache_channel_sweep_is_thread_count_and_engine_arm_invariant() {
         );
         SweepReport::from_outcomes(&spec.name, &outcomes, None).to_json()
     };
-    let one = json(1, false);
-    assert_eq!(one, json(8, false), "1-thread vs 8-thread JSON");
-    assert_eq!(one, json(2, true), "batched vs scalar-reference JSON");
+    let one = json(1);
+    assert_eq!(one, json(8), "1-thread vs 8-thread JSON");
     assert!(one.contains("\"failures\": []"), "runs were not vacuous");
     assert!(one.contains("\"cache_irq\""), "probe counters aggregated");
 }

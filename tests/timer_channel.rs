@@ -165,11 +165,10 @@ fn recovery_accuracy_degrades_toward_chance_as_replicas_grow() {
 }
 
 /// The harness determinism contract extended to the timer channel: the
-/// sweep JSON is byte-identical across runner thread counts and across
-/// the batched vs scalar-reference engine arms.
+/// sweep JSON is byte-identical across runner thread counts.
 #[test]
-fn timer_sweep_is_thread_count_and_engine_arm_invariant() {
-    let json = |threads: usize, scalar_reference: bool| {
+fn timer_sweep_is_thread_count_invariant() {
+    let json = |threads: usize| {
         let mut spec = SweepSpec::new("timer-det", "timer-channel")
             .axis("cfg.defense", &["baseline", "stopwatch"])
             .seed_shards(7, 2);
@@ -182,7 +181,6 @@ fn timer_sweep_is_thread_count_and_engine_arm_invariant() {
             ("disk".to_string(), "ssd".to_string()),
         ];
         spec.duration = SimDuration::from_secs(60);
-        spec.scalar_reference = scalar_reference;
         let scenarios = spec.scenarios().expect("spec expands");
         let outcomes = run_scenarios(
             &scenarios,
@@ -193,9 +191,8 @@ fn timer_sweep_is_thread_count_and_engine_arm_invariant() {
         );
         SweepReport::from_outcomes(&spec.name, &outcomes, None).to_json()
     };
-    let one = json(1, false);
-    assert_eq!(one, json(8, false), "1-thread vs 8-thread JSON");
-    assert_eq!(one, json(2, true), "batched vs scalar-reference JSON");
+    let one = json(1);
+    assert_eq!(one, json(8), "1-thread vs 8-thread JSON");
     assert!(one.contains("\"failures\": []"), "runs were not vacuous");
     assert!(one.contains("\"vtimer_irq\""), "timer counters aggregated");
 }
