@@ -37,138 +37,19 @@
 //! stable from run to run must leave this file, with its evidence named
 //! here; the comparison itself is never loosened.
 
+mod golden;
+
+use golden::{bench_entry, check, preset_entry, GOLDEN};
 use harness::prelude::*;
-
-const GOLDEN: &str = include_str!("golden_reports.txt");
-
-/// The key of a report's whole-byte line (no cell label contains spaces
-/// or parentheses).
-const REPORT_KEY: &str = "(report)";
-
-/// 64-bit FNV-1a of `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// Runs `scenarios` at one thread into the report `name`.
-fn run_report(name: &str, scenarios: &[Scenario]) -> SweepReport {
-    let opts = RunnerOptions {
-        threads: 1,
-        progress: false,
-    };
-    SweepReport::from_outcomes(name, &run_scenarios(scenarios, &opts), None)
-}
-
-/// The golden lines of `entry`'s report: the whole report first, then
-/// one line per cell in grid order.
-fn digest_lines(entry: &str, report: &SweepReport) -> Vec<String> {
-    let mut lines = vec![format!(
-        "{entry} {REPORT_KEY} {:016x}",
-        fnv1a(report.to_json().as_bytes())
-    )];
-    for cell in &report.cells {
-        let alone = SweepReport {
-            name: report.name.clone(),
-            scenarios: cell.runs,
-            cells: vec![cell.clone()],
-            leakage: report
-                .leakage
-                .iter()
-                .filter(|v| v.cell == cell.cell)
-                .cloned()
-                .collect(),
-            failures: Vec::new(),
-        };
-        lines.push(format!(
-            "{entry} {} {:016x}",
-            cell.cell,
-            fnv1a(alone.to_json().as_bytes())
-        ));
-    }
-    lines
-}
-
-/// The golden lines of one entry, in file order.
-fn golden_lines(entry: &str) -> Vec<&'static str> {
-    GOLDEN
-        .lines()
-        .filter(|l| l.split(' ').next() == Some(entry))
-        .collect()
-}
-
-/// The cell key of a golden line (its middle field).
-fn key(line: &str) -> &str {
-    line.split(' ').nth(1).unwrap_or("")
-}
-
-/// Compares every entry against the golden file and fails with one
-/// message covering all of them: which entries moved, the first differing
-/// cell of each, and the replacement lines to paste.
-fn check(entries: Vec<(String, String, Vec<Scenario>)>) {
-    let mut moved = Vec::new();
-    let mut replacements = Vec::new();
-    for (entry, name, scenarios) in &entries {
-        let report = run_report(name, scenarios);
-        let got = digest_lines(entry, &report);
-        let want = golden_lines(entry);
-        if got.iter().map(String::as_str).eq(want.iter().copied()) {
-            continue;
-        }
-        // Line 0 is the whole report; the cells follow in grid order.
-        let first = (1..got.len().max(want.len()))
-            .find(|&i| got.get(i).map(String::as_str) != want.get(i).copied())
-            .map(|i| match got.get(i) {
-                Some(g) => format!("cell {}", key(g)),
-                None => format!("cell {} (no longer produced)", key(want[i])),
-            })
-            .unwrap_or_else(|| "no cell (the header or the failures)".to_string());
-        let failed = match report.failures.first() {
-            Some((label, error)) => format!(
-                "; {} scenario(s) failed, first {label}: {error}",
-                report.failures.len()
-            ),
-            None => String::new(),
-        };
-        moved.push(format!("{entry}: first differing {first}{failed}"));
-        replacements.extend(got);
-    }
-    assert!(
-        moved.is_empty(),
-        "golden_reports.txt does not match {} of {} reports:\n{}\n\n\
-         If the behaviour change is intended, paste these lines over the \
-         entries' old lines in crates/harness/tests/golden_reports.txt:\n{}\n",
-        moved.len(),
-        entries.len(),
-        moved.join("\n"),
-        replacements.join("\n")
-    );
-}
 
 #[test]
 fn every_preset_report_matches_its_golden_digests() {
-    let entries = PRESETS
-        .iter()
-        .map(|p| {
-            let spec = p.spec(true);
-            let scenarios = spec.scenarios().expect("preset expands");
-            (format!("preset/{}", p.name), spec.name, scenarios)
-        })
-        .collect();
-    check(entries);
+    check(PRESETS.iter().map(|p| preset_entry(p.name)).collect());
 }
 
 #[test]
 fn every_perf_bench_report_matches_its_golden_digests() {
-    let entries = PERF_BENCHES
-        .iter()
-        .map(|b| {
-            let scenarios = b.scenarios(true).expect("bench expands");
-            (format!("bench/{}", b.name), b.name.to_string(), scenarios)
-        })
-        .collect();
-    check(entries);
+    check(PERF_BENCHES.iter().map(|b| bench_entry(b.name)).collect());
 }
 
 #[test]

@@ -1,85 +1,35 @@
-//! Differential gate: the batched engine (hierarchical time-wheel +
-//! batched median agreement) and the scalar reference paths must produce
-//! **byte-identical** sweep reports, not just matching totals. This is
-//! the end-to-end teeth behind `Sim::set_scalar_reference` — any
-//! divergence in event order, medians, counters, or float formatting
-//! shows up as a byte diff here.
+//! Batched-versus-scalar parity for the four quick reports the deleted
+//! scalar-reference arm (binary-heap engine loop, per-message agreement,
+//! no Compute coalescing) used to be diffed against.
+//!
+//! That arm is gone; its output survives as the digests in
+//! `golden_reports.txt`, which were generated while both arms still
+//! existed and gave the same bytes for every entry. Matching them is the
+//! same byte-for-byte claim these tests always made: the batched engine
+//! renders exactly the report the scalar reference rendered.
 
-use harness::prelude::*;
+mod golden;
 
-fn report_json(name: &str, mut scenarios: Vec<Scenario>, scalar: bool) -> String {
-    for s in &mut scenarios {
-        s.scalar_reference = scalar;
-    }
-    let opts = RunnerOptions {
-        threads: 1,
-        progress: false,
-    };
-    let outcomes = run_scenarios(&scenarios, &opts);
-    for o in &outcomes {
-        assert!(
-            o.result.is_ok(),
-            "scenario {:?} failed: {:?}",
-            o.label,
-            o.result.as_ref().err()
-        );
-    }
-    SweepReport::from_outcomes(name, &outcomes, None).to_json()
-}
-
-fn sweep_json(name: &str, scalar: bool) -> String {
-    let spec = preset(name).expect("preset exists").spec(true);
-    let scenarios = spec.scenarios().expect("scenario list builds");
-    report_json(name, scenarios, scalar)
-}
-
-fn perf_json(name: &str, scalar: bool) -> String {
-    let scenarios = perf_bench(name)
-        .expect("perf bench exists")
-        .scenarios(true)
-        .expect("scenario list builds");
-    report_json(name, scenarios, scalar)
-}
+use golden::{bench_entry, check, preset_entry};
 
 #[test]
 fn delta_n_quick_sweep_is_byte_identical_batched_vs_scalar() {
-    let batched = sweep_json("delta-n", false);
-    let scalar = sweep_json("delta-n", true);
-    assert!(
-        batched == scalar,
-        "batched and scalar sweep JSON diverge (lengths {} vs {})",
-        batched.len(),
-        scalar.len()
-    );
+    check(vec![preset_entry("delta-n")]);
 }
 
 #[test]
 fn packet_storm_quick_bench_is_byte_identical_batched_vs_scalar() {
     // The packet-dense hot path: cached packet identity, coalesced guest
     // computes, and the batched egress vote all run here. Any elided or
-    // reordered event would shift `events_executed` and break the diff.
-    let batched = perf_json("packet-storm", false);
-    let scalar = perf_json("packet-storm", true);
-    assert!(
-        batched == scalar,
-        "batched and scalar perf-scenario JSON diverge (lengths {} vs {})",
-        batched.len(),
-        scalar.len()
-    );
+    // reordered event would shift `events_executed` and move the digests.
+    check(vec![bench_entry("packet-storm")]);
 }
 
 #[test]
 fn cache_storm_quick_bench_is_byte_identical_batched_vs_scalar() {
     // PRIME+PROBE rounds queue long compute runs between cache probes —
     // the densest Compute-coalescing traffic of any preset.
-    let batched = perf_json("cache-storm", false);
-    let scalar = perf_json("cache-storm", true);
-    assert!(
-        batched == scalar,
-        "batched and scalar perf-scenario JSON diverge (lengths {} vs {})",
-        batched.len(),
-        scalar.len()
-    );
+    check(vec![bench_entry("cache-storm")]);
 }
 
 #[test]
@@ -87,12 +37,5 @@ fn timer_channel_quick_sweep_is_byte_identical_batched_vs_scalar() {
     // The timer channel adds the vCPU-scheduler and virtual-timer paths
     // (cancellations, re-targeted hardware events) on top of delta-n's
     // packet flow — the cases where wheel tombstones could diverge.
-    let batched = sweep_json("timer-channel", false);
-    let scalar = sweep_json("timer-channel", true);
-    assert!(
-        batched == scalar,
-        "batched and scalar sweep JSON diverge (lengths {} vs {})",
-        batched.len(),
-        scalar.len()
-    );
+    check(vec![preset_entry("timer-channel")]);
 }
