@@ -10,7 +10,7 @@
 //! The machines here are sans-I/O: they consume events and return packets
 //! to send / payloads to deliver, so any event loop can drive them.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// A PGM protocol message carrying payload `T`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +53,9 @@ pub enum PgmPacket<T> {
 #[derive(Debug, Clone)]
 pub struct PgmSender<T> {
     next_seq: u64,
-    history: BTreeMap<u64, T>,
+    /// The last (at most `window`) payloads sent, oldest first:
+    /// `history[i]` is seq `next_seq - history.len() + i`.
+    history: VecDeque<T>,
     window: usize,
 }
 
@@ -67,7 +69,7 @@ impl<T: Clone> PgmSender<T> {
         assert!(window > 0, "history window must be positive");
         PgmSender {
             next_seq: 0,
-            history: BTreeMap::new(),
+            history: VecDeque::new(),
             window,
         }
     }
@@ -76,11 +78,10 @@ impl<T: Clone> PgmSender<T> {
     pub fn send(&mut self, payload: T) -> PgmPacket<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.history.insert(seq, payload.clone());
-        while self.history.len() > self.window {
-            let oldest = *self.history.keys().next().expect("non-empty");
-            self.history.remove(&oldest);
+        if self.history.len() == self.window {
+            self.history.pop_front();
         }
+        self.history.push_back(payload.clone());
         PgmPacket::Data {
             seq,
             payload,
@@ -90,13 +91,15 @@ impl<T: Clone> PgmSender<T> {
 
     /// Produces retransmissions for the requested sequence numbers.
     /// Sequences that have aged out of the history are silently skipped
-    /// (matching PGM's bounded-window semantics).
+    /// (matching PGM's bounded-window semantics), as are sequences never sent.
     pub fn on_nak(&self, missing: &[u64]) -> Vec<PgmPacket<T>> {
+        let first = self.next_seq - self.history.len() as u64;
         missing
             .iter()
-            .filter_map(|seq| {
-                self.history.get(seq).map(|payload| PgmPacket::Data {
-                    seq: *seq,
+            .filter_map(|&seq| {
+                let offset = usize::try_from(seq.checked_sub(first)?).ok()?;
+                self.history.get(offset).map(|payload| PgmPacket::Data {
+                    seq,
                     payload: payload.clone(),
                     retransmit: true,
                 })
@@ -120,11 +123,19 @@ pub struct RxOutput<T> {
 }
 
 /// Receiver half: reorders, detects gaps, requests retransmission.
+///
+/// Memory is the deepest reorder gap: the window spans `expected` up to
+/// the highest buffered seq.
 #[derive(Debug, Clone, Default)]
 pub struct PgmReceiver<T> {
     expected: u64,
-    buffer: BTreeMap<u64, T>,
-    nakked: Vec<u64>,
+    /// `window[i]` holds seq `expected + i` once it has arrived. The window
+    /// is empty or ends with the highest buffered seq, and its front is
+    /// never filled (that seq would have been delivered).
+    window: VecDeque<Option<T>>,
+    /// NAK-once watermark: every seq below it has been delivered, buffered,
+    /// or NAKed once; no seq at or above it has been.
+    nak_high: u64,
 }
 
 impl<T> PgmReceiver<T> {
@@ -132,8 +143,8 @@ impl<T> PgmReceiver<T> {
     pub fn new() -> Self {
         PgmReceiver {
             expected: 0,
-            buffer: BTreeMap::new(),
-            nakked: Vec::new(),
+            window: VecDeque::new(),
+            nak_high: 0,
         }
     }
 
@@ -147,37 +158,42 @@ impl<T> PgmReceiver<T> {
         let PgmPacket::Data { seq, payload, .. } = pkt else {
             return out;
         };
-        if seq < self.expected || self.buffer.contains_key(&seq) {
-            return out; // duplicate
+        let Some(offset) = seq.checked_sub(self.expected) else {
+            return out; // duplicate of a delivered seq
+        };
+        let offset = usize::try_from(offset).expect("reorder gap fits in memory");
+        match self.window.get_mut(offset) {
+            Some(Some(_)) => return out, // duplicate of a buffered seq
+            Some(slot) => *slot = Some(payload),
+            None => {
+                self.window.resize_with(offset, || None);
+                self.window.push_back(Some(payload));
+            }
         }
-        self.buffer.insert(seq, payload);
+        // NAK the gap this packet opens, once each: the seqs it skips over
+        // that no earlier packet already skipped over. Every delivered seq
+        // was accepted here first, so `expected <= nak_high` always.
+        if seq >= self.nak_high {
+            out.nak_missing.extend(self.nak_high..seq);
+            self.nak_high = seq + 1;
+        }
         // Deliver the in-order prefix.
-        while let Some(payload) = self.buffer.remove(&self.expected) {
+        while let Some(payload) = self.window.front_mut().and_then(Option::take) {
+            self.window.pop_front();
             out.delivered.push(payload);
             self.expected += 1;
         }
-        // NAK any gaps below the highest buffered seq, once each.
-        if let Some(&hi) = self.buffer.keys().next_back() {
-            for missing in self.expected..hi {
-                if !self.buffer.contains_key(&missing) && !self.nakked.contains(&missing) {
-                    self.nakked.push(missing);
-                    out.nak_missing.push(missing);
-                }
-            }
-        }
-        self.nakked.retain(|s| *s >= self.expected);
         out
     }
 
     /// Re-raises NAKs for still-missing gaps (call on a timer; PGM NAKs are
     /// retried until satisfied).
     pub fn pending_naks(&self) -> Vec<u64> {
-        match self.buffer.keys().next_back() {
-            Some(&hi) => (self.expected..hi)
-                .filter(|s| !self.buffer.contains_key(s))
-                .collect(),
-            None => Vec::new(),
-        }
+        (self.expected..)
+            .zip(&self.window)
+            .filter(|(_, slot)| slot.is_none())
+            .map(|(seq, _)| seq)
+            .collect()
     }
 
     /// Next sequence the application will see.

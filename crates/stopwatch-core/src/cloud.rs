@@ -558,18 +558,24 @@ impl Cloud {
             .pgm_tx
             .entry((vm_idx, sender_replica))
             .or_insert_with(|| PgmSender::new(4096));
-        let pgm_pkt = tx.send(msg);
+        let mut pgm_pkt = Some(tx.send(msg));
         let from_node = self.hosts[self.vms[vm_idx].replicas[sender_replica].0].id();
-        for peer_idx in 0..self.vms[vm_idx].replicas.len() {
-            if peer_idx == sender_replica {
-                continue;
-            }
+        let mut peers = (0..self.vms[vm_idx].replicas.len())
+            .filter(|&peer_idx| peer_idx != sender_replica)
+            .peekable();
+        while let Some(peer_idx) = peers.next() {
             let to_node = self.hosts[self.vms[vm_idx].replicas[peer_idx].0].id();
             if let Some(arrive) =
                 self.fabric
                     .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
             {
-                let pkt = pgm_pkt.clone();
+                // The last peer takes the packet itself, earlier ones a copy.
+                let pkt = if peers.peek().is_some() {
+                    pgm_pkt.clone()
+                } else {
+                    pgm_pkt.take()
+                };
+                let pkt = pkt.expect("only the last peer takes the packet");
                 sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
                     cloud.pgm_receive(sim, vm_idx, peer_idx, sender_replica, pkt);
                 });
@@ -639,7 +645,7 @@ impl Cloud {
                     return;
                 };
                 let retx = tx.on_nak(&missing);
-                let replicas = cloud.vms[vm_idx].replicas.clone();
+                let replicas = &cloud.vms[vm_idx].replicas;
                 let from_node = cloud.hosts[replicas[sender_replica].0].id();
                 let to_node = cloud.hosts[replicas[receiver_replica].0].id();
                 for pkt in retx {
@@ -649,13 +655,7 @@ impl Cloud {
                             .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
                     {
                         sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                            cloud.pgm_receive(
-                                sim,
-                                vm_idx,
-                                receiver_replica,
-                                sender_replica,
-                                pkt.clone(),
-                            );
+                            cloud.pgm_receive(sim, vm_idx, receiver_replica, sender_replica, pkt);
                         });
                     }
                 }
