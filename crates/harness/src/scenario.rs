@@ -263,7 +263,7 @@ impl Scenario {
             extra: outcome.extra,
             clients_done,
             finished_ms: finished_at.duration_since(SimTime::ZERO).as_millis_f64(),
-            events_executed: sim.sim.events_executed(),
+            events_executed: sim.events_executed(),
             replicas,
             counters,
         };

@@ -34,7 +34,7 @@ pub mod prelude {
     pub use crate::infra::{EgressDecision, EgressNode, IngressNode};
     pub use crate::link::{Fabric, LinkModel, NetNode};
     pub use crate::packet::{AppData, Body, EndpointId, Packet, TcpSegment, UdpKind, UdpSegment};
-    pub use crate::pgm::{PgmPacket, PgmReceiver, PgmSender};
+    pub use crate::pgm::{PgmPacket, PgmReceiver, PgmSender, RxOutput};
     pub use crate::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpOutput, TcpState};
     pub use crate::udp::{UdpClientEvent, UdpFileClient, UdpFileServer, UDP_CHUNK};
 }

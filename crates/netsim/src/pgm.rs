@@ -37,17 +37,18 @@ pub enum PgmPacket<T> {
 /// # Examples
 ///
 /// ```
-/// use netsim::pgm::{PgmReceiver, PgmSender};
+/// use netsim::pgm::{PgmReceiver, PgmSender, RxOutput};
 /// let mut tx = PgmSender::new(64);
 /// let mut rx = PgmReceiver::new();
+/// let mut out = RxOutput::default();
 /// let p0 = tx.send("a");
 /// let p1 = tx.send("b");
 /// // p0 is lost; rx sees p1 first and NAKs seq 0.
-/// let out = rx.on_packet(p1);
+/// rx.on_packet(p1, &mut out);
 /// assert!(out.delivered.is_empty());
 /// assert_eq!(out.nak_missing, vec![0]);
-/// let retx = tx.on_nak(&out.nak_missing);
-/// let out = rx.on_packet(retx.into_iter().next().unwrap());
+/// let retx = tx.retransmit(out.nak_missing[0]).expect("seq 0 is in the history");
+/// rx.on_packet(retx, &mut out);
 /// assert_eq!(out.delivered, vec!["a", "b"]);
 /// ```
 #[derive(Debug, Clone)]
@@ -89,22 +90,17 @@ impl<T: Clone> PgmSender<T> {
         }
     }
 
-    /// Produces retransmissions for the requested sequence numbers.
-    /// Sequences that have aged out of the history are silently skipped
-    /// (matching PGM's bounded-window semantics), as are sequences never sent.
-    pub fn on_nak(&self, missing: &[u64]) -> Vec<PgmPacket<T>> {
+    /// The retransmission of `seq`, for one sequence number of a NAK. A
+    /// sequence that has aged out of the history yields `None` (matching
+    /// PGM's bounded-window semantics), as does one never sent.
+    pub fn retransmit(&self, seq: u64) -> Option<PgmPacket<T>> {
         let first = self.next_seq - self.history.len() as u64;
-        missing
-            .iter()
-            .filter_map(|&seq| {
-                let offset = usize::try_from(seq.checked_sub(first)?).ok()?;
-                self.history.get(offset).map(|payload| PgmPacket::Data {
-                    seq,
-                    payload: payload.clone(),
-                    retransmit: true,
-                })
-            })
-            .collect()
+        let offset = usize::try_from(seq.checked_sub(first)?).ok()?;
+        self.history.get(offset).map(|payload| PgmPacket::Data {
+            seq,
+            payload: payload.clone(),
+            retransmit: true,
+        })
     }
 
     /// Next sequence number to be assigned.
@@ -113,13 +109,24 @@ impl<T: Clone> PgmSender<T> {
     }
 }
 
-/// What a receiver wants done after consuming a packet.
+/// What a receiver wants done after consuming a packet. The caller owns
+/// it and hands it to every [`PgmReceiver::on_packet`], which refills it,
+/// so a steady stream of packets reuses its two buffers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RxOutput<T> {
     /// Payloads now deliverable in order.
     pub delivered: Vec<T>,
     /// Gap sequences to NAK (empty if none detected by this packet).
     pub nak_missing: Vec<u64>,
+}
+
+impl<T> Default for RxOutput<T> {
+    fn default() -> Self {
+        RxOutput {
+            delivered: Vec::new(),
+            nak_missing: Vec::new(),
+        }
+    }
 }
 
 /// Receiver half: reorders, detects gaps, requests retransmission.
@@ -148,22 +155,21 @@ impl<T> PgmReceiver<T> {
         }
     }
 
-    /// Consumes one packet; returns in-order deliveries and fresh NAKs.
-    /// `Nak` packets addressed to senders are ignored by receivers.
-    pub fn on_packet(&mut self, pkt: PgmPacket<T>) -> RxOutput<T> {
-        let mut out = RxOutput {
-            delivered: Vec::new(),
-            nak_missing: Vec::new(),
-        };
+    /// Consumes one packet, replacing `out`'s contents with the in-order
+    /// deliveries and fresh NAKs it causes. `Nak` packets addressed to
+    /// senders are ignored by receivers.
+    pub fn on_packet(&mut self, pkt: PgmPacket<T>, out: &mut RxOutput<T>) {
+        out.delivered.clear();
+        out.nak_missing.clear();
         let PgmPacket::Data { seq, payload, .. } = pkt else {
-            return out;
+            return;
         };
         let Some(offset) = seq.checked_sub(self.expected) else {
-            return out; // duplicate of a delivered seq
+            return; // duplicate of a delivered seq
         };
         let offset = usize::try_from(offset).expect("reorder gap fits in memory");
         match self.window.get_mut(offset) {
-            Some(Some(_)) => return out, // duplicate of a buffered seq
+            Some(Some(_)) => return, // duplicate of a buffered seq
             Some(slot) => *slot = Some(payload),
             None => {
                 self.window.resize_with(offset, || None);
@@ -183,7 +189,6 @@ impl<T> PgmReceiver<T> {
             out.delivered.push(payload);
             self.expected += 1;
         }
-        out
     }
 
     /// Re-raises NAKs for still-missing gaps (call on a timer; PGM NAKs are
@@ -206,12 +211,28 @@ impl<T> PgmReceiver<T> {
 mod tests {
     use super::*;
 
+    /// One packet through `rx`, into a fresh output.
+    fn recv<T>(rx: &mut PgmReceiver<T>, pkt: PgmPacket<T>) -> RxOutput<T> {
+        let mut out = RxOutput::default();
+        rx.on_packet(pkt, &mut out);
+        out
+    }
+
+    /// The sender's answer to a NAK listing `missing`.
+    fn answer<T: Clone>(tx: &PgmSender<T>, missing: &[u64]) -> Vec<PgmPacket<T>> {
+        missing
+            .iter()
+            .filter_map(|&seq| tx.retransmit(seq))
+            .collect()
+    }
+
     #[test]
     fn in_order_delivery() {
         let mut tx = PgmSender::new(16);
         let mut rx = PgmReceiver::new();
+        let mut out = RxOutput::default();
         for i in 0..5 {
-            let out = rx.on_packet(tx.send(i));
+            rx.on_packet(tx.send(i), &mut out);
             assert_eq!(out.delivered, vec![i]);
             assert!(out.nak_missing.is_empty());
         }
@@ -224,10 +245,10 @@ mod tests {
         let mut rx = PgmReceiver::new();
         let p0 = tx.send("a");
         let p1 = tx.send("b");
-        let out1 = rx.on_packet(p1);
+        let out1 = recv(&mut rx, p1);
         assert!(out1.delivered.is_empty());
         assert_eq!(out1.nak_missing, vec![0]); // it can't tell reorder from loss
-        let out0 = rx.on_packet(p0);
+        let out0 = recv(&mut rx, p0);
         assert_eq!(out0.delivered, vec!["a", "b"]);
     }
 
@@ -238,13 +259,13 @@ mod tests {
         let _lost = tx.send(10);
         let p1 = tx.send(11);
         let p2 = tx.send(12);
-        let o1 = rx.on_packet(p1);
+        let o1 = recv(&mut rx, p1);
         assert_eq!(o1.nak_missing, vec![0]);
-        let o2 = rx.on_packet(p2);
+        let o2 = recv(&mut rx, p2);
         assert!(o2.nak_missing.is_empty(), "NAK only raised once per gap");
-        let retx = tx.on_nak(&[0]);
+        let retx = answer(&tx, &[0]);
         assert_eq!(retx.len(), 1);
-        let o3 = rx.on_packet(retx.into_iter().next().unwrap());
+        let o3 = recv(&mut rx, retx.into_iter().next().unwrap());
         assert_eq!(o3.delivered, vec![10, 11, 12]);
     }
 
@@ -253,8 +274,8 @@ mod tests {
         let mut tx = PgmSender::new(16);
         let mut rx = PgmReceiver::new();
         let p0 = tx.send(1);
-        assert_eq!(rx.on_packet(p0.clone()).delivered, vec![1]);
-        assert!(rx.on_packet(p0).delivered.is_empty());
+        assert_eq!(recv(&mut rx, p0.clone()).delivered, vec![1]);
+        assert!(recv(&mut rx, p0).delivered.is_empty());
     }
 
     #[test]
@@ -263,8 +284,8 @@ mod tests {
         tx.send(0);
         tx.send(1);
         tx.send(2); // seq 0 aged out
-        assert!(tx.on_nak(&[0]).is_empty());
-        assert_eq!(tx.on_nak(&[1, 2]).len(), 2);
+        assert!(answer(&tx, &[0]).is_empty());
+        assert_eq!(answer(&tx, &[1, 2]).len(), 2);
     }
 
     #[test]
@@ -275,15 +296,34 @@ mod tests {
         // Deliver only seqs 2 and 5.
         let p5 = pkts.remove(5);
         let p2 = pkts.remove(2);
-        rx.on_packet(p2);
-        rx.on_packet(p5);
+        recv(&mut rx, p2);
+        recv(&mut rx, p5);
         assert_eq!(rx.pending_naks(), vec![0, 1, 3, 4]);
     }
 
     #[test]
     fn nak_packet_to_receiver_is_noop() {
         let mut rx: PgmReceiver<u32> = PgmReceiver::new();
-        let out = rx.on_packet(PgmPacket::Nak { missing: vec![1] });
+        let out = recv(&mut rx, PgmPacket::Nak { missing: vec![1] });
         assert!(out.delivered.is_empty() && out.nak_missing.is_empty());
+    }
+
+    #[test]
+    fn each_packet_replaces_the_previous_output() {
+        // The caller's buffer is cleared first: a duplicate after a
+        // delivery, or a NAK-free packet after a NAKing one, reports
+        // nothing stale.
+        let mut tx = PgmSender::new(16);
+        let mut rx = PgmReceiver::new();
+        let mut out = RxOutput::default();
+        let (p0, p1, p2) = (tx.send(0), tx.send(1), tx.send(2));
+        rx.on_packet(p1, &mut out);
+        assert_eq!(out.nak_missing, vec![0]);
+        rx.on_packet(p2, &mut out);
+        assert_eq!(out, RxOutput::default());
+        rx.on_packet(p0.clone(), &mut out);
+        assert_eq!(out.delivered, vec![0, 1, 2]);
+        rx.on_packet(p0, &mut out);
+        assert_eq!(out, RxOutput::default());
     }
 }

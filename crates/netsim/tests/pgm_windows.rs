@@ -117,11 +117,21 @@ impl ModelReceiver {
     }
 }
 
+/// The ring sender's answer to a NAK: one `retransmit` per listed seq.
+fn answer(tx: &PgmSender<u64>, missing: &[u64]) -> Vec<PgmPacket<u64>> {
+    missing
+        .iter()
+        .filter_map(|&seq| tx.retransmit(seq))
+        .collect()
+}
+
 /// One sender/receiver stream run twice, once on the rings and once on the
 /// model, over the same simulated network.
 struct Pair {
     tx: PgmSender<u64>,
     rx: PgmReceiver<u64>,
+    /// The receiver's output buffer, reused for every packet.
+    out: RxOutput<u64>,
     model_tx: ModelSender,
     model_rx: ModelReceiver,
     /// Packets on the wire, in any order.
@@ -136,6 +146,7 @@ impl Pair {
         Pair {
             tx: PgmSender::new(window),
             rx: PgmReceiver::new(),
+            out: RxOutput::default(),
             model_tx: ModelSender::new(window),
             model_rx: ModelReceiver::default(),
             in_flight: Vec::new(),
@@ -154,19 +165,19 @@ impl Pair {
 
     /// Hands `pkt` to both receivers and queues any NAK it raised.
     fn deliver(&mut self, pkt: PgmPacket<u64>) {
-        let out = self.rx.on_packet(pkt.clone());
-        assert_eq!(out, self.model_rx.on_packet(pkt), "on_packet output");
-        if !out.nak_missing.is_empty() {
-            self.naks.push(out.nak_missing);
+        self.rx.on_packet(pkt.clone(), &mut self.out);
+        assert_eq!(self.out, self.model_rx.on_packet(pkt), "on_packet output");
+        if !self.out.nak_missing.is_empty() {
+            self.naks.push(self.out.nak_missing.clone());
         }
-        self.delivered.extend(out.delivered);
+        self.delivered.extend_from_slice(&self.out.delivered);
     }
 
     /// Answers one queued NAK from both senders' histories.
     fn answer_nak(&mut self, pick: usize) {
         let missing = self.naks.swap_remove(pick);
-        let retx = self.tx.on_nak(&missing);
-        assert_eq!(retx, self.model_tx.on_nak(&missing), "on_nak({missing:?})");
+        let retx = answer(&self.tx, &missing);
+        assert_eq!(retx, self.model_tx.on_nak(&missing), "NAK {missing:?}");
         self.in_flight.extend(retx);
     }
 
@@ -266,14 +277,14 @@ fn reversed_burst_matches_the_model() {
     assert!(pair.rx.pending_naks().is_empty());
 }
 
-/// `on_nak` across the window boundary: aged-out, live and never-sent
-/// seqs, in request order, repeats included.
+/// Answering a NAK across the window boundary: aged-out, live and
+/// never-sent seqs, in request order, repeats included.
 #[test]
 fn on_nak_skips_aged_out_and_unsent_seqs() {
     for window in [1, 2, 4, 7] {
         let mut tx = PgmSender::new(window);
         let mut model = ModelSender::new(window);
-        assert!(tx.on_nak(&[0, 1]).is_empty(), "nothing sent yet");
+        assert!(answer(&tx, &[0, 1]).is_empty(), "nothing sent yet");
         for sent in 0..10u64 {
             tx.send(sent);
             model.send(sent);
@@ -290,7 +301,7 @@ fn on_nak_skips_aged_out_and_unsent_seqs() {
                 u64::MAX,
             ];
             assert_eq!(
-                tx.on_nak(&probes),
+                answer(&tx, &probes),
                 model.on_nak(&probes),
                 "window {window}, next_seq {next}"
             );
@@ -301,8 +312,7 @@ fn on_nak_skips_aged_out_and_unsent_seqs() {
         tx.send(payload);
     }
     // History holds seqs 6..=9: 5 aged out, 10 and beyond never sent.
-    let seqs: Vec<u64> = tx
-        .on_nak(&[5, 9, 6, 10, 3, 7, 100, u64::MAX])
+    let seqs: Vec<u64> = answer(&tx, &[5, 9, 6, 10, 3, 7, 100, u64::MAX])
         .into_iter()
         .map(|pkt| match pkt {
             PgmPacket::Data {
@@ -314,7 +324,7 @@ fn on_nak_skips_aged_out_and_unsent_seqs() {
                 assert_eq!(payload, seq);
                 seq
             }
-            PgmPacket::Nak { .. } => panic!("on_nak answers with data"),
+            PgmPacket::Nak { .. } => panic!("a NAK is answered with data"),
         })
         .collect();
     assert_eq!(seqs, vec![9, 6, 7]);

@@ -1,10 +1,27 @@
 //! The discrete-event simulation engine.
 //!
-//! [`Sim<W>`] owns a priority queue of scheduled events. Each event is a
-//! closure receiving the engine (to schedule more events) and the user world
-//! `W`. Ties at equal timestamps are broken by scheduling order, making every
-//! run fully deterministic — a property the StopWatch reproduction leans on
-//! heavily (replica determinism is part of the defense itself).
+//! [`Sim<W, E>`] owns a queue of scheduled events of type `E`. Each event
+//! fires once, receiving the engine (to schedule more events) and the user
+//! world `W` — see [`Event`]. Ties at equal timestamps are broken by
+//! scheduling order, making every run fully deterministic — a property the
+//! StopWatch reproduction leans on heavily (replica determinism is part of
+//! the defense itself).
+//!
+//! # Typed events in a slab
+//!
+//! A world with a fixed set of event kinds names them in one enum and
+//! implements [`Event`] for it with a single `match`; posting such an
+//! event ([`Sim::post`]) moves it into a **slab** of recycled slots, so a
+//! steady-state run allocates nothing per event. The default event type,
+//! [`Closure`], boxes an arbitrary `FnOnce` ([`Sim::schedule`]) — one
+//! allocation per event, convenient for tests, examples and one-off
+//! drivers.
+//!
+//! The queue structures never hold events themselves: wheel and lane
+//! entries are `(at, seq, slot)` triples pointing into the slab, so
+//! filing, sorting and staging move a few words however large the event
+//! type is. A slot returns to the free list when its event fires, or when
+//! a cancelled event's tombstone is consumed.
 //!
 //! # Batched scheduling over a hierarchical time-wheel
 //!
@@ -38,12 +55,31 @@ use crate::wheel::Wheel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
+/// An event the engine can fire: consumed once, at its scheduled time.
+pub trait Event<W>: Sized {
+    /// Runs the event at `sim.now()`.
+    fn fire(self, sim: &mut Sim<W, Self>, world: &mut W);
+}
+
 type Handler<W> = Box<dyn FnOnce(&mut Sim<W>, &mut W)>;
 
+/// The default event type: a boxed closure (see [`Sim::schedule`]).
+pub struct Closure<W>(Handler<W>);
+
+impl<W> Event<W> for Closure<W> {
+    fn fire(self, sim: &mut Sim<W>, world: &mut W) {
+        (self.0)(sim, world)
+    }
+}
+
+/// Index of an event's slab slot.
+type Slot = u32;
+
 /// A lane entry; its time is always the engine's `now`.
-struct Scheduled<W> {
+#[derive(Clone, Copy)]
+struct Staged {
     seq: u64,
-    handler: Handler<W>,
+    slot: Slot,
 }
 
 /// A deterministic discrete-event simulation executor.
@@ -65,27 +101,81 @@ struct Scheduled<W> {
 /// assert_eq!(world, vec![1, 2, 6]);
 /// assert_eq!(sim.now(), SimTime::from_millis(6));
 /// ```
-pub struct Sim<W> {
+///
+/// A typed event enum instead of closures:
+///
+/// ```
+/// use simkit::engine::{Event, Sim};
+/// use simkit::time::{SimDuration, SimTime};
+///
+/// enum Tick {
+///     Count(u32),
+/// }
+/// impl Event<Vec<u32>> for Tick {
+///     fn fire(self, sim: &mut Sim<Vec<u32>, Tick>, w: &mut Vec<u32>) {
+///         let Tick::Count(n) = self;
+///         w.push(n);
+///         if n < 3 {
+///             sim.post_in(SimDuration::from_millis(1), Tick::Count(n + 1));
+///         }
+///     }
+/// }
+/// let mut sim: Sim<Vec<u32>, Tick> = Sim::new();
+/// let mut world = Vec::new();
+/// sim.post(SimTime::ZERO, Tick::Count(1));
+/// sim.run(&mut world);
+/// assert_eq!(world, vec![1, 2, 3]);
+/// assert_eq!(sim.now(), SimTime::from_millis(2));
+/// ```
+pub struct Sim<W, E = Closure<W>> {
     now: SimTime,
     next_seq: u64,
-    /// Future events: a hierarchical time-wheel with pooled buckets.
-    wheel: Wheel<Handler<W>>,
+    /// Future events: a hierarchical time-wheel with pooled buckets,
+    /// holding each event's slab slot.
+    wheel: Wheel<Slot>,
     /// Same-time FIFO lane: events due exactly at `now`, in `seq` order.
     /// Invariant: whenever the lane is non-empty, every queued entry is
     /// strictly later than `now`, so draining the lane first preserves
     /// global `(at, seq)` order.
-    lane: VecDeque<Scheduled<W>>,
+    lane: VecDeque<Staged>,
+    /// The events themselves; `None` marks a free slot.
+    slab: Vec<Option<E>>,
+    /// Free slab slots, reused before the slab grows.
+    free: Vec<Slot>,
     cancelled: FxHashSet<u64>,
     executed: u64,
+    /// `W` appears only through the events' `Event<W>` bound.
+    _world: std::marker::PhantomData<fn(&mut W)>,
 }
 
-impl<W> Default for Sim<W> {
+impl<W, E: Event<W>> Default for Sim<W, E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<W> Sim<W> {
+    /// Schedules `handler` to run at absolute time `at` (see
+    /// [`Sim::post`]). Each call boxes the closure.
+    pub fn schedule(
+        &mut self,
+        at: SimTime,
+        handler: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
+    ) -> EventId {
+        self.post(at, Closure(Box::new(handler)))
+    }
+
+    /// Schedules `handler` to run `delay` after the current time.
+    pub fn schedule_in(
+        &mut self,
+        delay: SimDuration,
+        handler: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
+    ) -> EventId {
+        self.schedule(self.now + delay, handler)
+    }
+}
+
+impl<W, E: Event<W>> Sim<W, E> {
     /// Creates an empty engine at time zero.
     pub fn new() -> Self {
         Sim {
@@ -93,8 +183,11 @@ impl<W> Sim<W> {
             next_seq: 0,
             wheel: Wheel::new(),
             lane: VecDeque::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             cancelled: FxHashSet::default(),
             executed: 0,
+            _world: std::marker::PhantomData,
         }
     }
 
@@ -113,39 +206,38 @@ impl<W> Sim<W> {
         self.wheel.len() + self.lane.len()
     }
 
-    /// Schedules `handler` to run at absolute time `at`.
+    /// Posts `event` to fire at absolute time `at`.
     ///
-    /// Events scheduled for a time earlier than `now` run "immediately" (at
+    /// Events posted for a time earlier than `now` fire "immediately" (at
     /// `now`): the engine never moves time backwards.
-    pub fn schedule(
-        &mut self,
-        at: SimTime,
-        handler: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> EventId {
+    pub fn post(&mut self, at: SimTime, event: E) -> EventId {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                Slot::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
         if at == self.now {
             // Same-time fast path: an event due right now joins the FIFO
             // lane (its seq is larger than everything staged there) and
             // skips the queue entirely.
-            self.lane.push_back(Scheduled {
-                seq,
-                handler: Box::new(handler),
-            });
+            self.lane.push_back(Staged { seq, slot });
         } else {
-            self.wheel.insert(at.as_nanos(), seq, Box::new(handler));
+            self.wheel.insert(at.as_nanos(), seq, slot);
         }
         EventId(seq)
     }
 
-    /// Schedules `handler` to run `delay` after the current time.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        handler: impl FnOnce(&mut Sim<W>, &mut W) + 'static,
-    ) -> EventId {
-        self.schedule(self.now + delay, handler)
+    /// Posts `event` to fire `delay` after the current time.
+    pub fn post_in(&mut self, delay: SimDuration, event: E) -> EventId {
+        self.post(self.now + delay, event)
     }
 
     /// Cancels a previously scheduled event.
@@ -160,11 +252,21 @@ impl<W> Sim<W> {
         self.cancelled.insert(id.0)
     }
 
-    /// `true` when `seq` carries a cancellation tombstone (consuming it).
-    /// The empty-set check keeps the no-cancellations case a branch, not a
-    /// hash probe per event.
-    fn take_tombstone(&mut self, seq: u64) -> bool {
-        !self.cancelled.is_empty() && self.cancelled.remove(&seq)
+    /// Takes the next live lane event, freeing its slot; cancelled ones
+    /// are dropped (consuming their tombstones) on the way.
+    fn pop_lane(&mut self) -> Option<E> {
+        while let Some(Staged { seq, slot }) = self.lane.pop_front() {
+            let event = self.slab[slot as usize]
+                .take()
+                .expect("staged slot is live");
+            self.free.push(slot);
+            // The empty-set check keeps the no-cancellations case a
+            // branch, not a hash probe per event.
+            if self.cancelled.is_empty() || !self.cancelled.remove(&seq) {
+                return Some(event);
+            }
+        }
+        None
     }
 
     /// Runs events until the queue is empty; returns the final time.
@@ -178,12 +280,9 @@ impl<W> Sim<W> {
         loop {
             // Drain the same-time lane: everything staged at `now`, plus
             // whatever handlers append to it while it drains.
-            while let Some(ev) = self.lane.pop_front() {
-                if self.take_tombstone(ev.seq) {
-                    continue;
-                }
+            while let Some(event) = self.pop_lane() {
                 self.executed += 1;
-                (ev.handler)(self, world);
+                event.fire(self, world);
             }
             // Advance to the next timestamp and stage its whole batch.
             let Some(t_nanos) = self.wheel.next_at() else {
@@ -201,14 +300,18 @@ impl<W> Sim<W> {
     }
 
     /// Moves every wheel event due exactly at `t_nanos` onto the lane,
-    /// dropping cancellation tombstones on the way.
+    /// dropping cancellation tombstones (and freeing their slots) on the
+    /// way.
     fn stage_batch(&mut self, t_nanos: u64) {
         let (wheel, lane, cancelled) = (&mut self.wheel, &mut self.lane, &mut self.cancelled);
-        wheel.drain_at(t_nanos, &mut |seq, handler| {
+        let (slab, free) = (&mut self.slab, &mut self.free);
+        wheel.drain_at(t_nanos, &mut |seq, slot| {
             if !cancelled.is_empty() && cancelled.remove(&seq) {
+                slab[slot as usize] = None;
+                free.push(slot);
                 return;
             }
-            lane.push_back(Scheduled { seq, handler });
+            lane.push_back(Staged { seq, slot });
         });
     }
 
@@ -216,13 +319,10 @@ impl<W> Sim<W> {
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
         let mut ran = 0;
         while ran < n {
-            if let Some(ev) = self.lane.pop_front() {
-                if self.take_tombstone(ev.seq) {
-                    continue;
-                }
+            if let Some(event) = self.pop_lane() {
                 self.executed += 1;
                 ran += 1;
-                (ev.handler)(self, world);
+                event.fire(self, world);
                 continue;
             }
             // Lane empty: advance to the next timestamp and stage its
@@ -374,6 +474,28 @@ mod tests {
         sim.schedule(t, |_, w: &mut Vec<u32>| w.push(99));
         sim.run(&mut w);
         assert_eq!(w, vec![0, 1, 2, 99]);
+    }
+
+    #[test]
+    fn cancelled_events_give_their_slots_back() {
+        // Each round posts one event that fires and cancels two: one in
+        // the wheel, one on the same-time lane. Every slot comes back, so
+        // the slab never outgrows the three events of one round.
+        let mut sim: Sim<u32> = Sim::new();
+        let mut fired = 0;
+        for round in 1..=1000u64 {
+            let now = sim.now();
+            let lane = sim.schedule(now, |_, n: &mut u32| *n += 100);
+            sim.schedule_in(SimDuration::from_nanos(5), |_, n: &mut u32| *n += 1);
+            let wheel = sim.schedule_in(SimDuration::from_nanos(7), |_, n: &mut u32| *n += 100);
+            assert!(sim.cancel(lane) && sim.cancel(wheel));
+            sim.run_until(&mut fired, SimTime::from_nanos(round * 10));
+        }
+        assert_eq!(fired, 1000);
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.slab.len(), 3, "slots are reused, not appended");
+        assert_eq!(sim.free.len(), 3, "an empty queue holds no slot");
+        assert!(sim.cancelled.is_empty(), "every tombstone was consumed");
     }
 
     #[test]

@@ -11,15 +11,22 @@ use rand::{Rng, SeedableRng};
 
 use crate::time::SimDuration;
 
-/// Derives a child seed from `(seed, label)` with the SplitMix64 finalizer
-/// over an FNV-1a hash of the label.
-fn derive_seed(seed: u64, label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
+/// The FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    let mut z = seed ^ h;
+    h
+}
+
+/// Derives a child seed from `seed` and a label's FNV-1a hash with the
+/// SplitMix64 finalizer.
+fn derive_seed(seed: u64, label_hash: u64) -> u64 {
+    let mut z = seed ^ label_hash;
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -55,17 +62,34 @@ impl SimRng {
 
     /// Derives an independent child stream identified by `label`.
     pub fn stream(&self, label: &str) -> SimRng {
-        let child = derive_seed(self.seed, label);
+        self.child(fnv1a(FNV_OFFSET, label.as_bytes()))
+    }
+
+    /// Derives an independent child stream identified by `label` and `index`
+    /// (e.g. one stream per host): the stream labelled `"{label}#{index}"`,
+    /// hashed piecewise so no label string is built.
+    pub fn stream_indexed(&self, label: &str, index: usize) -> SimRng {
+        let mut digits = [0u8; 20]; // usize::MAX has 20 decimal digits
+        let mut start = digits.len();
+        let mut rest = index;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let h = fnv1a(fnv1a(FNV_OFFSET, label.as_bytes()), b"#");
+        self.child(fnv1a(h, &digits[start..]))
+    }
+
+    fn child(&self, label_hash: u64) -> SimRng {
+        let child = derive_seed(self.seed, label_hash);
         SimRng {
             seed: child,
             inner: StdRng::seed_from_u64(child),
         }
-    }
-
-    /// Derives an independent child stream identified by `label` and `index`
-    /// (e.g. one stream per host).
-    pub fn stream_indexed(&self, label: &str, index: usize) -> SimRng {
-        self.stream(&format!("{label}#{index}"))
     }
 
     /// Next raw 64-bit draw.
@@ -196,6 +220,27 @@ mod tests {
             root.stream_indexed("host", 3).next_u64(),
             root.stream("host#3").next_u64()
         );
+    }
+
+    #[test]
+    fn stream_indexed_hashes_exactly_the_formatted_label() {
+        let root = SimRng::new(0x5eed);
+        let large = [
+            1_000,
+            9_999,
+            10_000,
+            123_456_789,
+            u32::MAX as usize,
+            usize::MAX,
+        ];
+        for label in ["epoch", "host-speed", ""] {
+            for i in (0..1000).chain(large) {
+                let formatted = root.stream(&format!("{label}#{i}"));
+                let mut indexed = root.stream_indexed(label, i);
+                assert_eq!(indexed.seed, formatted.seed, "{label}#{i}");
+                assert_eq!(indexed.next_u64(), formatted.clone().next_u64());
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!   event is filed at the lowest level whose next-coarser slot it shares
 //!   with the cursor. That alignment makes every occupancy scan a simple
 //!   mask-and-`trailing_zeros` with no ring wraparound.
-//! * Bucket vectors, the sorted *active* bucket, and the cascade scratch
-//!   buffer are pooled: capacity circulates between them via `swap`, so a
-//!   steady-state run performs no queue allocations at all.
+//! * Bucket vectors are pooled: level-0 buckets trade vectors with the
+//!   sorted *active* bucket via `swap`, and a cascade empties an upper
+//!   bucket through one scratch buffer that keeps its own capacity, so
+//!   a steady-state run performs no queue allocations at all.
 //!
 //! Exactness: the wheel reproduces a binary heap's `(at, seq)` total order
 //! bit-for-bit. A drained bucket is sorted by `(at, seq)` before delivery,
@@ -68,7 +69,8 @@ pub(crate) struct Wheel<T> {
     active_slot: Option<u64>,
     /// Entries beyond the wheel span, unsorted.
     overflow: Vec<Entry<T>>,
-    /// Cascade scratch (capacity pooled with the buckets).
+    /// Cascade scratch: upper-level entries pass through it on the way
+    /// down.
     scratch: Vec<Entry<T>>,
 }
 
@@ -204,9 +206,12 @@ impl<T> Wheel<T> {
                     let slot_start = (self.cur & parent_mask) | ((j as u64) << shift);
                     debug_assert!(slot_start > self.cur && slot_start <= t);
                     self.cur = slot_start;
-                    let bi = level * SLOTS + j;
+                    // Move the entries out but leave the bucket its
+                    // capacity: a swap would hand it the scratch vector
+                    // instead, and capacities would keep migrating
+                    // between rarely visited upper-level slots.
                     let mut scratch = std::mem::take(&mut self.scratch);
-                    std::mem::swap(&mut self.buckets[bi], &mut scratch);
+                    scratch.append(&mut self.buckets[level * SLOTS + j]);
                     for e in scratch.drain(..) {
                         self.insert_raw(e);
                     }

@@ -21,8 +21,8 @@ use netsim::background::BroadcastSource;
 use netsim::infra::{EgressDecision, EgressNode};
 use netsim::link::{Fabric, NetNode};
 use netsim::packet::{EndpointId, Packet};
-use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender};
-use simkit::engine::{EventId, Sim};
+use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender, RxOutput};
+use simkit::engine::{Event, EventId, Sim};
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::Counters;
 use simkit::rng::SimRng;
@@ -103,6 +103,117 @@ struct ProposalMsg {
 const PROPOSAL_BYTES: u32 = 64;
 const TUNNEL_OVERHEAD: u32 = 40;
 
+/// Every event the cloud schedules. `fire` sends each variant to the
+/// `Cloud` method that handles it; the engine keeps posted events in a
+/// recycled slab, so none of them is a heap allocation.
+enum CloudEvent {
+    /// Boot replica slot `s` of host `h`.
+    Boot { h: usize, s: usize },
+    /// Client `ci` starts its workload, then starts ticking.
+    ClientStart { ci: usize },
+    /// Client `ci`'s periodic protocol tick.
+    ClientTick { ci: usize },
+    /// The pacing heartbeat (also refreshes host contention).
+    Pace,
+    /// The periodic PGM NAK retry.
+    PgmRetry,
+    /// Draw the first background broadcast.
+    BroadcastStart,
+    /// A background broadcast reaches the ingress.
+    Broadcast { packet: Packet },
+    /// Slot `(h, s)`'s scheduled wake.
+    SlotWake { h: usize, s: usize },
+    /// Host `h`'s disk finished slot `s`'s operation `op_id`.
+    DiskDone { h: usize, s: usize, op_id: u64 },
+    /// Host `h`'s timer hardware fired for slot `s`'s `fire_seq`.
+    TimerFire { h: usize, s: usize, fire_seq: u64 },
+    /// An ingress copy of inbound packet `seq` reaches slot `(h, s)`.
+    HostPacket {
+        h: usize,
+        s: usize,
+        seq: u64,
+        packet: Packet,
+    },
+    /// A PGM data packet from replica `sender` reaches replica `receiver`
+    /// of VM `vm`.
+    PgmData {
+        vm: usize,
+        receiver: usize,
+        sender: usize,
+        packet: PgmPacket<ProposalMsg>,
+    },
+    /// A NAK from replica `receiver` reaches replica `sender` of VM `vm`.
+    Nak {
+        vm: usize,
+        receiver: usize,
+        sender: usize,
+        missing: Vec<u64>,
+    },
+    /// One replica's tunneled output copy reaches the egress node.
+    EgressCopy {
+        guest: EndpointId,
+        out_seq: u64,
+        host_node: NetNode,
+        packet: Packet,
+    },
+    /// A packet reaches client `ci`; `from_cloud` marks the ones counted
+    /// in `client_packets` (client-to-client traffic is not).
+    ClientPacket {
+        ci: usize,
+        packet: Packet,
+        from_cloud: bool,
+    },
+    /// A packet bound for a guest reaches the ingress node.
+    Ingress { packet: Packet },
+}
+
+/// The cloud's event loop.
+type Engine = Sim<Cloud, CloudEvent>;
+
+impl Event<Cloud> for CloudEvent {
+    fn fire(self, sim: &mut Engine, cloud: &mut Cloud) {
+        match self {
+            CloudEvent::Boot { h, s } => cloud.boot(sim, h, s),
+            CloudEvent::ClientStart { ci } => cloud.client_start(sim, ci),
+            CloudEvent::ClientTick { ci } => cloud.client_tick(sim, ci),
+            CloudEvent::Pace => cloud.pace(sim),
+            CloudEvent::PgmRetry => cloud.pgm_retry(sim),
+            CloudEvent::BroadcastStart => cloud.next_broadcast(sim),
+            CloudEvent::Broadcast { packet } => cloud.broadcast(sim, packet),
+            CloudEvent::SlotWake { h, s } => cloud.slot_wake(sim, h, s),
+            CloudEvent::DiskDone { h, s, op_id } => cloud.disk_done(sim, h, s, op_id),
+            CloudEvent::TimerFire { h, s, fire_seq } => cloud.timer_fire(sim, h, s, fire_seq),
+            CloudEvent::HostPacket { h, s, seq, packet } => {
+                cloud.host_packet_arrival(sim, h, s, seq, packet)
+            }
+            CloudEvent::PgmData {
+                vm,
+                receiver,
+                sender,
+                packet,
+            } => cloud.pgm_receive(sim, vm, receiver, sender, packet),
+            CloudEvent::Nak {
+                vm,
+                receiver,
+                sender,
+                missing,
+            } => cloud.answer_nak(sim, vm, receiver, sender, &missing),
+            CloudEvent::EgressCopy {
+                guest,
+                out_seq,
+                host_node,
+                packet,
+            } => cloud.egress_copy(sim, guest, out_seq, host_node, packet),
+            CloudEvent::ClientPacket {
+                ci,
+                packet,
+                from_cloud,
+            } => cloud.client_packet(sim, ci, packet, from_cloud),
+            CloudEvent::Ingress { packet } => cloud.ingress_replicate(sim, packet),
+        }
+    }
+}
+
 /// The simulated cloud (the `Sim` world type).
 pub struct Cloud {
     cfg: CloudConfig,
@@ -126,7 +237,11 @@ pub struct Cloud {
     timer_fires: FxHashMap<(usize, usize, u64), (EventId, SimTime, VirtNanos)>,
     pgm_tx: FxHashMap<(usize, usize), PgmSender<ProposalMsg>>,
     pgm_rx: FxHashMap<(usize, usize, usize), PgmReceiver<ProposalMsg>>,
+    /// Scratch output every PGM receive reuses.
+    pgm_out: RxOutput<ProposalMsg>,
     tunnel_last: FxHashMap<usize, SimTime>,
+    /// Background broadcast chatter through the ingress, if configured.
+    broadcast: Option<BroadcastSource>,
     /// First structured slot failure, if any: a malformed scenario fails
     /// its cell (surfaced via [`CloudSim::error`]) instead of panicking
     /// the whole sweep process.
@@ -200,7 +315,7 @@ impl Cloud {
     }
 
     // ------------------------------------------------------------------
-    // Event handlers (each runs inside a `Sim<Cloud>` closure).
+    // Event handlers: `CloudEvent::fire` calls one per variant.
     // ------------------------------------------------------------------
 
     /// Records the first structured failure. The driver observes it via
@@ -211,7 +326,17 @@ impl Cloud {
         }
     }
 
-    fn reschedule_wake(&mut self, sim: &mut Sim<Cloud>, h: usize, s: usize) {
+    fn boot(&mut self, sim: &mut Engine, h: usize, s: usize) {
+        match self.hosts[h].boot_slot(s, sim.now()) {
+            Ok(outputs) => {
+                self.handle_outputs(sim, h, s, outputs);
+                self.reschedule_wake(sim, h, s);
+            }
+            Err(e) => self.fail(&format!("host {h} slot {s} boot"), e),
+        }
+    }
+
+    fn reschedule_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
         let now = sim.now();
         let target = self.hosts[h].next_wake(s, now);
         if let Some(&(_, at)) = self.wakes.get(&(h, s)) {
@@ -227,53 +352,28 @@ impl Cloud {
             sim.cancel(old);
         }
         if let Some(t) = target {
-            let id = sim.schedule(t, move |sim, cloud: &mut Cloud| {
-                cloud.wakes.remove(&(h, s));
-                match cloud.hosts[h].process_slot(s, sim.now()) {
-                    Ok(outputs) => {
-                        cloud.handle_outputs(sim, h, s, outputs);
-                        cloud.reschedule_wake(sim, h, s);
-                    }
-                    Err(e) => cloud.fail(&format!("host {h} slot {s}"), e),
-                }
-            });
+            let id = sim.post(t, CloudEvent::SlotWake { h, s });
             self.wakes.insert((h, s), (id, t));
         }
     }
 
-    fn handle_outputs(
-        &mut self,
-        sim: &mut Sim<Cloud>,
-        h: usize,
-        s: usize,
-        outputs: Vec<SlotOutput>,
-    ) {
+    fn slot_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
+        self.wakes.remove(&(h, s));
+        match self.hosts[h].process_slot(s, sim.now()) {
+            Ok(outputs) => {
+                self.handle_outputs(sim, h, s, outputs);
+                self.reschedule_wake(sim, h, s);
+            }
+            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
+        }
+    }
+
+    fn handle_outputs(&mut self, sim: &mut Engine, h: usize, s: usize, outputs: Vec<SlotOutput>) {
         for output in outputs {
             match output {
                 SlotOutput::DiskSubmit { op_id, request } => {
                     let done = self.hosts[h].submit_disk(request, sim.now());
-                    sim.schedule(done, move |sim, cloud: &mut Cloud| {
-                        let now = sim.now();
-                        match cloud.hosts[h].disk_ready(s, now, op_id) {
-                            Ok(ArrivalOutcome::Proposal(proposal)) => {
-                                // The replicas agree on the completion
-                                // timestamp exactly like on a packet's Δn
-                                // delivery time.
-                                cloud.propose_and_multicast(
-                                    sim,
-                                    h,
-                                    s,
-                                    ChannelKind::Disk,
-                                    op_id,
-                                    proposal,
-                                );
-                            }
-                            Ok(ArrivalOutcome::Scheduled) => {
-                                cloud.reschedule_wake(sim, h, s);
-                            }
-                            Err(e) => cloud.fail(&format!("host {h} slot {s}"), e),
-                        }
-                    });
+                    sim.post(done, CloudEvent::DiskDone { h, s, op_id });
                 }
                 SlotOutput::TimerArm { fire_seq, deadline } => {
                     // A guest armed a virtual timer. The hardware event
@@ -302,6 +402,21 @@ impl Cloud {
         }
     }
 
+    fn disk_done(&mut self, sim: &mut Engine, h: usize, s: usize, op_id: u64) {
+        let now = sim.now();
+        match self.hosts[h].disk_ready(s, now, op_id) {
+            Ok(ArrivalOutcome::Proposal(proposal)) => {
+                // The replicas agree on the completion timestamp exactly
+                // like on a packet's Δn delivery time.
+                self.propose_and_multicast(sim, h, s, ChannelKind::Disk, op_id, proposal);
+            }
+            Ok(ArrivalOutcome::Scheduled) => {
+                self.reschedule_wake(sim, h, s);
+            }
+            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
+        }
+    }
+
     /// Schedules (or re-targets) the hardware event for an armed virtual
     /// timer at the host's current physical estimate of the deadline's
     /// virtual instant. Speed jitter is known to the profile, but host
@@ -310,7 +425,7 @@ impl Cloud {
     /// the fire lands at the deadline, not at a stale projection of it.
     fn schedule_timer_fire(
         &mut self,
-        sim: &mut Sim<Cloud>,
+        sim: &mut Engine,
         h: usize,
         s: usize,
         fire_seq: u64,
@@ -324,24 +439,26 @@ impl Cloud {
             }
             sim.cancel(old_id);
         }
-        let id = sim.schedule(at, move |sim, cloud: &mut Cloud| {
-            cloud.timer_fires.remove(&(h, s, fire_seq));
-            let now = sim.now();
-            match cloud.hosts[h].timer_elapsed(s, now, fire_seq) {
-                Ok(Some(ArrivalOutcome::Proposal(proposal))) => {
-                    // The replicas agree on the fire's delivery timestamp
-                    // exactly like on a packet's Δn delivery time.
-                    cloud.propose_and_multicast(sim, h, s, ChannelKind::Timer, fire_seq, proposal);
-                }
-                Ok(Some(ArrivalOutcome::Scheduled)) => {
-                    cloud.reschedule_wake(sim, h, s);
-                }
-                Ok(None) => {} // fire was cancelled in time
-                Err(e) => cloud.fail(&format!("host {h} slot {s}"), e),
-            }
-        });
+        let id = sim.post(at, CloudEvent::TimerFire { h, s, fire_seq });
         self.timer_fires
             .insert((h, s, fire_seq), (id, at, deadline));
+    }
+
+    fn timer_fire(&mut self, sim: &mut Engine, h: usize, s: usize, fire_seq: u64) {
+        self.timer_fires.remove(&(h, s, fire_seq));
+        let now = sim.now();
+        match self.hosts[h].timer_elapsed(s, now, fire_seq) {
+            Ok(Some(ArrivalOutcome::Proposal(proposal))) => {
+                // The replicas agree on the fire's delivery timestamp
+                // exactly like on a packet's Δn delivery time.
+                self.propose_and_multicast(sim, h, s, ChannelKind::Timer, fire_seq, proposal);
+            }
+            Ok(Some(ArrivalOutcome::Scheduled)) => {
+                self.reschedule_wake(sim, h, s);
+            }
+            Ok(None) => {} // fire was cancelled in time
+            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
+        }
     }
 
     /// Applies slot `(h, s)`'s own delivery-time proposal locally, then
@@ -349,7 +466,7 @@ impl Cloud {
     /// timing channel shares (Fig. 3, generalized).
     fn propose_and_multicast(
         &mut self,
-        sim: &mut Sim<Cloud>,
+        sim: &mut Engine,
         h: usize,
         s: usize,
         kind: ChannelKind,
@@ -377,14 +494,14 @@ impl Cloud {
 
     fn route_guest_output(
         &mut self,
-        sim: &mut Sim<Cloud>,
+        sim: &mut Engine,
         h: usize,
         s: usize,
         out_seq: u64,
         packet: Packet,
     ) {
         let vm_idx = self.vm_of_slot(h, s);
-        let guest_ep = self.vms[vm_idx].endpoint;
+        let guest = self.vms[vm_idx].endpoint;
         let host_node = self.hosts[h].id();
         if self.vms[vm_idx].replicated {
             // Tunnel to the egress node over TCP (Sec. VI); it forwards on
@@ -399,19 +516,15 @@ impl Cloud {
                 let last = self.tunnel_last.get(&h).copied().unwrap_or(SimTime::ZERO);
                 let arrive = raw_arrive.max(last + SimDuration::from_nanos(1));
                 self.tunnel_last.insert(h, arrive);
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    let decision = cloud.egress.on_copy(guest_ep, out_seq, host_node, packet);
-                    match decision {
-                        EgressDecision::Forward(pkt) => {
-                            cloud.stats.incr("egress_forwarded");
-                            cloud.forward_from_egress(sim, pkt);
-                        }
-                        EgressDecision::Hold => {}
-                        EgressDecision::Divergence { .. } => {
-                            cloud.stats.incr("egress_divergences");
-                        }
-                    }
-                });
+                sim.post(
+                    arrive,
+                    CloudEvent::EgressCopy {
+                        guest,
+                        out_seq,
+                        host_node,
+                        packet,
+                    },
+                );
             }
         } else {
             // Baseline: straight to the destination.
@@ -419,26 +532,44 @@ impl Cloud {
         }
     }
 
-    fn forward_from_egress(&mut self, sim: &mut Sim<Cloud>, packet: Packet) {
-        let from = self.egress_node;
-        self.deliver_external(sim, from, packet);
+    fn egress_copy(
+        &mut self,
+        sim: &mut Engine,
+        guest: EndpointId,
+        out_seq: u64,
+        host_node: NetNode,
+        packet: Packet,
+    ) {
+        match self.egress.on_copy(guest, out_seq, host_node, packet) {
+            EgressDecision::Forward(pkt) => {
+                self.stats.incr("egress_forwarded");
+                let from = self.egress_node;
+                self.deliver_external(sim, from, pkt);
+            }
+            EgressDecision::Hold => {}
+            EgressDecision::Divergence { .. } => {
+                self.stats.incr("egress_divergences");
+            }
+        }
     }
 
     /// Sends a packet from `from_node` toward its destination endpoint
     /// (client or guest).
-    fn deliver_external(&mut self, sim: &mut Sim<Cloud>, from_node: NetNode, packet: Packet) {
+    fn deliver_external(&mut self, sim: &mut Engine, from_node: NetNode, packet: Packet) {
         if let Some(&ci) = self.client_by_endpoint.get(&packet.dst()) {
             let node = self.clients[ci].node;
             if let Some(arrive) =
                 self.fabric
                     .transmit(sim.now(), from_node, node, packet.wire_bytes())
             {
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    cloud.stats.incr("client_packets");
-                    let now = sim.now();
-                    let out = cloud.clients[ci].app.on_packet(&packet, now);
-                    cloud.client_send(sim, ci, out);
-                });
+                sim.post(
+                    arrive,
+                    CloudEvent::ClientPacket {
+                        ci,
+                        packet,
+                        from_cloud: true,
+                    },
+                );
             }
         } else if self.by_endpoint.contains_key(&packet.dst()) {
             // Guest-to-guest traffic flows back through the ingress.
@@ -446,39 +577,47 @@ impl Cloud {
                 self.fabric
                     .transmit(sim.now(), from_node, self.ingress_node, packet.wire_bytes())
             {
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    cloud.ingress_replicate(sim, packet);
-                });
+                sim.post(arrive, CloudEvent::Ingress { packet });
             }
         }
         // Unknown destinations (e.g. the broadcast pseudo-endpoint on
         // baseline paths) are dropped silently.
     }
 
-    fn client_send(&mut self, sim: &mut Sim<Cloud>, ci: usize, pkts: Vec<Packet>) {
-        for pkt in pkts {
+    fn client_packet(&mut self, sim: &mut Engine, ci: usize, packet: Packet, from_cloud: bool) {
+        if from_cloud {
+            self.stats.incr("client_packets");
+        }
+        let now = sim.now();
+        let out = self.clients[ci].app.on_packet(&packet, now);
+        self.client_send(sim, ci, out);
+    }
+
+    fn client_send(&mut self, sim: &mut Engine, ci: usize, pkts: Vec<Packet>) {
+        for packet in pkts {
             let node = self.clients[ci].node;
-            if self.by_endpoint.contains_key(&pkt.dst()) {
+            if self.by_endpoint.contains_key(&packet.dst()) {
                 // To a guest: via the ingress node.
                 if let Some(arrive) =
                     self.fabric
-                        .transmit(sim.now(), node, self.ingress_node, pkt.wire_bytes())
+                        .transmit(sim.now(), node, self.ingress_node, packet.wire_bytes())
                 {
-                    sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                        cloud.ingress_replicate(sim, pkt);
-                    });
+                    sim.post(arrive, CloudEvent::Ingress { packet });
                 }
-            } else if let Some(&target) = self.client_by_endpoint.get(&pkt.dst()) {
+            } else if let Some(&target) = self.client_by_endpoint.get(&packet.dst()) {
                 let tnode = self.clients[target].node;
-                if let Some(arrive) = self
-                    .fabric
-                    .transmit(sim.now(), node, tnode, pkt.wire_bytes())
+                if let Some(arrive) =
+                    self.fabric
+                        .transmit(sim.now(), node, tnode, packet.wire_bytes())
                 {
-                    sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                        let now = sim.now();
-                        let out = cloud.clients[target].app.on_packet(&pkt, now);
-                        cloud.client_send(sim, target, out);
-                    });
+                    sim.post(
+                        arrive,
+                        CloudEvent::ClientPacket {
+                            ci: target,
+                            packet,
+                            from_cloud: false,
+                        },
+                    );
                 }
             }
         }
@@ -486,14 +625,14 @@ impl Cloud {
 
     /// The ingress node replicates one inbound packet to every replica host
     /// of the destination guest (or of *all* guests, for broadcasts).
-    fn ingress_replicate(&mut self, sim: &mut Sim<Cloud>, packet: Packet) {
+    fn ingress_replicate(&mut self, sim: &mut Engine, packet: Packet) {
         self.stats.incr("ingress_packets");
         let is_broadcast = matches!(packet.body(), netsim::packet::Body::Broadcast { .. });
-        let targets: Vec<usize> = if is_broadcast {
-            (0..self.vms.len()).collect()
+        let targets = if is_broadcast {
+            0..self.vms.len()
         } else {
             match self.by_endpoint.get(&packet.dst()) {
-                Some(&vm) => vec![vm],
+                Some(&vm) => vm..vm + 1,
                 None => return,
             }
         };
@@ -510,10 +649,8 @@ impl Cloud {
                     self.fabric
                         .transmit(sim.now(), self.ingress_node, node, packet.wire_bytes())
                 {
-                    let pkt = packet.clone();
-                    sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                        cloud.host_packet_arrival(sim, h, s, seq, pkt);
-                    });
+                    let packet = packet.clone();
+                    sim.post(arrive, CloudEvent::HostPacket { h, s, seq, packet });
                 }
             }
         }
@@ -521,7 +658,7 @@ impl Cloud {
 
     fn host_packet_arrival(
         &mut self,
-        sim: &mut Sim<Cloud>,
+        sim: &mut Engine,
         h: usize,
         s: usize,
         seq: u64,
@@ -540,72 +677,79 @@ impl Cloud {
 
     fn multicast_proposal(
         &mut self,
-        sim: &mut Sim<Cloud>,
-        vm_idx: usize,
-        sender_replica: usize,
+        sim: &mut Engine,
+        vm: usize,
+        sender: usize,
         kind: ChannelKind,
         seq: u64,
         proposal: VirtNanos,
     ) {
         self.stats.incr(kind.proposals_counter());
         let msg = ProposalMsg {
-            vm: vm_idx,
+            vm,
             kind,
             seq,
             proposal,
         };
         let tx = self
             .pgm_tx
-            .entry((vm_idx, sender_replica))
+            .entry((vm, sender))
             .or_insert_with(|| PgmSender::new(4096));
         let mut pgm_pkt = Some(tx.send(msg));
-        let from_node = self.hosts[self.vms[vm_idx].replicas[sender_replica].0].id();
-        let mut peers = (0..self.vms[vm_idx].replicas.len())
-            .filter(|&peer_idx| peer_idx != sender_replica)
+        let from_node = self.hosts[self.vms[vm].replicas[sender].0].id();
+        let mut peers = (0..self.vms[vm].replicas.len())
+            .filter(|&peer| peer != sender)
             .peekable();
-        while let Some(peer_idx) = peers.next() {
-            let to_node = self.hosts[self.vms[vm_idx].replicas[peer_idx].0].id();
+        while let Some(receiver) = peers.next() {
+            let to_node = self.hosts[self.vms[vm].replicas[receiver].0].id();
             if let Some(arrive) =
                 self.fabric
                     .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
             {
                 // The last peer takes the packet itself, earlier ones a copy.
-                let pkt = if peers.peek().is_some() {
+                let packet = if peers.peek().is_some() {
                     pgm_pkt.clone()
                 } else {
                     pgm_pkt.take()
                 };
-                let pkt = pkt.expect("only the last peer takes the packet");
-                sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                    cloud.pgm_receive(sim, vm_idx, peer_idx, sender_replica, pkt);
-                });
+                let packet = packet.expect("only the last peer takes the packet");
+                sim.post(
+                    arrive,
+                    CloudEvent::PgmData {
+                        vm,
+                        receiver,
+                        sender,
+                        packet,
+                    },
+                );
             }
         }
     }
 
     fn pgm_receive(
         &mut self,
-        sim: &mut Sim<Cloud>,
-        vm_idx: usize,
-        receiver_replica: usize,
-        sender_replica: usize,
-        pkt: PgmPacket<ProposalMsg>,
+        sim: &mut Engine,
+        vm: usize,
+        receiver: usize,
+        sender: usize,
+        packet: PgmPacket<ProposalMsg>,
     ) {
         let rx = self
             .pgm_rx
-            .entry((vm_idx, receiver_replica, sender_replica))
+            .entry((vm, receiver, sender))
             .or_insert_with(PgmReceiver::new);
-        let out = rx.on_packet(pkt);
+        rx.on_packet(packet, &mut self.pgm_out);
         let now = sim.now();
-        let (h, s) = self.vms[vm_idx].replicas[receiver_replica];
-        if !out.delivered.is_empty() {
+        let (h, s) = self.vms[vm].replicas[receiver];
+        if !self.pgm_out.delivered.is_empty() {
             // The whole delivered backlog (one message in the common
             // case, more after NAK recovery) runs through one
             // median-agreement pass — every channel kind together,
             // streamed, no per-message allocation — and the slot's wake
             // is recomputed once at the end if any delivery time got
             // fixed.
-            let batch = out
+            let batch = self
+                .pgm_out
                 .delivered
                 .iter()
                 .map(|msg| (msg.kind, msg.seq, msg.proposal));
@@ -613,58 +757,79 @@ impl Cloud {
                 self.reschedule_wake(sim, h, s);
             }
         }
-        if !out.nak_missing.is_empty() {
-            self.send_nak(
-                sim,
-                vm_idx,
-                receiver_replica,
-                sender_replica,
-                out.nak_missing,
-            );
+        if !self.pgm_out.nak_missing.is_empty() {
+            let missing = self.pgm_out.nak_missing.clone();
+            self.send_nak(sim, vm, receiver, sender, missing);
         }
     }
 
     fn send_nak(
         &mut self,
-        sim: &mut Sim<Cloud>,
-        vm_idx: usize,
-        receiver_replica: usize,
-        sender_replica: usize,
+        sim: &mut Engine,
+        vm: usize,
+        receiver: usize,
+        sender: usize,
         missing: Vec<u64>,
     ) {
         self.stats.incr("pgm_naks");
-        let replicas = &self.vms[vm_idx].replicas;
-        let from_node = self.hosts[replicas[receiver_replica].0].id();
-        let to_node = self.hosts[replicas[sender_replica].0].id();
+        let replicas = &self.vms[vm].replicas;
+        let from_node = self.hosts[replicas[receiver].0].id();
+        let to_node = self.hosts[replicas[sender].0].id();
         if let Some(arrive) = self
             .fabric
             .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
         {
-            sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                let Some(tx) = cloud.pgm_tx.get(&(vm_idx, sender_replica)) else {
-                    return;
-                };
-                let retx = tx.on_nak(&missing);
-                let replicas = &cloud.vms[vm_idx].replicas;
-                let from_node = cloud.hosts[replicas[sender_replica].0].id();
-                let to_node = cloud.hosts[replicas[receiver_replica].0].id();
-                for pkt in retx {
-                    if let Some(arrive) =
-                        cloud
-                            .fabric
-                            .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
-                    {
-                        sim.schedule(arrive, move |sim, cloud: &mut Cloud| {
-                            cloud.pgm_receive(sim, vm_idx, receiver_replica, sender_replica, pkt);
-                        });
-                    }
-                }
-            });
+            sim.post(
+                arrive,
+                CloudEvent::Nak {
+                    vm,
+                    receiver,
+                    sender,
+                    missing,
+                },
+            );
+        }
+    }
+
+    /// Replica `sender` answers a NAK: one retransmission per missing seq
+    /// still in its history, in the order the NAK lists them.
+    fn answer_nak(
+        &mut self,
+        sim: &mut Engine,
+        vm: usize,
+        receiver: usize,
+        sender: usize,
+        missing: &[u64],
+    ) {
+        let Some(tx) = self.pgm_tx.get(&(vm, sender)) else {
+            return;
+        };
+        let replicas = &self.vms[vm].replicas;
+        let from_node = self.hosts[replicas[sender].0].id();
+        let to_node = self.hosts[replicas[receiver].0].id();
+        for &seq in missing {
+            let Some(packet) = tx.retransmit(seq) else {
+                continue;
+            };
+            if let Some(arrive) =
+                self.fabric
+                    .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
+            {
+                sim.post(
+                    arrive,
+                    CloudEvent::PgmData {
+                        vm,
+                        receiver,
+                        sender,
+                        packet,
+                    },
+                );
+            }
         }
     }
 
     /// Periodic PGM NAK retry (tail-loss recovery).
-    fn pgm_tick(&mut self, sim: &mut Sim<Cloud>) {
+    fn pgm_retry(&mut self, sim: &mut Engine) {
         let mut pending: Vec<(usize, usize, usize, Vec<u64>)> = Vec::new();
         for (&(vm, rx_rep, tx_rep), rx) in &self.pgm_rx {
             let naks = rx.pending_naks();
@@ -675,13 +840,23 @@ impl Cloud {
         for (vm, rx_rep, tx_rep, naks) in pending {
             self.send_nak(sim, vm, rx_rep, tx_rep, naks);
         }
+        sim.post_in(SimDuration::from_millis(50), CloudEvent::PgmRetry);
+    }
+
+    /// The pacing heartbeat event: one [`Cloud::pacing_tick`], then the
+    /// next beat.
+    fn pace(&mut self, sim: &mut Engine) {
+        self.pacing_tick(sim);
+        if let Some(pacing) = self.cfg.pacing {
+            sim.post_in(pacing.heartbeat, CloudEvent::Pace);
+        }
     }
 
     /// Pacing heartbeat: per StopWatch VM, if the fastest replica leads the
     /// second-fastest by more than the allowed gap, stall it. The same tick
     /// refreshes host contention from guest busy-ness, so coresident load
     /// perturbs timing exactly as on real shared hardware.
-    fn pacing_tick(&mut self, sim: &mut Sim<Cloud>) {
+    fn pacing_tick(&mut self, sim: &mut Engine) {
         let now = sim.now();
         for h in 0..self.hosts.len() {
             // The host scheduling tick rides the same heartbeat: rotate
@@ -739,17 +914,38 @@ impl Cloud {
         }
     }
 
-    fn client_tick(&mut self, sim: &mut Sim<Cloud>, ci: usize) {
+    fn client_start(&mut self, sim: &mut Engine, ci: usize) {
+        let now = sim.now();
+        let out = self.clients[ci].app.on_start(now);
+        self.client_send(sim, ci, out);
+        self.client_tick(sim, ci);
+    }
+
+    fn client_tick(&mut self, sim: &mut Engine, ci: usize) {
         if self.clients[ci].app.is_done() {
             return;
         }
         let now = sim.now();
         let out = self.clients[ci].app.on_tick(now);
         self.client_send(sim, ci, out);
-        let period = self.cfg.client_tick;
-        sim.schedule_in(period, move |sim, cloud: &mut Cloud| {
-            cloud.client_tick(sim, ci);
-        });
+        sim.post_in(self.cfg.client_tick, CloudEvent::ClientTick { ci });
+    }
+
+    /// Draws the next background broadcast and posts its arrival at the
+    /// ingress.
+    fn next_broadcast(&mut self, sim: &mut Engine) {
+        let src = self
+            .broadcast
+            .as_mut()
+            .expect("broadcast events need a broadcast source");
+        let (gap, packet) = src.next_broadcast();
+        sim.post_in(gap, CloudEvent::Broadcast { packet });
+    }
+
+    fn broadcast(&mut self, sim: &mut Engine, packet: Packet) {
+        self.stats.incr("broadcasts");
+        self.ingress_replicate(sim, packet);
+        self.next_broadcast(sim);
     }
 }
 
@@ -996,6 +1192,15 @@ impl CloudBuilder {
             client_by_endpoint.insert(endpoint, ci);
         }
 
+        // Background broadcast chatter through the ingress.
+        let broadcast = cfg.broadcast_band.map(|(lo, hi)| {
+            BroadcastSource::new(
+                EndpointId(9999),
+                lo,
+                hi,
+                SimRng::new(cfg.seed).stream("broadcast"),
+            )
+        });
         let cloud = Cloud {
             cfg,
             hosts,
@@ -1012,78 +1217,30 @@ impl CloudBuilder {
             timer_fires: FxHashMap::default(),
             pgm_tx: FxHashMap::default(),
             pgm_rx: FxHashMap::default(),
+            pgm_out: RxOutput::default(),
             tunnel_last: FxHashMap::default(),
+            broadcast,
             error: None,
             stats: Counters::new(),
         };
 
-        let mut sim: Sim<Cloud> = Sim::new();
+        let mut sim = Engine::new();
         // Boot every replica at t=0.
-        for vm_idx in 0..cloud.vms.len() {
-            for &(h, s) in &cloud.vms[vm_idx].replicas.clone() {
-                sim.schedule(SimTime::ZERO, move |sim, cloud: &mut Cloud| {
-                    match cloud.hosts[h].boot_slot(s, sim.now()) {
-                        Ok(outputs) => {
-                            cloud.handle_outputs(sim, h, s, outputs);
-                            cloud.reschedule_wake(sim, h, s);
-                        }
-                        Err(e) => cloud.fail(&format!("host {h} slot {s} boot"), e),
-                    }
-                });
+        for vm in &cloud.vms {
+            for &(h, s) in &vm.replicas {
+                sim.post(SimTime::ZERO, CloudEvent::Boot { h, s });
             }
         }
         // Clients start shortly after boot, then tick.
         for ci in 0..cloud.clients.len() {
-            sim.schedule(SimTime::from_millis(1), move |sim, cloud: &mut Cloud| {
-                let now = sim.now();
-                let out = cloud.clients[ci].app.on_start(now);
-                cloud.client_send(sim, ci, out);
-                cloud.client_tick(sim, ci);
-            });
+            sim.post(SimTime::from_millis(1), CloudEvent::ClientStart { ci });
         }
-        // Pacing heartbeat.
-        if let Some(pacing) = cloud.cfg.pacing {
-            fn pace(sim: &mut Sim<Cloud>, cloud: &mut Cloud, period: SimDuration) {
-                cloud.pacing_tick(sim);
-                sim.schedule_in(period, move |sim, cloud: &mut Cloud| {
-                    pace(sim, cloud, period);
-                });
-            }
-            let period = pacing.heartbeat;
-            sim.schedule(SimTime::ZERO, move |sim, cloud: &mut Cloud| {
-                pace(sim, cloud, period);
-            });
+        if cloud.cfg.pacing.is_some() {
+            sim.post(SimTime::ZERO, CloudEvent::Pace);
         }
-        // PGM NAK retry tick.
-        fn pgm_retry(sim: &mut Sim<Cloud>, cloud: &mut Cloud) {
-            cloud.pgm_tick(sim);
-            sim.schedule_in(SimDuration::from_millis(50), |sim, cloud: &mut Cloud| {
-                pgm_retry(sim, cloud);
-            });
-        }
-        sim.schedule(SimTime::ZERO, |sim, cloud: &mut Cloud| {
-            pgm_retry(sim, cloud)
-        });
-        // Background broadcast chatter through the ingress.
-        if let Some((lo, hi)) = cloud.cfg.broadcast_band {
-            let src = BroadcastSource::new(
-                EndpointId(9999),
-                lo,
-                hi,
-                SimRng::new(cloud.cfg.seed).stream("broadcast"),
-            );
-            fn chatter(sim: &mut Sim<Cloud>, _cloud: &mut Cloud, mut src: BroadcastSource) {
-                let (gap, pkt) = src.next_broadcast();
-                sim.schedule_in(gap, move |sim, cloud: &mut Cloud| {
-                    cloud.stats.incr("broadcasts");
-                    cloud.ingress_replicate(sim, pkt.clone());
-                    chatter(sim, cloud, src.clone());
-                });
-            }
-            let first = src.clone();
-            sim.schedule(SimTime::ZERO, move |sim, cloud: &mut Cloud| {
-                chatter(sim, cloud, first.clone());
-            });
+        sim.post(SimTime::ZERO, CloudEvent::PgmRetry);
+        if cloud.broadcast.is_some() {
+            sim.post(SimTime::ZERO, CloudEvent::BroadcastStart);
         }
 
         CloudSim { sim, cloud }
@@ -1093,7 +1250,7 @@ impl CloudBuilder {
 /// A built cloud plus its event loop.
 pub struct CloudSim {
     /// The discrete-event engine.
-    pub sim: Sim<Cloud>,
+    sim: Engine,
     /// The world state.
     pub cloud: Cloud,
 }
@@ -1102,6 +1259,11 @@ impl CloudSim {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
+    }
+
+    /// Number of engine events executed so far.
+    pub fn events_executed(&self) -> u64 {
+        self.sim.events_executed()
     }
 
     /// The first structured slot failure of this run, if any (a malformed
@@ -1320,13 +1482,12 @@ mod tests {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         b.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
-        sim.sim
-            .schedule(SimTime::from_millis(5), |sim, cloud: &mut Cloud| {
-                let now = sim.now();
-                if let Err(e) = cloud.hosts[0].disk_ready(0, now, 999) {
-                    cloud.fail("host 0 slot 0", e);
-                }
-            });
+        let bogus = CloudEvent::DiskDone {
+            h: 0,
+            s: 0,
+            op_id: 999,
+        };
+        sim.sim.post(SimTime::from_millis(5), bogus);
         sim.run_until(SimTime::from_millis(20));
         let err = sim.error().expect("run is marked failed");
         assert!(err.contains("unknown op 999"), "{err}");

@@ -277,13 +277,8 @@ impl HostMachine {
         // `is_busy` reads the action queue directly, which only changes
         // inside `process()` — no per-slot clock sync is needed here.
         let before = self.profile.contention();
-        let busy: Vec<f64> = self
-            .slots
-            .iter()
-            .map(|s| if s.is_busy() { 1.0 } else { 0.0 })
-            .collect();
-        for (i, b) in busy.into_iter().enumerate() {
-            self.activity[i] = b;
+        for (activity, slot) in self.activity.iter_mut().zip(&self.slots) {
+            *activity = if slot.is_busy() { 1.0 } else { 0.0 };
         }
         let total: f64 = self.activity.iter().sum();
         self.profile.set_contention((total * 0.25).min(0.9));

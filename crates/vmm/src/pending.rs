@@ -4,15 +4,19 @@
 //! [`crate::channel`]). The agreement hot path touches it in two very
 //! different ways:
 //!
-//! * **Scans** — `next_wake` / `next_due_injection` walk every live entry
-//!   after nearly every event, reading only `(injection branch, delivery
-//!   virt, kind, id)`. Those four live in dense parallel arrays here, so
-//!   the walk is a branch-light pass over a few cache lines instead of a
-//!   pointer chase through a `BTreeMap` of payload-sized nodes.
+//! * **Due queries** — `next_wake` / `next_due_injection` ask for the
+//!   earliest injectable entry after nearly every guest action. An
+//!   ordered **due-index** answers them: a `BTreeSet` of
+//!   `(injection branch, delivery virt, class rank, id, kind)` holding
+//!   exactly the rows whose delivery is fixed and whose data is ready,
+//!   so the query reads the set's first element instead of scanning
+//!   every live row. The four mutators that can make a row injectable or
+//!   retire it — `insert_local`, `set_deliver`, `set_ready`, `remove` —
+//!   keep the index in step with the columns.
 //! * **Point updates** — opening an entry, pushing a proposal, fixing a
 //!   delivery, injecting. An `FxHashMap` keyed by `(kind, seq)` resolves
 //!   to a row index; freed rows are recycled through a free list, so a
-//!   steady-state run allocates nothing per event.
+//!   steady-state run reuses its rows instead of growing the columns.
 //!
 //! Proposal buffers are **interned**: all rows share one arena, each row
 //! owning a fixed-stride segment sized to the replica count, so a
@@ -22,10 +26,11 @@
 //!
 //! The injection branch of a fixed delivery — `exit_ceil(instr_for(d))`,
 //! two float operations — is computed **once**, when the delivery is
-//! fixed, and cached in the `inj_branch` column. The slot's clock and
-//! exit quantum never change after construction, so the cache cannot go
-//! stale; the scans that used to recompute it per entry per call now
-//! compare cached integers.
+//! fixed, and cached in the `inj_branch` column (and in the row's
+//! due-index key). The slot's clock and exit quantum never change after
+//! construction, so the cache cannot go stale.
+
+use std::collections::BTreeSet;
 
 use crate::channel::ChannelKind;
 use netsim::packet::Packet;
@@ -80,6 +85,16 @@ impl ChannelPayload {
 /// Dense row handle into the table (stable until the row is removed).
 pub(crate) type Row = u32;
 
+/// A due-index key: `(injection branch, delivery virt, class rank, id,
+/// kind)`. The tuple order is the injection order (see
+/// [`ChannelKind::injection_rank`]); `(kind, id)` makes keys unique.
+pub(crate) type DueKey = (u64, VirtNanos, u8, u64, ChannelKind);
+
+/// An injection candidate: a row's [`DueKey`], or the periodic tick's,
+/// whose kind is `None` so it sorts before a channel row that ties it on
+/// everything else.
+pub(crate) type Due = (u64, VirtNanos, u8, u64, Option<ChannelKind>);
+
 /// The struct-of-arrays pending table of one guest slot.
 #[derive(Debug, Default)]
 pub(crate) struct PendingTable {
@@ -88,7 +103,7 @@ pub(crate) struct PendingTable {
     /// Recycled rows.
     free: Vec<Row>,
     live: usize,
-    // ---- hot columns (scanned) ----
+    // ---- hot columns (a row's due-index key is built from these) ----
     keys: Vec<(ChannelKind, u64)>,
     deliver: Vec<Option<VirtNanos>>,
     /// Cached injection branch; meaningful iff `deliver` is `Some`.
@@ -105,6 +120,9 @@ pub(crate) struct PendingTable {
     stride: usize,
     // ---- cold column (touched at injection / data arrival) ----
     payload: Vec<Option<ChannelPayload>>,
+    /// The due-index: one key per row with a fixed delivery and ready
+    /// data.
+    due: BTreeSet<DueKey>,
 }
 
 impl PendingTable {
@@ -205,6 +223,7 @@ impl PendingTable {
         self.payload[r] = Some(payload);
         self.deliver[r] = Some(deliver);
         self.inj_branch[r] = inj_branch;
+        self.index_if_due(r);
         row
     }
 
@@ -220,6 +239,10 @@ impl PendingTable {
     ) -> Option<(ChannelPayload, Option<VirtNanos>)> {
         let row = self.index.remove(&(kind.id(), seq))?;
         let r = row as usize;
+        // Unindex while the columns still describe the row.
+        if let Some(key) = self.due_key(r) {
+            self.due.remove(&key);
+        }
         let payload = self.payload[r].take().expect("live row has a payload");
         let deliver = self.deliver[r].take();
         self.ready[r] = false;
@@ -239,11 +262,31 @@ impl PendingTable {
         debug_assert!(self.deliver[r].is_none(), "delivery fixed twice");
         self.deliver[r] = Some(deliver);
         self.inj_branch[r] = inj_branch;
+        self.index_if_due(r);
     }
 
     /// Marks the payload's data as present (disk transfer finished).
     pub fn set_ready(&mut self, row: Row) {
-        self.ready[row as usize] = true;
+        let r = row as usize;
+        if !self.ready[r] {
+            self.ready[r] = true;
+            self.index_if_due(r);
+        }
+    }
+
+    /// Row `r`'s due-index key, if it is injectable: fixed delivery,
+    /// data ready.
+    fn due_key(&self, r: usize) -> Option<DueKey> {
+        let deliver = self.deliver[r].filter(|_| self.ready[r])?;
+        let (kind, id) = self.keys[r];
+        Some((self.inj_branch[r], deliver, kind.injection_rank(), id, kind))
+    }
+
+    fn index_if_due(&mut self, r: usize) {
+        if let Some(key) = self.due_key(r) {
+            let fresh = self.due.insert(key);
+            debug_assert!(fresh, "row indexed twice");
+        }
     }
 
     pub fn payload_mut(&mut self, row: Row) -> &mut ChannelPayload {
@@ -282,24 +325,33 @@ impl PendingTable {
         )
     }
 
-    /// Visits every injectable row: fixed delivery, data ready. Passes
-    /// `(cached injection branch, delivery virt, kind, id)`.
-    #[inline]
-    pub fn for_each_due(&self, mut f: impl FnMut(u64, VirtNanos, ChannelKind, u64)) {
-        for r in 0..self.keys.len() {
-            if let Some(d) = self.deliver[r] {
-                if self.ready[r] {
-                    let (kind, id) = self.keys[r];
-                    f(self.inj_branch[r], d, kind, id);
-                }
-            }
-        }
+    /// The earliest injectable row's injection branch (`None` when no row
+    /// is injectable).
+    pub fn first_due_branch(&self) -> Option<u64> {
+        self.due.first().map(|&(branch, ..)| branch)
+    }
+
+    /// The earliest injection due by branch `phys`: the first indexed row
+    /// or `pit`, the periodic tick's `(virtual time, injection branch)`,
+    /// compared on the full [`Due`] key.
+    pub fn next_due(&self, pit: Option<(VirtNanos, u64)>, phys: u64) -> Option<Due> {
+        let row = self
+            .due
+            .first()
+            .map(|&(branch, deliver, rank, id, kind)| (branch, deliver, rank, id, Some(kind)));
+        let pit = pit.map(|(tick, branch)| (branch, tick, 0, 0, None));
+        let best = match (row, pit) {
+            (Some(row), Some(pit)) => row.min(pit),
+            (row, pit) => row.or(pit)?,
+        };
+        (best.0 <= phys).then_some(best)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn payload() -> ChannelPayload {
         ChannelPayload::Cache {
@@ -307,6 +359,54 @@ mod tests {
             tag: 2,
             issue_virt: VirtNanos::from_nanos(5),
         }
+    }
+
+    fn disk_in_flight() -> ChannelPayload {
+        ChannelPayload::Disk {
+            op: DiskOp::Read,
+            range: BlockRange::new(0, 1),
+            issue_virt: VirtNanos::ZERO,
+            data: None,
+        }
+    }
+
+    /// The due query without the index: the full-table scan the index
+    /// replaced, visiting every row with a fixed delivery and ready data.
+    fn scan_due(t: &PendingTable) -> Vec<DueKey> {
+        let mut due = Vec::new();
+        for r in 0..t.keys.len() {
+            if let Some(d) = t.deliver[r] {
+                if t.ready[r] {
+                    let (kind, id) = t.keys[r];
+                    due.push((t.inj_branch[r], d, kind.injection_rank(), id, kind));
+                }
+            }
+        }
+        due.sort_unstable();
+        due
+    }
+
+    /// The scan plus a min, exactly as the slot's injection query took it
+    /// before the index: the periodic tick first, then every due row,
+    /// each kept only if due by `phys` and strictly smaller.
+    fn scan_next_due(t: &PendingTable, pit: Option<(VirtNanos, u64)>, phys: u64) -> Option<Due> {
+        let mut best: Option<Due> = None;
+        let mut consider = |cand: Due| {
+            if cand.0 <= phys && best.as_ref().is_none_or(|b| cand < *b) {
+                best = Some(cand);
+            }
+        };
+        if let Some((tick, branch)) = pit {
+            consider((branch, tick, 0, 0, None));
+        }
+        for (branch, deliver, rank, id, kind) in scan_due(t) {
+            consider((branch, deliver, rank, id, Some(kind)));
+        }
+        best
+    }
+
+    fn indexed(t: &PendingTable) -> Vec<DueKey> {
+        t.due.iter().copied().collect()
     }
 
     #[test]
@@ -336,32 +436,157 @@ mod tests {
             assert_eq!(needed, 3);
         }
         assert_eq!(t.median_full(row).as_nanos(), 20);
+        assert!(indexed(&t).is_empty(), "no delivery fixed yet");
         t.set_deliver(row, VirtNanos::from_nanos(20), 1234);
-        let mut seen = Vec::new();
-        t.for_each_due(|b, d, kind, id| seen.push((b, d.as_nanos(), kind, id)));
-        assert_eq!(seen, vec![(1234, 20, ChannelKind::Net, 7)]);
+        let key = (1234, VirtNanos::from_nanos(20), 2, 7, ChannelKind::Net);
+        assert_eq!(indexed(&t), vec![key]);
+        assert_eq!(t.first_due_branch(), Some(1234));
+        t.remove(ChannelKind::Net, 7);
+        assert!(indexed(&t).is_empty(), "removal unindexes the row");
+        assert_eq!(t.first_due_branch(), None);
     }
 
     #[test]
     fn unready_rows_are_skipped_by_the_due_scan() {
         let mut t = PendingTable::default();
-        let row = t.insert_agreeing(
-            ChannelKind::Disk,
-            0,
-            ChannelPayload::Disk {
-                op: DiskOp::Read,
-                range: BlockRange::new(0, 1),
-                issue_virt: VirtNanos::ZERO,
-                data: None,
-            },
-            3,
-        );
+        let row = t.insert_agreeing(ChannelKind::Disk, 0, disk_in_flight(), 3);
         t.set_deliver(row, VirtNanos::from_nanos(9), 99);
-        let mut n = 0;
-        t.for_each_due(|_, _, _, _| n += 1);
-        assert_eq!(n, 0, "no data yet");
+        assert!(indexed(&t).is_empty(), "no data yet");
+        assert_eq!(t.next_due(None, u64::MAX), None);
         t.set_ready(row);
-        t.for_each_due(|_, _, _, _| n += 1);
-        assert_eq!(n, 1);
+        assert_eq!(indexed(&t), scan_due(&t));
+        assert_eq!(indexed(&t).len(), 1);
+        t.set_ready(row);
+        assert_eq!(indexed(&t).len(), 1, "a repeated set_ready is a no-op");
+    }
+
+    #[test]
+    fn next_due_injection_puts_the_pit_tick_before_a_tied_timer_row() {
+        // A timer row at rank 0, id 0 ties the periodic tick on branch,
+        // delivery, rank and id; the full key still orders them, and the
+        // tick (kind `None`) goes first.
+        let mut t = PendingTable::default();
+        let timer = ChannelPayload::Timer {
+            timer_id: 4,
+            deadline: VirtNanos::from_nanos(500),
+            period: None,
+        };
+        let tick = VirtNanos::from_nanos(500);
+        t.insert_local(ChannelKind::Timer, 0, timer, tick, 10);
+        let pit = Some((tick, 10));
+        assert_eq!(t.next_due(pit, 10), Some((10, tick, 0, 0, None)));
+        assert_eq!(t.next_due(pit, 10), scan_next_due(&t, pit, 10));
+        assert_eq!(t.next_due(pit, 9), None, "nothing is due before branch 10");
+        // With the tick delivered, the timer row is next.
+        let row = Some((10, tick, 0, 0, Some(ChannelKind::Timer)));
+        assert_eq!(t.next_due(None, 10), row);
+        // A later tick loses to the row; an earlier delivery beats it.
+        let later = Some((VirtNanos::from_nanos(501), 10));
+        assert_eq!(t.next_due(later, 10), row);
+        assert_eq!(t.next_due(later, 10), scan_next_due(&t, later, 10));
+        let earlier = Some((VirtNanos::from_nanos(499), 10));
+        assert_eq!(
+            t.next_due(earlier, 10),
+            Some((10, VirtNanos::from_nanos(499), 0, 0, None))
+        );
+    }
+
+    const KINDS: [ChannelKind; 4] = ChannelKind::ALL;
+
+    /// Live rows as `(kind, seq, row)`, in key order.
+    fn live(t: &PendingTable) -> Vec<(ChannelKind, u64, Row)> {
+        t.snapshot()
+            .into_iter()
+            .map(|(kind, seq, ..)| (kind, seq, t.row(kind, seq).expect("live")))
+            .collect()
+    }
+
+    /// Applies one random operation. Small seq, branch and delivery
+    /// ranges make key collisions (skipped) and ties (kept) common.
+    fn apply(t: &mut PendingTable, op: u64, a: u64, b: u64, c: u64) {
+        let kind = KINDS[(a % 4) as usize];
+        let seq = (a >> 2) % 16;
+        let deliver = VirtNanos::from_nanos(b);
+        let rows = live(t);
+        let pick = |filter: &dyn Fn(Row) -> bool| {
+            let cands: Vec<_> = rows.iter().filter(|&&(.., r)| filter(r)).collect();
+            (!cands.is_empty()).then(|| *cands[(a as usize >> 6) % cands.len()])
+        };
+        let payload_for = |kind: ChannelKind, in_flight: bool| match kind {
+            ChannelKind::Disk if in_flight => disk_in_flight(),
+            ChannelKind::Timer => ChannelPayload::Timer {
+                timer_id: seq,
+                deadline: deliver,
+                period: None,
+            },
+            _ => payload(),
+        };
+        match op % 6 {
+            // An agreeing open (disk rows start without data).
+            0 if t.row(kind, seq).is_none() => {
+                t.insert_agreeing(kind, seq, payload_for(kind, true), 3);
+            }
+            // A local arm's open, already fixed.
+            1 if t.row(kind, seq).is_none() => {
+                let in_flight = (a >> 6) & 1 == 1;
+                t.insert_local(kind, seq, payload_for(kind, in_flight), deliver, c);
+            }
+            // Fix an open row's delivery (before or after its data).
+            2 => {
+                if let Some((.., r)) = pick(&|r| t.deliver_of(r).is_none()) {
+                    t.set_deliver(r, deliver, c);
+                }
+            }
+            // Data arrives (fixed or not yet).
+            3 => {
+                if let Some((.., r)) = pick(&|r| !t.ready[r as usize]) {
+                    t.set_ready(r);
+                }
+            }
+            // Injection or retirement of any live row.
+            4 => {
+                if let Some((kind, seq, _)) = pick(&|_| true) {
+                    assert!(t.remove(kind, seq).is_some());
+                }
+            }
+            // A timer cancel, live or not.
+            5 => {
+                let was_live = t.row(ChannelKind::Timer, seq).is_some();
+                assert_eq!(t.remove(ChannelKind::Timer, seq).is_some(), was_live);
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn due_index_agrees_with_the_full_scan(
+            ops in prop::collection::vec((0u64..6, 0u64..=u64::MAX, 0u64..6, 0u64..6), 1..160),
+        ) {
+            let mut t = PendingTable::default();
+            // Fix the proposal stride at three replicas first, so local
+            // (width 1) and agreeing (width 3) opens can mix.
+            t.insert_agreeing(ChannelKind::Cache, u64::MAX, payload(), 3);
+            t.remove(ChannelKind::Cache, u64::MAX);
+            for &(op, a, b, c) in &ops {
+                apply(&mut t, op, a, b, c);
+                let scan = scan_due(&t);
+                prop_assert_eq!(indexed(&t), scan.clone());
+                prop_assert_eq!(t.first_due_branch(), scan.first().map(|k| k.0));
+                // The periodic tick absent, or on a grid of the
+                // branches and deliveries the rows draw from (ties
+                // included), probed at several cut-off branches.
+                let ticks = [0, 2, 4].into_iter().flat_map(|br| {
+                    [0, 2, 4].map(|d| Some((VirtNanos::from_nanos(d), br)))
+                });
+                for pit in std::iter::once(None).chain(ticks) {
+                    for phys in [0, 3, u64::MAX] {
+                        prop_assert_eq!(t.next_due(pit, phys), scan_next_due(&t, pit, phys));
+                    }
+                }
+            }
+        }
     }
 }

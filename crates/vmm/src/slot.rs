@@ -41,7 +41,7 @@ use crate::clock::VirtualClock;
 pub use crate::defense::{DefenseMode, ReleaseRule};
 use crate::devices::PlatformClocks;
 use crate::guest::{GuestAction, GuestEnv, GuestProgram};
-use crate::pending::{ChannelPayload, PendingTable};
+use crate::pending::{ChannelPayload, Due, PendingTable};
 use crate::speed::SpeedProfile;
 use netsim::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
@@ -526,24 +526,9 @@ impl GuestSlot {
     /// `(injection branch, delivery virt, class rank, id)` —
     /// replica-identical. The rank keeps the legacy timer/disk/net/cache
     /// order (see [`ChannelKind::injection_rank`]).
-    fn next_due_injection(
-        &self,
-        phys: u64,
-    ) -> Option<(u64, VirtNanos, u8, u64, Option<ChannelKind>)> {
-        let mut best: Option<(u64, VirtNanos, u8, u64, Option<ChannelKind>)> = None;
-        let mut consider = |cand: (u64, VirtNanos, u8, u64, Option<ChannelKind>)| {
-            if cand.0 <= phys && best.as_ref().is_none_or(|b| cand < *b) {
-                best = Some(cand);
-            }
-        };
-        if self.wants_timer {
-            let (tick, branch) = self.pit_candidate();
-            consider((branch, tick, 0, 0, None));
-        }
-        self.pending.for_each_due(|branch, deliver, kind, id| {
-            consider((branch, deliver, kind.injection_rank(), id, Some(kind)));
-        });
-        best
+    fn next_due_injection(&self, phys: u64) -> Option<Due> {
+        let pit = self.wants_timer.then(|| self.pit_candidate());
+        self.pending.next_due(pit, phys)
     }
 
     /// Processes everything due at `now`: completes actions, injects due
@@ -1288,8 +1273,9 @@ impl GuestSlot {
             let (_, branch) = self.pit_candidate();
             consider(branch);
         }
-        self.pending
-            .for_each_due(|branch, _, _, _| consider(branch));
+        if let Some(branch) = self.pending.first_due_branch() {
+            consider(branch);
+        }
         let target = target?;
         let start = now.max(self.resume_at);
         // The wake instant is the earliest time the slot's branch

@@ -99,12 +99,12 @@ impl SpeedProfile {
         if idx >= memo.len() + 1_000_000 {
             // A far-future probe (beyond any plausible run horizon) is
             // answered directly instead of dense-filling the memo to it.
-            let mut s = self.seed_stream.stream(&format!("epoch#{idx}"));
+            let mut s = self.seed_stream.stream_indexed("epoch", idx);
             return 1.0 + s.uniform(-self.jitter_frac, self.jitter_frac);
         }
         while memo.len() <= idx {
             let i = memo.len();
-            let mut s = self.seed_stream.stream(&format!("epoch#{i}"));
+            let mut s = self.seed_stream.stream_indexed("epoch", i);
             memo.push(1.0 + s.uniform(-self.jitter_frac, self.jitter_frac));
         }
         memo[idx]

@@ -144,16 +144,18 @@ proptest! {
     fn pgm_reliable_under_loss(loss_mask in prop::collection::vec(any::<bool>(), 1..40)) {
         let mut tx = PgmSender::new(256);
         let mut rx = PgmReceiver::new();
+        let (mut out, mut retx_out) = (RxOutput::default(), RxOutput::default());
         let n = loss_mask.len();
         let mut delivered: Vec<usize> = Vec::new();
         for (i, lost) in loss_mask.iter().enumerate() {
             let pkt = tx.send(i);
             if !*lost {
-                let out = rx.on_packet(pkt);
-                delivered.extend(out.delivered);
+                rx.on_packet(pkt, &mut out);
+                delivered.extend_from_slice(&out.delivered);
                 // NAKs answered immediately (the cloud does this over links).
-                for retx in tx.on_nak(&out.nak_missing) {
-                    delivered.extend(rx.on_packet(retx).delivered);
+                for retx in out.nak_missing.iter().filter_map(|&seq| tx.retransmit(seq)) {
+                    rx.on_packet(retx, &mut retx_out);
+                    delivered.extend_from_slice(&retx_out.delivered);
                 }
             }
         }
@@ -163,8 +165,9 @@ proptest! {
             if naks.is_empty() {
                 break;
             }
-            for retx in tx.on_nak(&naks) {
-                delivered.extend(rx.on_packet(retx).delivered);
+            for retx in naks.iter().filter_map(|&seq| tx.retransmit(seq)) {
+                rx.on_packet(retx, &mut out);
+                delivered.extend_from_slice(&out.delivered);
             }
         }
         // Everything except a possibly-lost tail (no later packet revealed
