@@ -316,26 +316,6 @@ fn parsec_row(baseline: &ScenarioResult, protected: &ScenarioResult) -> (f64, f6
     (mean_ms(baseline), mean_ms(protected), irqs)
 }
 
-/// Runs one PARSEC app pair (baseline + StopWatch); used by the Criterion
-/// benches to track a single figure point cheaply.
-pub fn fig7_app(name: &str, disk: DiskKind, seed: u64) -> Fig7Row {
-    let p = workloads::parsec::profile(name).expect("known app");
-    let results = run_figure(&[
-        parsec_scenario(name, false, disk, seed),
-        parsec_scenario(name, true, disk, seed),
-    ]);
-    let (baseline_ms, stopwatch_ms, disk_interrupts) = parsec_row(&results[0], &results[1]);
-    Fig7Row {
-        name: p.name,
-        baseline_ms,
-        stopwatch_ms,
-        disk_interrupts,
-        paper_baseline_ms: p.paper_baseline_ms,
-        paper_stopwatch_ms: p.paper_stopwatch_ms,
-        paper_disk_interrupts: p.disk_interrupts,
-    }
-}
-
 /// Runs Fig. 7 (all five PARSEC apps, baseline and StopWatch, all ten
 /// runs in parallel).
 pub fn fig7(disk: DiskKind, seed: u64) -> Vec<Fig7Row> {

@@ -4,7 +4,7 @@
 //! (Figs. 1, 4, 5, 6, 7, 8, plus the Sec. VII-A Δ calibration, the
 //! Sec. VIII placement analysis and the Sec. IX collaborating-attacker
 //! study); [`report`] renders tables/CSV. The `experiments` binary drives
-//! them; Criterion benches under `benches/` time representative points.
+//! them.
 //!
 //! Simulated figures are expressed as [`harness`] scenarios and run
 //! through its parallel sweep runner; for free-form grids beyond the

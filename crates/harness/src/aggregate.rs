@@ -544,7 +544,7 @@ mod tests {
 
     #[test]
     fn identical_cells_are_indistinguishable() {
-        let xs: Vec<f64> = (0..200).map(|i| f64::from(i)).collect();
+        let xs: Vec<f64> = (0..200).map(f64::from).collect();
         let outcomes = vec![outcome("null", 1, xs.clone()), outcome("same", 1, xs)];
         let r = SweepReport::from_outcomes("t", &outcomes, Some("null"));
         assert_eq!(r.leakage.len(), 1);

@@ -15,37 +15,15 @@
 //!     config knob: sweep it with `--axis cfg.defense=...` or pin it
 //!     with `--set defense=NAME`.
 //!     Options:
-//!       --seeds N          seed shards per cell (default 4, base seed 42)
-//!       --seed-base N      first seed (default 42)
+//!       --seeds N          seed shards per cell, N >= 1 (default 4)
+//!       --seed-base B      first seed (default 42); the last seed,
+//!                          B + N - 1, must fit in a u64
 //!       --param K=V        base workload parameter
 //!       --set K=V          base CloudConfig override
 //!       --duration-s N     simulated-time budget per scenario (default 60)
 //!       --threads N        worker threads (default: all cores)
 //!       --baseline CELL    leakage baseline cell (default: first cell)
 //!       --out FILE         JSON output path
-//!
-//! swbench perf [<bench>|--all] [--quick] [--repeats N]
-//!              [--warmup N] [--threads N] [--out FILE]
-//!              [--baseline FILE | --baseline-dir DIR]
-//!              [--max-regress FRAC]
-//!     Run a named throughput benchmark (no name: list them): warmup
-//!     passes, then timed repeats whose median wall time yields
-//!     events/sec and packets/sec. Writes a schema-versioned
-//!     BENCH_<bench>.json (default: BENCH_<bench>.json in the working
-//!     directory). With --baseline, exits nonzero when events/sec fell
-//!     more than --max-regress (default 0.30) below the baseline file's —
-//!     the CI perf gate.
-//!     --all runs every registered bench in one pass and writes the
-//!     consolidated BENCH_trajectory.json (--out overrides its path); with
-//!     --baseline-dir every bench is gated against the directory's
-//!     BENCH_<bench>-baseline.json and a missing baseline is an error, so
-//!     a newly added bench cannot silently skip the gate.
-//!
-//! swbench profile [<bench>] [--quick] [--threads N] [--out FILE]
-//!     Run a named perf bench once with the phase timers on and write the
-//!     schema-versioned PROFILE_*.json breakdown (setup/run/aggregate wall
-//!     per pass). Without a bench name, profiles every registered bench
-//!     into one consolidated document (default: PROFILE_benches.json).
 //!
 //! swbench workloads
 //!     Print the workload registry keys.
@@ -95,14 +73,6 @@ fn main() -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => fail(&e),
         },
-        Some("perf") => match parse_perf(&args[1..]).and_then(run_perf_bench) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("profile") => match parse_profile(&args[1..]).and_then(run_profile_cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
         Some("help") | Some("--help") | Some("-h") => {
             print!("{}", help_text());
             ExitCode::SUCCESS
@@ -110,8 +80,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: swbench list | workloads | describe [workload] | \
-                 run <preset> [opts] | sweep --workload NAME [opts] | \
-                 perf [bench] [opts] | profile [bench] [opts] | help"
+                 run <preset> [opts] | sweep --workload NAME [opts] | help"
             );
             ExitCode::FAILURE
         }
@@ -130,15 +99,6 @@ swbench — sweep driver of the StopWatch reproduction
   swbench run <preset> [opts]      run a named sweep, write its JSON aggregate
   swbench sweep --workload NAME [--axis K=V1,V2]... [opts]
                                    free-form cartesian sweep
-  swbench perf [bench|--all] [--quick] [--repeats N] [--warmup N]
-               [--profile] [--baseline FILE | --baseline-dir DIR]
-               [--max-regress FRAC] [opts]
-                                   named throughput benchmarks + CI gate;
-                                   --profile also writes the PROFILE_*.json
-                                   phase breakdown of the timed passes
-  swbench profile [bench] [--quick] [opts]
-                                   phase-timer breakdown (setup/run/aggregate)
-                                   of one bench, or of every registered bench
 
 common options
   --threads N     worker threads. N must be >= 1: an explicit --threads 0
@@ -364,7 +324,11 @@ fn parse_sweep(args: &[String]) -> Result<Invocation, String> {
             "--set" => overrides.push(parse_kv(&take_value(args, &mut i, "--set")?, "--set")?),
             "--seeds" => {
                 let v = take_value(args, &mut i, "--seeds")?;
-                seeds = v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?;
+                seeds = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("bad --seeds value {v:?}: wants a count >= 1"))?;
             }
             "--seed-base" => {
                 let v = take_value(args, &mut i, "--seed-base")?;
@@ -383,7 +347,17 @@ fn parse_sweep(args: &[String]) -> Result<Invocation, String> {
         i += 1;
     }
     let workload = workload.ok_or_else(|| "sweep needs --workload".to_string())?;
-    let mut spec = SweepSpec::new("custom", &workload).seed_shards(seed_base, seeds.max(1));
+    // The shards are seed_base, seed_base + 1, ..., so the last must fit.
+    let last_seed = u64::try_from(seeds - 1)
+        .ok()
+        .and_then(|n| seed_base.checked_add(n));
+    if last_seed.is_none() {
+        return Err(format!(
+            "--seed-base {seed_base} with --seeds {seeds} runs past the largest seed, {}",
+            u64::MAX
+        ));
+    }
+    let mut spec = SweepSpec::new("custom", &workload).seed_shards(seed_base, seeds);
     spec.axes = axes;
     spec.base_params = params;
     spec.base_overrides = overrides;
@@ -394,293 +368,6 @@ fn parse_sweep(args: &[String]) -> Result<Invocation, String> {
         baseline: flags.baseline,
         out: flags.out,
     })
-}
-
-/// Everything a `swbench perf` invocation needs.
-#[derive(Debug)]
-struct PerfInvocation {
-    bench: Option<String>,
-    all: bool,
-    quick: bool,
-    warmup: Option<usize>,
-    repeats: Option<usize>,
-    threads: usize,
-    out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    baseline_dir: Option<PathBuf>,
-    max_regress: f64,
-    profile: bool,
-}
-
-fn parse_perf(args: &[String]) -> Result<PerfInvocation, String> {
-    let mut inv = PerfInvocation {
-        bench: None,
-        all: false,
-        quick: false,
-        warmup: None,
-        repeats: None,
-        threads: 0,
-        out: None,
-        baseline: None,
-        baseline_dir: None,
-        max_regress: 0.30,
-        profile: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all" => inv.all = true,
-            "--quick" => inv.quick = true,
-            "--profile" => inv.profile = true,
-            "--warmup" => {
-                let v = take_value(args, &mut i, "--warmup")?;
-                inv.warmup = Some(v.parse().map_err(|_| format!("bad --warmup value {v:?}"))?);
-            }
-            "--repeats" => {
-                let v = take_value(args, &mut i, "--repeats")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("bad --repeats value {v:?}"))?;
-                if n == 0 {
-                    return Err("--repeats must be >= 1 (the median needs a sample)".to_string());
-                }
-                inv.repeats = Some(n);
-            }
-            "--threads" => inv.threads = parse_threads(&take_value(args, &mut i, "--threads")?)?,
-            "--out" => inv.out = Some(PathBuf::from(take_value(args, &mut i, "--out")?)),
-            "--baseline" => {
-                inv.baseline = Some(PathBuf::from(take_value(args, &mut i, "--baseline")?))
-            }
-            "--baseline-dir" => {
-                inv.baseline_dir = Some(PathBuf::from(take_value(args, &mut i, "--baseline-dir")?))
-            }
-            "--max-regress" => {
-                let v = take_value(args, &mut i, "--max-regress")?;
-                let f: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --max-regress value {v:?}"))?;
-                if !(0.0..1.0).contains(&f) {
-                    return Err(format!("--max-regress wants a fraction in [0, 1), got {v}"));
-                }
-                inv.max_regress = f;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            name if inv.bench.is_none() => inv.bench = Some(name.to_string()),
-            extra => return Err(format!("unexpected argument {extra:?}")),
-        }
-        i += 1;
-    }
-    if inv.all && inv.bench.is_some() {
-        return Err("--all runs every bench; drop the bench name".to_string());
-    }
-    if inv.all && inv.baseline.is_some() {
-        return Err("--all gates via --baseline-dir, not a single --baseline file".to_string());
-    }
-    if inv.baseline_dir.is_some() && !inv.all {
-        return Err(
-            "--baseline-dir only applies to --all (use --baseline for one bench)".to_string(),
-        );
-    }
-    Ok(inv)
-}
-
-fn run_perf_bench(inv: PerfInvocation) -> Result<(), String> {
-    if inv.all {
-        return run_perf_all(inv);
-    }
-    let Some(bench) = inv.bench else {
-        for b in PERF_BENCHES {
-            println!("{:<14} {}", b.name, b.about);
-        }
-        return Ok(());
-    };
-    let opts = PerfOptions {
-        quick: inv.quick,
-        warmup: inv.warmup.unwrap_or(1),
-        repeats: inv.repeats.unwrap_or(if inv.quick { 3 } else { 5 }),
-        threads: inv.threads,
-    };
-    eprintln!(
-        "perf {bench:?}: {} mode, {} warmup + {} timed passes",
-        if opts.quick { "quick" } else { "full" },
-        opts.warmup,
-        opts.repeats
-    );
-    let report = run_perf(&bench, &opts)?;
-    println!("{}", report.summary());
-    let out = inv
-        .out
-        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{bench}.json")));
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("creating {parent:?}: {e}"))?;
-    }
-    std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out:?}: {e}"))?;
-    println!("perf report: {}", out.display());
-    if inv.profile {
-        let path = out.with_file_name(format!("PROFILE_{bench}.json"));
-        let profile = ProfileReport::from_perf(&report);
-        println!("{}", profile.summary());
-        std::fs::write(&path, profile.to_json()).map_err(|e| format!("writing {path:?}: {e}"))?;
-        println!("phase profile: {}", path.display());
-    }
-    if let Some(baseline_path) = inv.baseline {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading baseline {baseline_path:?}: {e}"))?;
-        let verdict = check_against_baseline(&report, &baseline, inv.max_regress)?;
-        println!("{verdict}");
-    }
-    Ok(())
-}
-
-/// The consolidated perf pass: every registered bench in one invocation,
-/// each gated against `<baseline-dir>/BENCH_<bench>-baseline.json`, with
-/// one schema-versioned `BENCH_trajectory.json` artifact at the end. All
-/// benches run (and write their reports) even when an early one regresses
-/// — the combined verdict decides the exit code, so one artifact always
-/// shows the whole trajectory.
-fn run_perf_all(inv: PerfInvocation) -> Result<(), String> {
-    let opts = PerfOptions {
-        quick: inv.quick,
-        warmup: inv.warmup.unwrap_or(1),
-        repeats: inv.repeats.unwrap_or(if inv.quick { 3 } else { 5 }),
-        threads: inv.threads,
-    };
-    // Baselines are resolved up front: with a baseline dir, every
-    // registered bench must have one checked in — a bench added without a
-    // baseline fails the gate loudly instead of silently skipping it.
-    let mut baselines: Vec<Option<String>> = Vec::new();
-    for b in PERF_BENCHES {
-        match &inv.baseline_dir {
-            None => baselines.push(None),
-            Some(dir) => {
-                let path = dir.join(baseline_file_name(b.name));
-                let doc = std::fs::read_to_string(&path).map_err(|e| {
-                    format!(
-                        "bench {:?} has no usable baseline at {path:?}: {e} — every \
-                         registered bench must check one in before the consolidated \
-                         gate can run (refresh with `swbench perf {} --quick \
-                         --threads 1 --out {path:?}`)",
-                        b.name, b.name
-                    )
-                })?;
-                baselines.push(Some(doc));
-            }
-        }
-    }
-    let mut trajectory = Trajectory::default();
-    let mut profiles = ProfileSet::default();
-    for (b, baseline) in PERF_BENCHES.iter().zip(baselines) {
-        eprintln!(
-            "perf {:?}: {} mode, {} warmup + {} timed passes",
-            b.name,
-            if opts.quick { "quick" } else { "full" },
-            opts.warmup,
-            opts.repeats
-        );
-        let report = run_perf(b.name, &opts)?;
-        println!("{}", report.summary());
-        let out = PathBuf::from(format!("BENCH_{}.json", b.name));
-        std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out:?}: {e}"))?;
-        let verdict = baseline
-            .as_deref()
-            .map(|doc| check_against_baseline(&report, doc, inv.max_regress));
-        match &verdict {
-            Some(Ok(line)) => println!("{line}"),
-            Some(Err(line)) => println!("FAIL {line}"),
-            None => {}
-        }
-        if inv.profile {
-            profiles.entries.push(ProfileReport::from_perf(&report));
-        }
-        trajectory.entries.push(TrajectoryEntry { report, verdict });
-    }
-    if inv.profile {
-        let path = PathBuf::from("PROFILE_benches.json");
-        std::fs::write(&path, profiles.to_json()).map_err(|e| format!("writing {path:?}: {e}"))?;
-        println!("phase profiles: {}", path.display());
-    }
-    let out = inv
-        .out
-        .unwrap_or_else(|| PathBuf::from("BENCH_trajectory.json"));
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("creating {parent:?}: {e}"))?;
-    }
-    std::fs::write(&out, trajectory.to_json()).map_err(|e| format!("writing {out:?}: {e}"))?;
-    println!("trajectory report: {}", out.display());
-    let failures = trajectory.failures();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "perf gate failed for {} bench(es): {}",
-            failures.len(),
-            failures.join(", ")
-        ))
-    }
-}
-
-/// Everything a `swbench profile` invocation needs.
-#[derive(Debug)]
-struct ProfileInvocation {
-    bench: Option<String>,
-    quick: bool,
-    threads: usize,
-    out: Option<PathBuf>,
-}
-
-fn parse_profile(args: &[String]) -> Result<ProfileInvocation, String> {
-    let mut inv = ProfileInvocation {
-        bench: None,
-        quick: false,
-        threads: 0,
-        out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => inv.quick = true,
-            "--threads" => inv.threads = parse_threads(&take_value(args, &mut i, "--threads")?)?,
-            "--out" => inv.out = Some(PathBuf::from(take_value(args, &mut i, "--out")?)),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag:?}")),
-            name if inv.bench.is_none() => inv.bench = Some(name.to_string()),
-            extra => return Err(format!("unexpected argument {extra:?}")),
-        }
-        i += 1;
-    }
-    Ok(inv)
-}
-
-/// `swbench profile`: one phase-attributed pass per bench. With a bench
-/// name, writes that bench's `PROFILE_<bench>.json`; without one, covers
-/// every registered bench in one consolidated document.
-fn run_profile_cmd(inv: ProfileInvocation) -> Result<(), String> {
-    let opts = ProfileOptions {
-        quick: inv.quick,
-        threads: inv.threads,
-    };
-    let (doc, default_out) = match &inv.bench {
-        Some(bench) => {
-            let report = run_profile(bench, &opts)?;
-            println!("{}", report.summary());
-            (report.to_json(), format!("PROFILE_{bench}.json"))
-        }
-        None => {
-            let mut set = ProfileSet::default();
-            for b in PERF_BENCHES {
-                let report = run_profile(b.name, &opts)?;
-                println!("{}", report.summary());
-                set.entries.push(report);
-            }
-            (set.to_json(), "PROFILE_benches.json".to_string())
-        }
-    };
-    let out = inv.out.unwrap_or_else(|| PathBuf::from(default_out));
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        std::fs::create_dir_all(parent).map_err(|e| format!("creating {parent:?}: {e}"))?;
-    }
-    std::fs::write(&out, doc).map_err(|e| format!("writing {out:?}: {e}"))?;
-    println!("phase profile: {}", out.display());
-    Ok(())
 }
 
 fn run_spec(inv: Invocation) -> Result<(), String> {
@@ -778,7 +465,6 @@ mod tests {
         for parse in [
             parse_run(&argv(&["delta-n", "--threads", "0"])).err(),
             parse_sweep(&argv(&["--workload", "web-http", "--threads", "0"])).err(),
-            parse_perf(&argv(&["delta-n", "--threads", "0"])).err(),
         ] {
             let err = parse.expect("--threads 0 must be rejected");
             assert!(err.contains("--threads 0"), "{err}");
@@ -788,59 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn perf_flags_parse_with_defaults() {
-        let inv = parse_perf(&argv(&["delta-n", "--quick"])).unwrap();
-        assert_eq!(inv.bench.as_deref(), Some("delta-n"));
-        assert!(inv.quick);
-        assert_eq!(inv.threads, 0, "default: all cores");
-        assert_eq!(inv.max_regress, 0.30, "CI gate tolerance default");
-        assert!(inv.warmup.is_none() && inv.repeats.is_none());
-
-        let inv = parse_perf(&argv(&[
-            "packet-storm",
-            "--repeats",
-            "7",
-            "--warmup",
-            "2",
-            "--baseline",
-            "BENCH_delta-n-baseline.json",
-            "--max-regress",
-            "0.5",
-        ]))
-        .unwrap();
-        assert_eq!(inv.repeats, Some(7));
-        assert_eq!(inv.warmup, Some(2));
-        assert_eq!(inv.max_regress, 0.5);
-        assert!(inv.baseline.is_some());
-
-        assert!(parse_perf(&argv(&["x", "--repeats", "0"])).is_err());
-        assert!(parse_perf(&argv(&["x", "--max-regress", "1.5"])).is_err());
-        assert!(parse_perf(&argv(&["x", "--bogus"])).is_err());
-    }
-
-    #[test]
-    fn perf_all_parses_and_rejects_conflicts() {
-        let inv = parse_perf(&argv(&["--all", "--quick", "--baseline-dir", "."])).unwrap();
-        assert!(inv.all && inv.bench.is_none());
-        assert_eq!(inv.baseline_dir.as_deref(), Some(std::path::Path::new(".")));
-
-        // Report-only (no gate) is the nightly shape.
-        let inv = parse_perf(&argv(&["--all"])).unwrap();
-        assert!(inv.all && inv.baseline_dir.is_none());
-
-        let err = parse_perf(&argv(&["delta-n", "--all"])).unwrap_err();
-        assert!(err.contains("drop the bench name"), "{err}");
-        let err = parse_perf(&argv(&["--all", "--baseline", "B.json"])).unwrap_err();
-        assert!(err.contains("--baseline-dir"), "{err}");
-        let err = parse_perf(&argv(&["delta-n", "--baseline-dir", "."])).unwrap_err();
-        assert!(err.contains("only applies to --all"), "{err}");
-    }
-
-    #[test]
     fn describe_covers_known_names_and_rejects_typos() {
         assert!(describe(None).is_ok());
         assert!(describe(Some("web-http")).is_ok());
-        let err = describe(Some("web-htp")).err().expect("unknown workload");
+        let err = describe(Some("web-htp")).expect_err("unknown workload");
         assert!(err.contains("did you mean \"web-http\""), "{err}");
     }
 }

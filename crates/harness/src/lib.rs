@@ -17,9 +17,11 @@
 //! * [`aggregate`] — per-cell percentile summaries, KS/χ² leakage
 //!   verdicts via [`timestats`], and deterministic JSON reports;
 //! * [`presets`] — named paper-figure sweeps for the `swbench` binary;
-//! * [`perf`] — named throughput benchmarks (`swbench perf`) with
-//!   warmup/repeat-median methodology, `BENCH_<name>.json` artifacts, and
-//!   the CI regression gate;
+//! * [`perf`] — the storm benches: fixed scenario lists that stress one
+//!   hot path each, pinned by golden digests (timing lives in the
+//!   repository benchmark, `benchmark/`);
+//! * [`profile`] — [`Phases`](profile::Phases), the per-scenario
+//!   resolve/build/run/aggregate wall-time split the runner folds;
 //! * [`json`] — the dependency-free deterministic JSON writer.
 //!
 //! # Examples
@@ -59,14 +61,9 @@ pub mod sweep;
 pub mod prelude {
     pub use crate::aggregate::{CellAggregate, LeakageVerdict, SweepReport, REPORT_SCHEMA_VERSION};
     pub use crate::json::Json;
-    pub use crate::perf::{
-        baseline_file_name, check_against_baseline, perf_bench, run_perf, PerfOptions, PerfReport,
-        Trajectory, TrajectoryEntry, BENCH_SCHEMA_VERSION, PERF_BENCHES, TRAJECTORY_SCHEMA_VERSION,
-    };
+    pub use crate::perf::{perf_bench, PERF_BENCHES};
     pub use crate::presets::{preset, PRESETS};
-    pub use crate::profile::{
-        run_profile, Phases, ProfileOptions, ProfileReport, ProfileSet, PROFILE_SCHEMA_VERSION,
-    };
+    pub use crate::profile::Phases;
     pub use crate::runner::{run_scenarios, run_scenarios_profiled, RunOutcome, RunnerOptions};
     pub use crate::scenario::{Scenario, ScenarioArena, ScenarioResult};
     pub use crate::sweep::{Axis, SweepSpec};

@@ -182,8 +182,8 @@ impl Scenario {
     /// [`Scenario::run_phased`] against a worker-owned [`ScenarioArena`]:
     /// the scenario's config shape is resolved through the arena, so the
     /// second and later scenarios sharing a shape (every shard of a sweep
-    /// cell, every pass of a perf bench) reuse the parsed config, the
-    /// workload lookup, and the validated parameter set instead of
+    /// cell, every pass of a benchmark workload) reuse the parsed config,
+    /// the workload lookup, and the validated parameter set instead of
     /// re-deriving them. Results are bit-identical to [`Scenario::run`] —
     /// the arena caches only resolution, never simulation state.
     ///
@@ -274,7 +274,7 @@ impl Scenario {
 
 /// A worker-owned cache of resolved scenario shapes.
 ///
-/// A sweep shards each grid cell across seeds and a perf bench replays
+/// A sweep shards each grid cell across seeds and the benchmark replays
 /// the same scenario list pass after pass, so most scenarios a worker
 /// sees differ from the previous one only in `seed` and `label`. The
 /// arena keys on everything else — workload, parameters, overrides,
@@ -337,7 +337,7 @@ impl ScenarioArena {
     fn prepare(&mut self, s: &Scenario) -> Result<&ArenaEntry, String> {
         let hit = self.entries.iter().position(|(k, _)| {
             // Linear scan: a worker sees a handful of shapes, and the
-            // common case (perf passes) has exactly one.
+            // common case (benchmark passes) has exactly one.
             k.hosts == s.hosts
                 && k.workload == s.workload
                 && k.workload_params == s.workload_params

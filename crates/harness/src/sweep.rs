@@ -110,7 +110,8 @@ impl SweepSpec {
     }
 
     /// Validates the whole spec against the merged knob/parameter schema
-    /// without expanding it: every workload in play must be registered,
+    /// without expanding it: no axis key, and no value within one axis,
+    /// may repeat; every workload in play must be registered,
     /// every `cfg.*` key must be a [`CloudConfig`] knob whose values
     /// parse (`cfg.defense` values resolve against the defense-arm
     /// registry), and every other key must be a declared parameter of
@@ -127,6 +128,17 @@ impl SweepSpec {
         for (i, axis) in self.axes.iter().enumerate() {
             if self.axes[..i].iter().any(|a| a.key == axis.key) {
                 return Err(format!("{}: duplicate axis {:?}", ctx("axes"), axis.key));
+            }
+            // A repeated value would run identical scenarios into one
+            // cell and count every sample twice.
+            for (j, value) in axis.values.iter().enumerate() {
+                if axis.values[..j].contains(value) {
+                    return Err(format!(
+                        "{}: duplicate value {value:?} in axis {:?}",
+                        ctx("axes"),
+                        axis.key
+                    ));
+                }
             }
         }
         // Which workloads can appear in a cell (a `workload` axis swaps
@@ -479,6 +491,15 @@ mod tests {
         let err = spec.validate().unwrap_err();
         assert!(err.contains("duplicate axis"), "{err}");
         assert!(err.contains("\"bytes\""), "{err}");
+    }
+
+    #[test]
+    fn duplicate_axis_values_are_rejected() {
+        let spec = SweepSpec::new("t", "web-http").axis("bytes", &[1u64, 2, 1]);
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("duplicate value \"1\""), "{err}");
+        assert!(err.contains("\"bytes\""), "{err}");
+        assert!(spec.scenarios().is_err(), "expansion validates first");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! `swbench`-level integration tests of the typed experiment API: the
 //! `describe` catalogue and the fail-before-anything-runs error paths
 //! (unknown knob, ill-typed value, unknown workload param, duplicate
-//! axis), each with its did-you-mean suggestion. These drive the real
-//! binary, so they cover arg parsing, sweep validation, and exit codes
-//! end to end — without executing a single scenario.
+//! axis, bad seed flags), each with its did-you-mean suggestion where one
+//! applies. These drive the real binary, so they cover arg parsing, sweep
+//! validation, and exit codes end to end — without executing a single
+//! scenario.
 
 use std::process::{Command, Output};
 
@@ -245,11 +246,29 @@ fn duplicate_axis_keys_are_rejected() {
 }
 
 #[test]
+fn seed_flags_that_expand_wrongly_fail_before_any_scenario() {
+    // `--seeds 0` was clamped to one seed; a last seed past u64::MAX
+    // overflowed `seed_base + i`.
+    for (flags, named) in [
+        (&["--seeds", "0"][..], "--seeds"),
+        (
+            &["--seed-base", "18446744073709551615", "--seeds", "2"][..],
+            "--seed-base",
+        ),
+    ] {
+        let mut args = vec!["sweep", "--workload", "web-http"];
+        args.extend_from_slice(flags);
+        let out = swbench(&args);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(named), "{flags:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
 fn threads_zero_fails_with_the_fix_spelled_out_everywhere() {
     for args in [
         &["run", "delta-n", "--quick", "--threads", "0"][..],
         &["sweep", "--workload", "web-http", "--threads", "0"][..],
-        &["perf", "delta-n", "--threads", "0"][..],
     ] {
         let out = swbench(args);
         assert!(!out.status.success(), "{args:?} must fail");
@@ -273,98 +292,4 @@ fn help_documents_the_threads_zero_rejection() {
     assert!(flat.contains("--threads 0"), "{stdout}");
     assert!(flat.contains("rejected"), "{stdout}");
     assert!(flat.contains("omit the flag"), "{stdout}");
-}
-
-#[test]
-fn perf_with_no_bench_lists_the_registry() {
-    let out = swbench(&["perf"]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("delta-n"), "{stdout}");
-    assert!(stdout.contains("packet-storm"), "{stdout}");
-    assert!(stdout.contains("timer-storm"), "{stdout}");
-}
-
-#[test]
-fn perf_writes_bench_json_and_gates_against_it() {
-    let dir = std::env::temp_dir().join("swbench_perf_cli_test");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let report = dir.join("BENCH_packet-storm.json");
-    let report_s = report.to_str().unwrap();
-
-    // One quick pass produces a schema-versioned report.
-    let out = swbench(&[
-        "perf",
-        "packet-storm",
-        "--quick",
-        "--repeats",
-        "1",
-        "--warmup",
-        "0",
-        "--out",
-        report_s,
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let json = std::fs::read_to_string(&report).expect("report written");
-    assert!(
-        json.contains(&format!(
-            "\"schema_version\": {}",
-            harness::perf::BENCH_SCHEMA_VERSION
-        )),
-        "{json}"
-    );
-    assert!(json.contains("\"bench\": \"packet-storm\""), "{json}");
-    assert!(json.contains("\"events_per_sec\""), "{json}");
-    assert!(json.contains("\"setup_ms\""), "v2 phase split: {json}");
-    assert!(json.contains("\"run_ms\""), "v2 phase split: {json}");
-
-    // Gating against itself passes (a run never regresses vs itself)...
-    let out = swbench(&[
-        "perf",
-        "packet-storm",
-        "--quick",
-        "--repeats",
-        "1",
-        "--warmup",
-        "0",
-        "--out",
-        dir.join("BENCH_again.json").to_str().unwrap(),
-        "--baseline",
-        report_s,
-        "--max-regress",
-        "0.99",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("perf gate ok"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // ...and an impossible baseline fails the gate with a clear verdict.
-    let inflated = json.replace(
-        "\"events_per_sec_best\": ",
-        "\"events_per_sec_best\": 99999999999.0, \"was\": ",
-    );
-    let fast = dir.join("BENCH_fast.json");
-    std::fs::write(&fast, inflated).expect("write inflated baseline");
-    let out = swbench(&[
-        "perf",
-        "packet-storm",
-        "--quick",
-        "--repeats",
-        "1",
-        "--warmup",
-        "0",
-        "--out",
-        dir.join("BENCH_again2.json").to_str().unwrap(),
-        "--baseline",
-        fast.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success(), "inflated baseline must gate-fail");
-    assert!(
-        stderr(&out).contains("throughput regression"),
-        "{}",
-        stderr(&out)
-    );
 }

@@ -1902,8 +1902,8 @@ mod tests {
             })
             .collect();
         assert_eq!(proposals.len(), 2, "one proposal per probe");
-        assert_eq!(proposals[0].1.as_nanos(), u64::from(CacheModel::HIT_NS));
-        assert_eq!(proposals[1].1.as_nanos(), u64::from(CacheModel::MISS_NS));
+        assert_eq!(proposals[0].1.as_nanos(), CacheModel::HIT_NS);
+        assert_eq!(proposals[1].1.as_nanos(), CacheModel::MISS_NS);
         // No delivery until the peers' proposals arrive.
         assert_eq!(slot.next_wake(&p, SimTime::ZERO), None);
         for (probe_id, own) in &proposals {

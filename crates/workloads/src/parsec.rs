@@ -294,9 +294,11 @@ mod tests {
     /// replica).
     pub fn run_app(name: &str, stopwatch: bool) -> (f64, u64) {
         let prof = profile(name).expect("known app");
-        let mut cfg = CloudConfig::default();
-        cfg.broadcast_band = None; // keep unit tests fast
-        cfg.disk = DiskKind::Rotating;
+        let cfg = CloudConfig {
+            broadcast_band: None, // keep unit tests fast
+            disk: DiskKind::Rotating,
+            ..CloudConfig::default()
+        };
         let mut b = CloudBuilder::new(cfg, 3);
         let monitor_ep = EndpointId(2000);
         let vm = if stopwatch {
