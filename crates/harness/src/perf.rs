@@ -240,6 +240,18 @@ mod tests {
     }
 
     #[test]
+    fn quick_perf_run_end_to_end() {
+        let r = quick_storm("packet-storm");
+        assert!(r.clients_done, "the bulk transfer finishes in budget");
+        assert!(r.events_executed > 0, "simulated something");
+        assert!(
+            r.counter("ingress_packets") > 0,
+            "packet-dense by construction"
+        );
+        assert!(r.counter("net_irq") > 0, "delivers packet interrupts");
+    }
+
+    #[test]
     fn timer_storm_quick_run_counts_timer_work() {
         let r = quick_storm("timer-storm");
         assert!(r.events_executed > 0);

@@ -73,4 +73,36 @@ mod tests {
         );
         assert_eq!(a.setup_ns(), 33);
     }
+
+    #[test]
+    fn profile_runs_a_quick_bench_and_attributes_every_phase() {
+        use crate::runner::{run_scenarios_profiled, RunnerOptions};
+        use crate::scenario::Scenario;
+
+        let storm = crate::perf::perf_bench("packet-storm")
+            .expect("packet-storm is registered")
+            .scenarios(true)
+            .expect("quick packet-storm expands");
+        // One scenario always runs on one worker; two copies at two
+        // threads take the pooled path, whose per-worker totals are folded.
+        let twice: Vec<Scenario> = storm.iter().chain(&storm).cloned().collect();
+        for (scenarios, threads) in [(&storm, 1), (&twice, 2)] {
+            let (outcomes, phases) = run_scenarios_profiled(
+                scenarios,
+                &RunnerOptions {
+                    threads,
+                    progress: false,
+                },
+            );
+            assert!(
+                outcomes.iter().all(|o| o.result.is_ok()),
+                "a scenario failed at {threads} thread(s)"
+            );
+            assert!(
+                phases.build_ns > 0,
+                "build attributed at {threads} thread(s)"
+            );
+            assert!(phases.run_ns > 0, "run attributed at {threads} thread(s)");
+        }
+    }
 }

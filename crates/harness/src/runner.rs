@@ -222,35 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_runs_attribute_build_and_run_time_at_one_and_two_threads() {
-        let storm = crate::perf::perf_bench("packet-storm")
-            .expect("packet-storm is registered")
-            .scenarios(true)
-            .expect("quick packet-storm expands");
-        // One scenario always runs on one worker; two copies at two
-        // threads take the pooled path, whose per-worker totals are folded.
-        let twice: Vec<Scenario> = storm.iter().chain(&storm).cloned().collect();
-        for (scenarios, threads) in [(&storm, 1), (&twice, 2)] {
-            let (outcomes, phases) = run_scenarios_profiled(
-                scenarios,
-                &RunnerOptions {
-                    threads,
-                    progress: false,
-                },
-            );
-            assert!(
-                outcomes.iter().all(|o| o.result.is_ok()),
-                "a scenario failed at {threads} thread(s)"
-            );
-            assert!(
-                phases.build_ns > 0,
-                "build attributed at {threads} thread(s)"
-            );
-            assert!(phases.run_ns > 0, "run attributed at {threads} thread(s)");
-        }
-    }
-
-    #[test]
     fn more_threads_than_work_is_fine() {
         let scenarios = tiny_sweep();
         let out = run_scenarios(
