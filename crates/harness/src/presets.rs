@@ -305,6 +305,23 @@ pub fn preset(name: &str) -> Option<&'static Preset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{CellAggregate, SweepReport};
+    use crate::runner::{run_scenarios, RunnerOptions};
+
+    /// Runs a preset's quick shape and folds its outcomes by cell.
+    fn run_quick(name: &str) -> SweepReport {
+        let spec = preset(name).unwrap().spec(true);
+        let scenarios = spec.scenarios().expect("expands");
+        let outcomes = run_scenarios(&scenarios, &RunnerOptions::default());
+        let report = SweepReport::from_outcomes(&spec.name, &outcomes, None);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        report
+    }
+
+    fn cell<'a>(report: &'a SweepReport, key: &str) -> &'a CellAggregate {
+        let cell = report.cells.iter().find(|c| c.cell == key);
+        cell.unwrap_or_else(|| panic!("no cell {key}"))
+    }
 
     #[test]
     fn all_presets_expand() {
@@ -369,5 +386,56 @@ mod tests {
         // Full shape widens to both replica counts and 4 seeds.
         let full = preset("defense-shootout").unwrap().spec(false);
         assert_eq!(full.scenario_count(), 3 * 4 * 2 * 2 * 4);
+    }
+
+    #[test]
+    fn fig5_small_sweep_shape() {
+        let report = run_quick("fig5");
+        let mean_ms = |workload: &str, defense: &str, bytes: u64| {
+            let key = format!("workload={workload},cfg.defense={defense},bytes={bytes}");
+            let samples = &cell(&report, &key).samples;
+            assert!(!samples.is_empty(), "no operations completed in {key}");
+            samples.mean()
+        };
+        for bytes in [10_000, 100_000] {
+            let http = (
+                mean_ms("web-http", "baseline", bytes),
+                mean_ms("web-http", "stopwatch", bytes),
+            );
+            let udp = (
+                mean_ms("web-udp", "baseline", bytes),
+                mean_ms("web-udp", "stopwatch", bytes),
+            );
+            assert!(http.1 > http.0, "{bytes} B: HTTP {http:?}");
+            // The paper's crossover: UDP-NAK over StopWatch becomes
+            // competitive for files of 100 KB or more (one Δn crossing
+            // amortized over the stream), while HTTP keeps paying per ACK.
+            if bytes >= 100_000 {
+                let http_ratio = http.1 / http.0;
+                let udp_ratio = udp.1 / udp.0;
+                assert!(
+                    udp_ratio < http_ratio,
+                    "{bytes} B: HTTP {http:?}, UDP {udp:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_violations_fall_with_delta() {
+        let report = run_quick("delta-d");
+        let violations = |delta_d_ms: u64| {
+            let c = cell(&report, &format!("cfg.delta_d_ms={delta_d_ms}"));
+            (
+                c.counters.get("sync_violations"),
+                c.counters.get("dd_violations"),
+            )
+        };
+        let (smallest, paper) = (violations(2), violations(12));
+        assert!(
+            smallest.0 + smallest.1 >= paper.0 + paper.1,
+            "(sync, dd) at 2 ms {smallest:?}, at 12 ms {paper:?}"
+        );
+        assert_eq!(paper.1, 0, "paper-sized Δd has no violations");
     }
 }

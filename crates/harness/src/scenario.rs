@@ -433,15 +433,6 @@ impl ScenarioResult {
             .map(|&(_, v)| v)
             .unwrap_or(0)
     }
-
-    /// One workload extra by name (0 if the workload never reported it).
-    pub fn extra(&self, name: &str) -> f64 {
-        self.extra
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]

@@ -29,8 +29,9 @@
 //!
 //! **Known finding pinned here.** Fig6's quick StopWatch cells report
 //! `egress_divergences` of 4 and 6 (full shape: 132, 783 and 789), so some
-//! replica outputs differ. Replacing `NfsServerGuest`'s `HashMap`s with
-//! `BTreeMap`s left fig6's quick and full reports byte-identical, so that
+//! replica outputs differ. `NfsServerGuest`'s connection tables were
+//! `HashMap`s with a random hasher per replica; they are `BTreeMap`s now,
+//! and the switch left fig6's quick and full reports byte-identical, so
 //! hash order does not explain the divergences. Repeated fig6 quick runs
 //! give identical bytes, so the digests pin today's behaviour; the
 //! replica-safety work owns the fix. A preset that turns out not to be

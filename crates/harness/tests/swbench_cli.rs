@@ -200,6 +200,25 @@ fn ill_typed_knob_value_fails_fast() {
 }
 
 #[test]
+fn out_of_domain_knob_value_fails_before_any_scenario() {
+    // An even replica count would trip `GuestSlot`'s assert in the
+    // StopWatch cell; validation must stop it first.
+    let out = swbench(&[
+        "sweep",
+        "--workload",
+        "web-http",
+        "--set",
+        "defense=stopwatch",
+        "--axis",
+        "cfg.replicas=3,4",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("\"replicas\" must be odd and >= 3"), "{err}");
+    assert!(!err.contains("scenarios on"), "ran scenarios: {err}");
+}
+
+#[test]
 fn unknown_workload_param_gets_cross_layer_or_nearest_suggestion() {
     // A bare knob key used as a workload param → points at cfg.<key>.
     let out = swbench(&["sweep", "--workload", "web-http", "--axis", "delta_n_ms=4"]);

@@ -193,7 +193,7 @@ impl std::error::Error for BoseError {}
 mod tests {
     use super::*;
     use crate::triangle::validate_placement;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn construction_rejects_bad_n() {
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn group_zero_visits_each_node_once() {
         let sys = BoseSystem::new(15).unwrap();
-        let mut count: HashMap<usize, usize> = HashMap::new();
+        let mut count: BTreeMap<usize, usize> = BTreeMap::new();
         for tri in sys.group_zero() {
             for nd in tri.nodes() {
                 *count.entry(nd.0).or_insert(0) += 1;
@@ -242,7 +242,7 @@ mod tests {
     fn full_groups_visit_each_node_thrice() {
         let sys = BoseSystem::new(21).unwrap();
         for t in 1..=sys.v() {
-            let mut count: HashMap<usize, usize> = HashMap::new();
+            let mut count: BTreeMap<usize, usize> = BTreeMap::new();
             for tri in sys.group(t) {
                 for nd in tri.nodes() {
                     *count.entry(nd.0).or_insert(0) += 1;
@@ -257,7 +257,7 @@ mod tests {
     fn partial_group_visits_nodes_at_most_once() {
         for &n in &[15usize, 21, 27, 33] {
             let sys = BoseSystem::new(n).unwrap();
-            let mut count: HashMap<usize, usize> = HashMap::new();
+            let mut count: BTreeMap<usize, usize> = BTreeMap::new();
             for tri in sys.partial_group_v() {
                 for nd in tri.nodes() {
                     *count.entry(nd.0).or_insert(0) += 1;

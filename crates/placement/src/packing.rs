@@ -4,7 +4,7 @@
 use crate::triangle::{Edge, NodeId, Triangle};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// The exact maximum number of pairwise edge-disjoint triangles in K_n
 /// (paper Theorem 1, a corollary of Horsley 2011).
@@ -63,7 +63,7 @@ pub fn greedy_packing(n: usize, capacity: usize, seed: u64) -> Vec<Triangle> {
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut used: HashSet<Edge> = HashSet::new();
+    let mut used: BTreeSet<Edge> = BTreeSet::new();
     let mut load = vec![0usize; n];
     let mut placed = Vec::new();
 
@@ -113,7 +113,7 @@ fn shuffle<T>(xs: &mut [T], rng: &mut StdRng) {
 fn try_place(
     tri: Triangle,
     capacity: usize,
-    used: &mut HashSet<Edge>,
+    used: &mut BTreeSet<Edge>,
     load: &mut [usize],
     placed: &mut Vec<Triangle>,
 ) -> bool {

@@ -6,7 +6,7 @@
 use crate::bose::BoseSystem;
 use crate::packing::max_triangle_packing;
 use crate::triangle::{Edge, NodeId, PlacementError, Triangle};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// How the planner chooses triangles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,7 +35,7 @@ pub enum Strategy {
 pub struct PlacementPlanner {
     n: usize,
     capacity: usize,
-    used_edges: HashSet<Edge>,
+    used_edges: BTreeSet<Edge>,
     load: Vec<usize>,
     placed: Vec<Triangle>,
     schedule: Vec<Triangle>, // precomputed (Bose) or empty (greedy)
@@ -72,7 +72,7 @@ impl PlacementPlanner {
         Ok(PlacementPlanner {
             n,
             capacity,
-            used_edges: HashSet::new(),
+            used_edges: BTreeSet::new(),
             load: vec![0; n],
             placed: Vec::new(),
             schedule,

@@ -6,7 +6,7 @@
 //! **edge-disjoint** — two VMs may share at most one machine, so each
 //! replica coresides with nonoverlapping sets of (replicas of) other VMs.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A cloud machine, identified by index in `0..n`.
@@ -186,8 +186,8 @@ pub fn validate_placement(
     n: usize,
     capacity: usize,
 ) -> Result<(), PlacementError> {
-    let mut edge_owner: HashMap<Edge, usize> = HashMap::new();
-    let mut load: HashMap<NodeId, usize> = HashMap::new();
+    let mut edge_owner: BTreeMap<Edge, usize> = BTreeMap::new();
+    let mut load: BTreeMap<NodeId, usize> = BTreeMap::new();
     for (idx, tri) in placement.iter().enumerate() {
         for node in tri.nodes() {
             if node.0 >= n {

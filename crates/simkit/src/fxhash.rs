@@ -12,9 +12,11 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed by the deterministic Fx hash.
+#[allow(clippy::disallowed_types)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` keyed by the deterministic Fx hash.
+#[allow(clippy::disallowed_types)]
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// The rustc Fx word hasher: `state = rotl5(state) ^ word, * K`.

@@ -21,7 +21,7 @@
 //! Each observation is `(now at execution, tag)`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use proptest::prelude::*;
 use simkit::prelude::*;
@@ -49,7 +49,7 @@ struct Model {
     now: u64,
     next_seq: u64,
     heap: BinaryHeap<Reverse<(u64, u64, u32, Act)>>,
-    cancelled: HashSet<u64>,
+    cancelled: BTreeSet<u64>,
     log: Vec<(u64, u32)>,
 }
 

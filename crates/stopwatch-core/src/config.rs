@@ -312,6 +312,27 @@ fn parse_knob<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String>
         .map_err(|_| format!("bad value {value:?} for config knob {key:?}"))
 }
 
+/// Passes `parsed` through when `ok` holds for it; otherwise names the
+/// knob, its domain and the rejected value. Knobs whose constructors
+/// assert on a value (replica count, timeslice, speed and clock
+/// parameters) check it here, so a bad value fails sweep validation
+/// instead of panicking a scenario.
+fn in_domain<T>(
+    key: &str,
+    value: &str,
+    domain: &str,
+    parsed: T,
+    ok: fn(&T) -> bool,
+) -> Result<T, String> {
+    if ok(&parsed) {
+        Ok(parsed)
+    } else {
+        Err(format!(
+            "config knob {key:?} must be {domain}, got {value:?}"
+        ))
+    }
+}
+
 fn parse_knob_pair(key: &str, value: &str) -> Result<(f64, f64), String> {
     let (a, b) = value
         .split_once(':')
@@ -361,7 +382,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "replicas per StopWatch guest (odd, >= 3)",
         get: |c| c.replicas.to_string(),
         set: |c, v| {
-            c.replicas = parse_knob("replicas", v)?;
+            let n: usize = parse_knob("replicas", v)?;
+            c.replicas = in_domain("replicas", v, "odd and >= 3", n, |&n| n >= 3 && n % 2 == 1)?;
             Ok(())
         },
     },
@@ -431,7 +453,9 @@ static KNOBS: &[KnobSpec] = &[
         doc: "vCPU scheduler timeslice (run-queue quantum), ms",
         get: |c| fmt_ns_as_ms(c.timeslice.as_nanos()),
         set: |c, v| {
-            c.timeslice = VirtOffset::from_millis(parse_knob("timeslice_ms", v)?);
+            let ms: u64 = parse_knob("timeslice_ms", v)?;
+            c.timeslice =
+                VirtOffset::from_millis(in_domain("timeslice_ms", v, "> 0", ms, |&ms| ms > 0)?);
             Ok(())
         },
     },
@@ -441,7 +465,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "branches between guest-caused VM exits",
         get: |c| c.exit_every.to_string(),
         set: |c, v| {
-            c.exit_every = parse_knob("exit_every", v)?;
+            let n: u64 = parse_knob("exit_every", v)?;
+            c.exit_every = in_domain("exit_every", v, "> 0", n, |&n| n > 0)?;
             Ok(())
         },
     },
@@ -451,7 +476,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "host base speed, branches per second",
         get: |c| format!("{}", c.base_ips),
         set: |c, v| {
-            c.base_ips = parse_knob("base_ips", v)?;
+            let ips: f64 = parse_knob("base_ips", v)?;
+            c.base_ips = in_domain("base_ips", v, "> 0", ips, |&ips| ips > 0.0)?;
             Ok(())
         },
     },
@@ -461,7 +487,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "host speed jitter fraction (uniform, per speed epoch)",
         get: |c| format!("{}", c.ips_jitter),
         set: |c, v| {
-            c.ips_jitter = parse_knob("ips_jitter", v)?;
+            let f: f64 = parse_knob("ips_jitter", v)?;
+            c.ips_jitter = in_domain("ips_jitter", v, "in [0, 1)", f, |f| (0.0..1.0).contains(f))?;
             Ok(())
         },
     },
@@ -471,7 +498,9 @@ static KNOBS: &[KnobSpec] = &[
         doc: "speed-jitter epoch length, ms",
         get: |c| fmt_ns_as_ms(c.speed_epoch.as_nanos()),
         set: |c, v| {
-            c.speed_epoch = SimDuration::from_millis(parse_knob("speed_epoch_ms", v)?);
+            let ms: u64 = parse_knob("speed_epoch_ms", v)?;
+            c.speed_epoch =
+                SimDuration::from_millis(in_domain("speed_epoch_ms", v, "> 0", ms, |&ms| ms > 0)?);
             Ok(())
         },
     },
@@ -481,7 +510,9 @@ static KNOBS: &[KnobSpec] = &[
         doc: "virtual nanoseconds per branch (initial clock slope)",
         get: |c| format!("{}", c.slope),
         set: |c, v| {
-            c.slope = parse_knob("slope", v)?;
+            let slope: f64 = parse_knob("slope", v)?;
+            let ok = |&s: &f64| s > 0.0 && s.is_finite();
+            c.slope = in_domain("slope", v, "> 0 and finite", slope, ok)?;
             Ok(())
         },
     },
@@ -542,7 +573,10 @@ static KNOBS: &[KnobSpec] = &[
             c.broadcast_band = if v == "off" {
                 None
             } else {
-                Some(parse_knob_pair("broadcast_band", v)?)
+                let band = parse_knob_pair("broadcast_band", v)?;
+                let domain = "\"off\" or lo:hi with 0 < lo <= hi";
+                let ok = |&(lo, hi): &(f64, f64)| 0.0 < lo && lo <= hi;
+                Some(in_domain("broadcast_band", v, domain, band, ok)?)
             };
             Ok(())
         },
@@ -656,6 +690,35 @@ mod tests {
         assert!(c.apply("disk", "floppy").is_err());
         assert!(c.apply("broadcast_band", "10").is_err());
         assert!(c.apply("defense", "qubes").is_err());
+    }
+
+    #[test]
+    fn knob_domains_reject_what_the_constructors_assert_on() {
+        // (knob, out-of-domain value, in-domain neighbour). Each bad value
+        // would trip an assert in `GuestSlot`, `VcpuScheduler`,
+        // `SpeedProfile`, `VirtualClock` or `BroadcastSource` if it
+        // reached a cloud.
+        for (key, bad, good) in [
+            ("replicas", "2", "3"),
+            ("replicas", "4", "5"),
+            ("exit_every", "0", "1"),
+            ("timeslice_ms", "0", "1"),
+            ("base_ips", "0", "1"),
+            ("ips_jitter", "5", "0.99"),
+            ("ips_jitter", "-1", "0"),
+            ("speed_epoch_ms", "0", "1"),
+            ("slope", "0", "0.5"),
+            ("slope", "-1", "1"),
+            ("broadcast_band", "0:0", "1:1"),
+            ("broadcast_band", "5:1", "1:5"),
+        ] {
+            let mut c = CloudConfig::default();
+            let err = c.apply(key, bad).expect_err(bad);
+            assert!(err.contains(key) && err.contains("must be"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            c.apply(key, good)
+                .unwrap_or_else(|e| panic!("{key}={good} is in domain: {e}"));
+        }
     }
 
     #[test]

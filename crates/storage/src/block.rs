@@ -4,7 +4,7 @@
 //! to verify that replicas stay bit-identical (determinism is part of the
 //! defense) without storing gigabytes.
 
-use std::collections::HashMap;
+use simkit::fxhash::FxHashMap;
 
 /// Bytes per block (a common 4 KiB).
 pub const BLOCK_BYTES: u32 = 4096;
@@ -71,7 +71,7 @@ impl BlockRange {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskImage {
     size_blocks: u64,
-    blocks: HashMap<u64, u64>,
+    blocks: FxHashMap<u64, u64>,
 }
 
 impl DiskImage {
@@ -79,7 +79,7 @@ impl DiskImage {
     pub fn new(size_blocks: u64) -> Self {
         DiskImage {
             size_blocks,
-            blocks: HashMap::new(),
+            blocks: FxHashMap::default(),
         }
     }
 

@@ -13,6 +13,7 @@
 //!   (implemented from scratch);
 //! * [`detect`] — χ²-based "observations needed to detect the victim"
 //!   calculations (Figs. 1b, 1c, 4b);
+//! * [`figures`] — Fig. 1 in closed form (CDFs and observation counts);
 //! * [`ks`] — Kolmogorov–Smirnov distance and Theorems 3/4;
 //! * [`noise`] — the median-vs-uniform-noise delay comparison (Fig. 8).
 //!
@@ -44,6 +45,7 @@
 
 pub mod detect;
 pub mod dist;
+pub mod figures;
 pub mod ks;
 pub mod noise;
 pub mod order_stats;

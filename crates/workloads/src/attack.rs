@@ -227,65 +227,6 @@ impl GuestProgram for LoadGuest {
     }
 }
 
-/// Outcome of one attack measurement run.
-#[derive(Debug, Clone)]
-pub struct AttackTrace {
-    /// Inter-packet virtual deltas (ms) observed by the attacker.
-    pub deltas_ms: Vec<f64>,
-}
-
-/// Runs the Fig. 4 scenario and returns the attacker's observations.
-///
-/// * `stopwatch`: protect the attacker VM with StopWatch (vs. baseline Xen);
-/// * `victim_present`: place a victim VM on the attacker's first host;
-/// * `probes`: number of probe packets;
-/// * `seed`: run seed.
-pub fn run_attack_scenario(
-    stopwatch: bool,
-    victim_present: bool,
-    probes: u32,
-    seed: u64,
-) -> AttackTrace {
-    use stopwatch_core::cloud::CloudBuilder;
-    use stopwatch_core::config::CloudConfig;
-
-    let mut cfg = CloudConfig::fast_test();
-    cfg.seed = seed;
-    cfg.ips_jitter = 0.03;
-    cfg.client_tick = SimDuration::from_millis(2);
-    let mut b = CloudBuilder::new(cfg, 3);
-    let attacker = if stopwatch {
-        b.add_stopwatch_vm(&[0, 1, 2], || Box::new(AttackerGuest::new()))
-    } else {
-        b.add_baseline_vm(0, Box::new(AttackerGuest::new()))
-    };
-    if victim_present {
-        // Victim coresides with the attacker's replica on host 0 only.
-        // Busy ~half the time in 200 ms-scale bursts.
-        b.add_baseline_vm(0, Box::new(VictimGuest::new(100_000_000, 50)));
-    }
-    let probe = ProbeClient::new(
-        EndpointId(2000),
-        attacker.endpoint,
-        probes,
-        SimDuration::from_millis(40),
-        seed ^ 0x5eed,
-    );
-    b.add_client(Box::new(probe));
-    let mut sim = b.build();
-    sim.run_until_clients_done(SimTime::from_secs(600));
-    // Let the tail of in-flight deliveries drain.
-    let drain = sim.now() + SimDuration::from_millis(500);
-    sim.run_until(drain);
-    let guest = sim
-        .cloud
-        .guest_program::<AttackerGuest>(attacker, 0)
-        .expect("attacker downcast");
-    AttackTrace {
-        deltas_ms: guest.deltas_ms(),
-    }
-}
-
 /// Parameter schema of the `"attack"` workload.
 const ATTACK_PARAMS: &[ParamSpec] = &[
     ParamSpec {
@@ -421,46 +362,72 @@ impl Workload for AttackWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::install;
+    use stopwatch_core::config::CloudConfig;
+
+    /// One `attack` cloud on three hosts: `fast_test` with 3% host jitter
+    /// and a 2 ms client tick. Returns the attacker-observed deltas.
+    fn run(stopwatch: bool, victim: bool, probes: u32, seed: u64) -> Vec<f64> {
+        let probes = probes.to_string();
+        let params = WorkloadParams::from_pairs([
+            ("probes", probes.as_str()),
+            ("victim", if victim { "true" } else { "false" }),
+        ]);
+        let mut cfg = CloudConfig::fast_test();
+        cfg.seed = seed;
+        cfg.defense = if stopwatch { "stopwatch" } else { "baseline" }.to_string();
+        cfg.ips_jitter = 0.03;
+        cfg.client_tick = SimDuration::from_millis(2);
+        let mut b = CloudBuilder::new(cfg, 3);
+        let wl = install("attack", &mut b, &[0, 1, 2], &params, seed).expect("install");
+        let mut sim = b.build();
+        sim.run_until_clients_done(SimTime::from_secs(600));
+        // Let the tail of in-flight deliveries drain.
+        let drain = sim.now() + SimDuration::from_millis(500);
+        sim.run_until(drain);
+        wl.collect(&mut sim).samples_ms
+    }
+
+    fn mean(v: &[f64]) -> f64 {
+        v.iter().sum::<f64>() / v.len() as f64
+    }
 
     #[test]
     fn attacker_records_probes_baseline() {
-        let trace = run_attack_scenario(false, false, 40, 7);
-        assert!(trace.deltas_ms.len() >= 30, "got {}", trace.deltas_ms.len());
-        let mean: f64 = trace.deltas_ms.iter().sum::<f64>() / trace.deltas_ms.len() as f64;
+        let deltas = run(false, false, 40, 7);
+        assert!(deltas.len() >= 30, "got {}", deltas.len());
+        let mean = mean(&deltas);
         // Mean probe gap is 40 ms.
         assert!((20.0..80.0).contains(&mean), "mean delta {mean}");
     }
 
     #[test]
     fn attacker_records_probes_stopwatch() {
-        let trace = run_attack_scenario(true, false, 40, 7);
-        assert!(trace.deltas_ms.len() >= 30);
-        assert!(trace.deltas_ms.iter().all(|&d| d >= 0.0));
+        let deltas = run(true, false, 40, 7);
+        assert!(deltas.len() >= 30);
+        assert!(deltas.iter().all(|&d| d >= 0.0));
     }
 
     #[test]
     fn victim_shifts_baseline_distribution() {
         // Without StopWatch the victim's bursts visibly shift the
         // attacker's observed inter-packet deltas.
-        let clean = run_attack_scenario(false, false, 120, 11);
-        let dirty = run_attack_scenario(false, true, 120, 11);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let (mc, md) = (mean(&clean.deltas_ms), mean(&dirty.deltas_ms));
+        let (mc, md) = (
+            mean(&run(false, false, 120, 11)),
+            mean(&run(false, true, 120, 11)),
+        );
         let shift = (mc - md).abs() / mc;
         assert!(shift > 0.01, "victim shifted baseline mean by only {shift}");
     }
 
     #[test]
     fn stopwatch_dampens_victim_shift() {
-        let clean_sw = run_attack_scenario(true, false, 120, 11);
-        let dirty_sw = run_attack_scenario(true, true, 120, 11);
-        let clean_bl = run_attack_scenario(false, false, 120, 11);
-        let dirty_bl = run_attack_scenario(false, true, 120, 11);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let shift_sw = (mean(&clean_sw.deltas_ms) - mean(&dirty_sw.deltas_ms)).abs()
-            / mean(&clean_sw.deltas_ms);
-        let shift_bl = (mean(&clean_bl.deltas_ms) - mean(&dirty_bl.deltas_ms)).abs()
-            / mean(&clean_bl.deltas_ms);
+        let shift = |stopwatch: bool| {
+            let clean = mean(&run(stopwatch, false, 120, 11));
+            let dirty = mean(&run(stopwatch, true, 120, 11));
+            (clean - dirty).abs() / clean
+        };
+        let (shift_sw, shift_bl) = (shift(true), shift(false));
         assert!(
             shift_sw < shift_bl,
             "StopWatch shift {shift_sw} should be below baseline shift {shift_bl}"

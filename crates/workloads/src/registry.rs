@@ -194,7 +194,7 @@ pub trait InstalledWorkload {
 /// parameter schema, and the wiring that installs it into a
 /// [`CloudBuilder`]. Implementations register via [`register`] (built-ins
 /// are pre-registered) and plug into every sweep layer — `swbench`
-/// grids, presets, and `bench` figures — with no central dispatch.
+/// grids and presets — with no central dispatch.
 pub trait Workload: Send + Sync {
     /// The registry key (`"web-http"`, `"parsec:ferret"`, ...).
     fn name(&self) -> &str;

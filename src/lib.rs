@@ -11,9 +11,11 @@
 //! The original is a Xen 4.0.2 modification; this workspace rebuilds the
 //! entire platform as a deterministic discrete-event simulation and
 //! implements StopWatch inside it, at the same architectural joints. See
-//! `DESIGN.md` for the system inventory and the sweep architecture;
-//! regenerate the paper's figures with the `experiments` binary of the
-//! `bench` crate (CSVs land in `results/`).
+//! `DESIGN.md` for the system inventory and the sweep architecture. The
+//! paper's simulated figures are [`harness`] presets, run with the
+//! `swbench` binary (`swbench run fig5`); its closed-form tables print
+//! from this package's examples (`analytic_figures`, `placement_planner`).
+//! DESIGN.md's "Experiment results" maps every figure to its command.
 //!
 //! ## Crate map
 //!
@@ -25,7 +27,7 @@
 //! | [`vmm`] | the simulated hypervisor: virtual time, VM exits, devices |
 //! | [`stopwatch_core`] | the defense: replica coordination, median agreement |
 //! | [`placement`] | Theorems 1–2: triangle packings, Bose construction |
-//! | [`timestats`] | order statistics, χ² detection, KS distance, Fig. 8 |
+//! | [`timestats`] | order statistics, χ² detection, KS distance, Figs. 1 and 8 |
 //! | [`workloads`] | web/NFS/PARSEC/attacker guests, clients, registry |
 //! | [`harness`] | parallel scenario sweeps and the `swbench` driver |
 //!
