@@ -56,8 +56,8 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("workloads") => {
-            for name in registry::workload_names() {
-                println!("{name}");
+            for w in registry::workloads() {
+                println!("{}", w.name());
             }
             ExitCode::SUCCESS
         }
@@ -116,7 +116,7 @@ fn describe(which: Option<&str>) -> Result<(), String> {
     match which {
         Some(name) => {
             let w = registry::require(name)?;
-            print_workload(w.as_ref());
+            print_workload(w);
         }
         None => {
             println!("CloudConfig knobs (sweep axis `cfg.<key>`, `--set KEY=VALUE`):");
@@ -150,12 +150,12 @@ fn describe(which: Option<&str>) -> Result<(), String> {
             println!(
                 "Workloads (`--workload NAME`, `workload` axis; parameters are axes/--param):"
             );
-            // Alphabetical, not registration order: the catalogue stays
-            // stable no matter what order workloads were linked in.
-            let mut listed = registry::workloads();
+            // Alphabetical, not table order: the catalogue stays stable
+            // when a workload row is added or moved.
+            let mut listed = registry::workloads().to_vec();
             listed.sort_by(|a, b| a.name().cmp(b.name()));
             for w in listed {
-                print_workload(w.as_ref());
+                print_workload(w);
             }
         }
     }

@@ -67,6 +67,32 @@ pub fn run_scenarios_profiled(
     opts: &RunnerOptions,
 ) -> (Vec<RunOutcome>, Phases) {
     let threads = opts.effective_threads().min(scenarios.len()).max(1);
+    let total = scenarios.len();
+    let done = AtomicUsize::new(0);
+    // One scenario, start to outcome. `phases` is plain counters and the
+    // arena only ever gains complete entries: a panicking scenario at
+    // worst leaves its own partial timings behind, which is the honest
+    // attribution anyway.
+    let run_one = |idx: usize, arena: &mut ScenarioArena, phases: &mut Phases| {
+        let scenario = &scenarios[idx];
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scenario.run_phased_in(arena, phases)
+        }))
+        .unwrap_or_else(|panic| Err(panic_message(panic)));
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        if opts.progress {
+            let status = match &result {
+                Ok(r) if r.clients_done => "ok",
+                Ok(_) => "timeout",
+                Err(_) => "ERROR",
+            };
+            eprintln!("[{finished}/{total}] {} {status}", scenario.label);
+        }
+        RunOutcome {
+            label: scenario.label.clone(),
+            result,
+        }
+    };
     if threads == 1 {
         // One worker claims every index in order anyway, so skip the
         // scope/Mutex machinery: no thread spawn, no per-slot locks. The
@@ -74,36 +100,14 @@ pub fn run_scenarios_profiled(
         // order in both paths.
         let mut phases = Phases::default();
         let mut arena = ScenarioArena::new();
-        let total = scenarios.len();
-        let outcomes = scenarios
-            .iter()
-            .enumerate()
-            .map(|(idx, scenario)| {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    scenario.run_phased_in(&mut arena, &mut phases)
-                }))
-                .unwrap_or_else(|panic| Err(panic_message(panic)));
-                if opts.progress {
-                    let status = match &result {
-                        Ok(r) if r.clients_done => "ok",
-                        Ok(_) => "timeout",
-                        Err(_) => "ERROR",
-                    };
-                    eprintln!("[{}/{total}] {} {status}", idx + 1, scenario.label);
-                }
-                RunOutcome {
-                    label: scenario.label.clone(),
-                    result,
-                }
-            })
+        let outcomes = (0..total)
+            .map(|idx| run_one(idx, &mut arena, &mut phases))
             .collect();
         return (outcomes, phases);
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<RunOutcome>>> =
         scenarios.iter().map(|_| Mutex::new(None)).collect();
-    let done = AtomicUsize::new(0);
-    let total = scenarios.len();
     let totals = Mutex::new(Phases::default());
 
     std::thread::scope(|scope| {
@@ -116,28 +120,8 @@ pub fn run_scenarios_profiled(
                     if idx >= total {
                         break;
                     }
-                    let scenario = &scenarios[idx];
-                    // `local` is plain counters and the arena only ever
-                    // gains complete entries: a panicking scenario at
-                    // worst leaves its own partial timings behind, which
-                    // is the honest attribution anyway.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        scenario.run_phased_in(&mut arena, &mut local)
-                    }))
-                    .unwrap_or_else(|panic| Err(panic_message(panic)));
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if opts.progress {
-                        let status = match &result {
-                            Ok(r) if r.clients_done => "ok",
-                            Ok(_) => "timeout",
-                            Err(_) => "ERROR",
-                        };
-                        eprintln!("[{finished}/{total}] {} {status}", scenario.label);
-                    }
-                    *slots[idx].lock().expect("result slot") = Some(RunOutcome {
-                        label: scenario.label.clone(),
-                        result,
-                    });
+                    let outcome = run_one(idx, &mut arena, &mut local);
+                    *slots[idx].lock().expect("result slot") = Some(outcome);
                 }
                 totals.lock().expect("phase totals").add(&local);
             });

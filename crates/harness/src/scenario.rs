@@ -2,19 +2,18 @@
 //!
 //! A [`Scenario`] names a workload, a defense arm, a replica placement,
 //! [`CloudConfig`] overrides, a seed, and a duration. [`Scenario::run`]
-//! builds a fresh [`CloudSim`] from it, drives the event loop to
-//! completion, and extracts a [`ScenarioResult`] — plain data, safe to
-//! aggregate across threads. Two runs of the same scenario produce
-//! identical results on any machine; that is the property every layer
-//! above this one leans on.
+//! builds a fresh [`CloudSim`](stopwatch_core::cloud::CloudSim) from it,
+//! drives the event loop to completion, and extracts a
+//! [`ScenarioResult`] — plain data, safe to aggregate across threads.
+//! Two runs of the same scenario produce identical results on any
+//! machine; that is the property every layer above this one leans on.
 
 use crate::profile::Phases;
 use simkit::time::{SimDuration, SimTime};
-use std::sync::Arc;
 use std::time::Instant;
-use stopwatch_core::cloud::{CloudBuilder, CloudSim};
+use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::config::CloudConfig;
-use workloads::registry::{self, InstalledWorkload, Workload, WorkloadParams};
+use workloads::registry::{self, InstallCtx, Workload, WorkloadParams};
 
 /// Slot counters folded into every result (summed over all replicas).
 const SLOT_COUNTERS: [&str; 13] = [
@@ -83,80 +82,6 @@ impl Scenario {
         }
     }
 
-    /// Resolves the effective config and placement.
-    fn resolve(&self) -> Result<(CloudConfig, Vec<usize>, usize), String> {
-        // The shard seed first, then overrides — so an explicit `seed`
-        // override (e.g. a `cfg.seed` sweep axis) wins over sharding.
-        let mut cfg = CloudConfig {
-            seed: self.seed,
-            ..CloudConfig::default()
-        };
-        cfg.apply_all(self.overrides.iter().map(|(k, v)| (k.as_str(), v.as_str())))?;
-        let replica_hosts: Vec<usize> = if self.replica_hosts.is_empty() {
-            (0..cfg.replicas).collect()
-        } else {
-            self.replica_hosts.clone()
-        };
-        let min_hosts = replica_hosts.iter().copied().max().unwrap_or(0) + 1;
-        let hosts = self.hosts.max(min_hosts);
-        Ok((cfg, replica_hosts, hosts))
-    }
-
-    /// The scenario's effective parameter set.
-    fn params(&self) -> WorkloadParams {
-        WorkloadParams::from_pairs(
-            self.workload_params
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str())),
-        )
-    }
-
-    /// The fully-resolved configuration this scenario runs under: every
-    /// [`CloudConfig`] knob with its effective value, in schema order.
-    /// The `seed` knob is omitted — it is the per-shard
-    /// [`Scenario::seed`], reported separately so cell aggregates (which
-    /// merge shards) stay well-defined.
-    ///
-    /// # Errors
-    ///
-    /// Reports bad overrides.
-    pub fn resolved_config(&self) -> Result<Vec<(String, String)>, String> {
-        let (cfg, _, _) = self.resolve()?;
-        Ok(cfg
-            .resolved()
-            .into_iter()
-            .filter(|(key, _)| key != "seed")
-            .collect())
-    }
-
-    /// The fully-resolved workload parameters: every parameter the
-    /// workload declares, with its explicit or default value, in schema
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Reports unknown workloads and unknown/ill-typed parameters.
-    pub fn resolved_params(&self) -> Result<Vec<(String, String)>, String> {
-        let workload = registry::require(&self.workload)?;
-        let params = self.params();
-        params.validate(&self.workload, workload.params())?;
-        Ok(params.resolved(workload.params()))
-    }
-
-    /// Builds the cloud without running it (the hook integration tests and
-    /// custom drivers use).
-    ///
-    /// # Errors
-    ///
-    /// Reports bad overrides, unknown workloads, and bad placements.
-    pub fn build(&self) -> Result<(CloudSim, Box<dyn InstalledWorkload>), String> {
-        let (cfg, replica_hosts, hosts) = self.resolve()?;
-        let seed = cfg.seed; // post-override: workload streams follow the cloud
-        let mut b = CloudBuilder::new(cfg, hosts);
-        let wl = registry::install(&self.workload, &mut b, &replica_hosts, &self.params(), seed)?;
-        Ok((b.build(), wl))
-    }
-
     /// Runs the scenario to completion and extracts its measurements.
     ///
     /// # Errors
@@ -164,28 +89,20 @@ impl Scenario {
     /// Reports build failures; a run that merely times out is **not** an
     /// error (it returns with `clients_done == false`).
     pub fn run(&self) -> Result<ScenarioResult, String> {
-        self.run_phased(&mut Phases::default())
+        self.run_phased_in(&mut ScenarioArena::new(), &mut Phases::default())
     }
 
-    /// [`Scenario::run`] with the wall time of each phase — resolve,
-    /// build, run, aggregate — added into `phases`. The timers read the
-    /// monotonic host clock around simulated work; nothing inside the
-    /// simulation observes them, so results stay deterministic.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::run`].
-    pub fn run_phased(&self, phases: &mut Phases) -> Result<ScenarioResult, String> {
-        self.run_phased_in(&mut ScenarioArena::new(), phases)
-    }
-
-    /// [`Scenario::run_phased`] against a worker-owned [`ScenarioArena`]:
-    /// the scenario's config shape is resolved through the arena, so the
-    /// second and later scenarios sharing a shape (every shard of a sweep
-    /// cell, every pass of a benchmark workload) reuse the parsed config,
-    /// the workload lookup, and the validated parameter set instead of
-    /// re-deriving them. Results are bit-identical to [`Scenario::run`] —
-    /// the arena caches only resolution, never simulation state.
+    /// [`Scenario::run`] against a worker-owned [`ScenarioArena`], with
+    /// the wall time of each phase — resolve, build, run, aggregate —
+    /// added into `phases`. The scenario's config shape is resolved
+    /// through the arena, so the second and later scenarios sharing a
+    /// shape (every shard of a sweep cell, every pass of a benchmark
+    /// workload) reuse the parsed config, the workload lookup, and the
+    /// validated parameter set instead of re-deriving them. The arena
+    /// caches only resolution, never simulation state, and the timers
+    /// read the monotonic host clock around simulated work; nothing
+    /// inside the simulation observes either, so results stay
+    /// deterministic.
     ///
     /// # Errors
     ///
@@ -204,21 +121,17 @@ impl Scenario {
         let entry = arena.prepare(self)?;
         let mut cfg = entry.cfg.clone();
         if !entry.seed_overridden {
-            // Same semantics as a fresh resolve: the shard seed applies
-            // first, so an explicit `seed` override (baked into the
-            // cached config) wins over it.
+            // The shard seed applies first, so an explicit `seed`
+            // override (baked into the cached config) wins over it.
             cfg.seed = self.seed;
         }
-        let resolved_config = entry.resolved_config.clone();
-        let resolved_params = entry.resolved_params.clone();
-        let replica_hosts = entry.replica_hosts.clone();
-        let hosts = entry.hosts;
-        let params = entry.params.clone();
-        let workload = Arc::clone(&entry.workload);
         lap(&mut phases.resolve_ns);
-        let seed = cfg.seed; // post-override: workload streams follow the cloud
-        let mut b = CloudBuilder::new(cfg, hosts);
-        let wl = registry::install_prepared(&workload, &mut b, &replica_hosts, &params, seed)?;
+        let ctx = InstallCtx {
+            replica_hosts: &entry.replica_hosts,
+            seed: cfg.seed, // post-override: workload streams follow the cloud
+        };
+        let mut b = CloudBuilder::new(cfg, entry.hosts);
+        let wl = entry.workload.install(&mut b, &ctx, &entry.params)?;
         let mut sim = b.build();
         lap(&mut phases.build_ns);
         let deadline = SimTime::ZERO + self.duration;
@@ -244,7 +157,8 @@ impl Scenario {
         for name in SLOT_COUNTERS {
             counters.push((name.to_string(), sim.cloud.total_counter(name)));
         }
-        let defense = resolved_config
+        let defense = entry
+            .resolved_config
             .iter()
             .find(|(k, _)| k == "defense")
             .map(|(_, v)| v.clone())
@@ -255,8 +169,8 @@ impl Scenario {
             cell_params: self.cell_params.clone(),
             workload: self.workload.clone(),
             defense,
-            resolved_config,
-            resolved_params,
+            resolved_config: entry.resolved_config.clone(),
+            resolved_params: entry.resolved_params.clone(),
             seed: self.seed,
             samples_ms: outcome.samples_ms,
             completed: outcome.completed,
@@ -279,10 +193,9 @@ impl Scenario {
 /// sees differ from the previous one only in `seed` and `label`. The
 /// arena keys on everything else — workload, parameters, overrides,
 /// placement — and caches the expensive-to-derive parts of setup: the
-/// parsed [`CloudConfig`], the workload registry lookup (an `RwLock`
-/// acquisition), the validated parameter set, and both resolved
-/// key/value listings. A hit replaces all of that with a config clone
-/// and a seed patch.
+/// parsed [`CloudConfig`], the workload lookup, the validated parameter
+/// set, and both resolved key/value listings. A hit replaces all of that
+/// with a config clone and a seed patch.
 ///
 /// The arena never caches simulation state; only resolution. One arena
 /// per worker thread — it is deliberately not shared.
@@ -314,7 +227,7 @@ struct ArenaEntry {
     resolved_config: Vec<(String, String)>,
     resolved_params: Vec<(String, String)>,
     params: WorkloadParams,
-    workload: Arc<dyn Workload>,
+    workload: &'static dyn Workload,
 }
 
 impl ScenarioArena {
@@ -333,7 +246,8 @@ impl ScenarioArena {
         self.misses
     }
 
-    /// Resolves `s` through the cache.
+    /// Resolves `s` through the cache: its effective config, placement,
+    /// workload and parameters. The only resolver a scenario has.
     fn prepare(&mut self, s: &Scenario) -> Result<&ArenaEntry, String> {
         let hit = self.entries.iter().position(|(k, _)| {
             // Linear scan: a worker sees a handful of shapes, and the
@@ -348,10 +262,30 @@ impl ScenarioArena {
             self.hits += 1;
             return Ok(&self.entries[i].1);
         }
-        let (cfg, replica_hosts, hosts) = s.resolve()?;
+        // The shard seed first, then overrides — so an explicit `seed`
+        // override (e.g. a `cfg.seed` sweep axis) wins over sharding.
+        let mut cfg = CloudConfig {
+            seed: s.seed,
+            ..CloudConfig::default()
+        };
+        cfg.apply_all(s.overrides.iter().map(|(k, v)| (k.as_str(), v.as_str())))?;
+        let replica_hosts: Vec<usize> = if s.replica_hosts.is_empty() {
+            (0..cfg.replicas).collect()
+        } else {
+            s.replica_hosts.clone()
+        };
+        let min_hosts = replica_hosts.iter().copied().max().unwrap_or(0) + 1;
+        let hosts = s.hosts.max(min_hosts);
         let workload = registry::require(&s.workload)?;
-        let params = s.params();
+        let params = WorkloadParams::from_pairs(
+            s.workload_params
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str())),
+        );
         params.validate(&s.workload, workload.params())?;
+        if replica_hosts.is_empty() {
+            return Err("workload needs at least one replica host".to_string());
+        }
         let resolved_params = params.resolved(workload.params());
         let resolved_config = cfg
             .resolved()
@@ -575,11 +509,24 @@ mod tests {
     }
 
     #[test]
+    fn disk_request_past_the_image_fails_the_cell() {
+        for workload in ["web-http", "web-udp", "nfs", "parsec:ferret"] {
+            let mut s = Scenario::new(workload, 1);
+            s.overrides = vec![
+                ("image_blocks".into(), "1".into()),
+                ("broadcast_band".into(), "off".into()),
+            ];
+            let err = s.run().expect_err("the guest's files lie past block 1");
+            assert!(err.starts_with("slot failure: host "), "{workload}: {err}");
+            assert!(err.contains("past the 1-block image"), "{workload}: {err}");
+        }
+    }
+
+    #[test]
     fn replicas_override_widens_default_placement() {
         let mut s = Scenario::new("idle", 1);
         s.overrides = vec![("replicas".into(), "5".into())];
         s.duration = SimDuration::from_millis(50);
-        let (sim, wl) = s.build().unwrap();
-        assert_eq!(sim.cloud.vm_replicas(wl.vm()).len(), 5);
+        assert_eq!(s.run().unwrap().replicas, 5);
     }
 }

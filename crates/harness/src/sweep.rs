@@ -4,10 +4,9 @@
 //!
 //! Axis keys are routed by namespace:
 //!
-//! * `cfg.<key>` — a [`CloudConfig`](stopwatch_core::config::CloudConfig)
-//!   override (see [`CloudConfig::knobs`] for the schema; the defense
-//!   arm is the `cfg.defense` knob, backed by the `vmm::defense`
-//!   registry);
+//! * `cfg.<key>` — a [`CloudConfig`] override (see
+//!   [`CloudConfig::knobs`] for the schema; the defense arm is the
+//!   `cfg.defense` knob, backed by the `vmm::defense` registry);
 //! * `workload` — the workload registry key itself;
 //! * anything else — a workload parameter (`bytes`, `rate`, `victim`, ...).
 //!
@@ -22,7 +21,6 @@
 
 use crate::scenario::Scenario;
 use simkit::time::SimDuration;
-use std::sync::Arc;
 use stopwatch_core::config::CloudConfig;
 use workloads::registry::{self, Workload};
 
@@ -147,7 +145,7 @@ impl SweepSpec {
             Some(axis) => axis.values.clone(),
             None => vec![self.workload.clone()],
         };
-        let mut in_play: Vec<Arc<dyn Workload>> = Vec::new();
+        let mut in_play: Vec<&dyn Workload> = Vec::new();
         for name in &workload_values {
             let w = registry::require(name).map_err(|e| format!("{}: {e}", ctx("workload")))?;
             in_play.push(w);
@@ -160,7 +158,7 @@ impl SweepSpec {
         }
         for (key, value) in &self.base_params {
             for w in &in_play {
-                check_param(&ctx("base parameter"), w.as_ref(), key, value)?;
+                check_param(&ctx("base parameter"), *w, key, value)?;
             }
         }
         for axis in &self.axes {
@@ -186,7 +184,7 @@ impl SweepSpec {
             } else {
                 for w in &in_play {
                     for value in &axis.values {
-                        check_param(&what, w.as_ref(), &axis.key, value)?;
+                        check_param(&what, *w, &axis.key, value)?;
                     }
                 }
             }

@@ -34,9 +34,9 @@ fn describe_lists_every_knob_and_workload_with_types_and_defaults() {
     );
     assert!(stdout.contains("rotating|ssd"), "enum type missing");
     assert!(stdout.contains("50:100"), "broadcast_band default missing");
-    // Every registered workload, with params, types and defaults.
-    for name in workloads::registry::workload_names() {
-        assert!(stdout.contains(&name), "workload {name} missing");
+    // Every workload, with params, types and defaults.
+    for w in workloads::registry::workloads() {
+        assert!(stdout.contains(w.name()), "workload {} missing", w.name());
     }
     assert!(stdout.contains("bytes"), "web params missing");
     assert!(stdout.contains("100000"), "bytes default missing");
@@ -49,10 +49,13 @@ fn describe_lists_workloads_alphabetically() {
     let out = swbench(&["describe"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // The catalogue must not depend on registration/link order: workload
-    // headers appear sorted by name.
-    let mut names = workloads::registry::workload_names();
-    names.sort();
+    // The catalogue must not depend on table order: workload headers
+    // appear sorted by name.
+    let mut names: Vec<&str> = workloads::registry::workloads()
+        .iter()
+        .map(|w| w.name())
+        .collect();
+    names.sort_unstable();
     let positions: Vec<usize> = names
         .iter()
         .map(|n| {
@@ -96,7 +99,7 @@ fn describe_lists_channel_kinds_per_workload() {
     // The full catalogue carries a channels line for every workload.
     let out = swbench(&["describe"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let workloads = workloads::registry::workload_names().len();
+    let workloads = workloads::registry::workloads().len();
     assert_eq!(
         stdout.matches("channels: ").count(),
         workloads,

@@ -343,7 +343,7 @@ fn intern(name: &str) -> &'static str {
 ///
 /// Keys are interned `&'static str`s: the [`Counters::incr`] hot path
 /// (once per simulated event) never allocates, and the first touch of a
-/// name per instance stores a shared static key (see [`intern`]).
+/// name per instance stores a static key interned once per process.
 ///
 /// # Examples
 ///

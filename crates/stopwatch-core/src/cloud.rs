@@ -479,7 +479,7 @@ impl Cloud {
             .iter()
             .position(|&r| r == (h, s))
             .expect("slot is a replica of its vm");
-        if self.hosts[h].add_proposal(s, sim.now(), kind, seq, proposal) {
+        if self.hosts[h].add_proposals(s, sim.now(), [(kind, seq, proposal)]) > 0 {
             self.reschedule_wake(sim, h, s);
         }
         self.multicast_proposal(sim, vm_idx, replica_idx, kind, seq, proposal);
@@ -997,8 +997,7 @@ impl CloudBuilder {
     }
 
     /// The endpoint the *next* [`CloudBuilder::add_defended_vm`] /
-    /// [`CloudBuilder::add_stopwatch_vm`] / [`CloudBuilder::add_baseline_vm`]
-    /// call will assign.
+    /// [`CloudBuilder::add_baseline_vm`] call will assign.
     ///
     /// Guest programs sometimes need a peer's endpoint at construction time
     /// (e.g. a monitor a workload reports completion to); scenario factories
@@ -1039,31 +1038,6 @@ impl CloudBuilder {
             assert!(!hosts.is_empty(), "need at least one host");
             &hosts[..1]
         };
-        self.push_vm(hosts, mode, make)
-    }
-
-    /// Adds a StopWatch-protected VM regardless of `cfg.defense`:
-    /// `make()` is invoked once per replica (the replicas must be
-    /// identical); `hosts` lists the replica hosts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hosts` does not match the configured replica count or
-    /// names an unknown host.
-    pub fn add_stopwatch_vm<F>(&mut self, hosts: &[usize], make: F) -> VmHandle
-    where
-        F: Fn() -> Box<dyn GuestProgram>,
-    {
-        assert_eq!(hosts.len(), self.cfg.replicas, "replica count mismatch");
-        // Δn, Δd, and Δt become per-channel policy (net / disk / timer
-        // offsets; cache readouts propose their measured latency
-        // directly).
-        let mode = DefenseMode::stop_watch(
-            self.cfg.delta_n,
-            self.cfg.delta_d,
-            self.cfg.delta_t,
-            self.cfg.replicas,
-        );
         self.push_vm(hosts, mode, make)
     }
 
@@ -1167,7 +1141,7 @@ impl CloudBuilder {
                         mode,
                         clocks: cfg.platform_clocks,
                     },
-                    VirtualClock::new(start, cfg.slope, cfg.clock_epochs),
+                    VirtualClock::new(start, cfg.slope),
                     image.clone(), // the replicated disk image
                 );
                 let s = hosts[h].add_slot(slot);
@@ -1359,7 +1333,7 @@ mod tests {
     fn ping_cloud(stopwatch: bool, pings: u32) -> (CloudSim, VmHandle, ClientHandle) {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         let vm = if stopwatch {
-            b.add_stopwatch_vm(&[0, 1, 2], || Box::new(Echo))
+            b.add_defended_vm(&[0, 1, 2], || Box::new(Echo))
         } else {
             b.add_baseline_vm(0, Box::new(Echo))
         };
@@ -1447,7 +1421,7 @@ mod tests {
     #[test]
     fn idle_cloud_stays_quiet() {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
-        b.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
+        b.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
         sim.run_until(SimTime::from_millis(300));
         assert_eq!(sim.cloud.total_counter("net_irq"), 0);
@@ -1459,7 +1433,7 @@ mod tests {
         let mut cfg = CloudConfig::fast_test();
         cfg.broadcast_band = Some((80.0, 80.0));
         let mut b = CloudBuilder::new(cfg, 3);
-        let vm = b.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
+        let vm = b.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
         sim.run_until(SimTime::from_millis(500));
         let bc = sim.cloud.stats().get("broadcasts");
@@ -1480,7 +1454,7 @@ mod tests {
         // tracking) must mark the run failed via `CloudSim::error` — the
         // sweep layer fails this cell and keeps the process alive.
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
-        b.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
+        b.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
         let bogus = CloudEvent::DiskDone {
             h: 0,
@@ -1502,7 +1476,7 @@ mod tests {
         let mut cfg = CloudConfig::fast_test();
         cfg.ips_jitter = 0.10; // exaggerate speed differences
         let mut b = CloudBuilder::new(cfg.clone(), 3);
-        let vm = b.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
+        let vm = b.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(2));
         let now = sim.now();

@@ -11,7 +11,6 @@
 use crate::schema::{self, ValueType};
 use netsim::link::LinkModel;
 use simkit::time::{SimDuration, VirtOffset};
-use vmm::clock::EpochConfig;
 use vmm::defense::{DefenseKnobs, DefenseMode, DefensePolicy};
 use vmm::devices::PlatformClocks;
 
@@ -93,8 +92,6 @@ pub struct CloudConfig {
     /// Virtual nanoseconds per branch (initial clock slope; the paper sets
     /// it from the machines' tick rate).
     pub slope: f64,
-    /// Optional epoch resynchronization of virtual to real time.
-    pub clock_epochs: Option<EpochConfig>,
     /// Emulated platform clock devices.
     pub platform_clocks: PlatformClocks,
     /// Fastest-replica pacing; `None` disables it.
@@ -132,7 +129,6 @@ impl Default for CloudConfig {
             ips_jitter: 0.02,
             speed_epoch: SimDuration::from_millis(10),
             slope: 1.0,
-            clock_epochs: None,
             platform_clocks: PlatformClocks::default(),
             pacing: Some(PacingConfig::default()),
             lan: LinkModel::lan(),

@@ -31,7 +31,7 @@
 //! use vmm::prelude::IdleGuest;
 //!
 //! let mut builder = CloudBuilder::new(CloudConfig::fast_test(), 3);
-//! builder.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
+//! builder.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
 //! let mut sim = builder.build();
 //! sim.run_until(simkit::time::SimTime::from_millis(100));
 //! assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);

@@ -16,7 +16,7 @@
 //! testbed's 3 GHz parts). What a guest *observes* is not this local
 //! number but the delivery timestamp of its probe completion — under
 //! StopWatch, the median over the replicas' proposals (the unified
-//! `GuestSlot::add_proposal` timing-channel core), the same machinery
+//! `GuestSlot::add_proposals` timing-channel core), the same machinery
 //! that medians network and disk timestamps.
 
 /// One cache line: who installed it, which tag, and when it was last

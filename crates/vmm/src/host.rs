@@ -166,19 +166,6 @@ impl HostMachine {
         slot.on_packet_arrival(profile, now, ingress_seq, packet)
     }
 
-    /// Records a delivery-time proposal on channel `kind` for slot `idx`.
-    pub fn add_proposal(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        kind: ChannelKind,
-        seq: u64,
-        proposal: VirtNanos,
-    ) -> bool {
-        let (profile, slot) = (&self.profile, &mut self.slots[idx]);
-        slot.add_proposal(profile, now, kind, seq, proposal)
-    }
-
     /// Records a burst of delivery-time proposals (any mix of channels)
     /// for slot `idx` in one pass; returns how many events now have a
     /// fixed delivery time (see [`GuestSlot::add_proposals`]).
@@ -321,7 +308,7 @@ mod tests {
                 mode: DefenseMode::baseline(),
                 clocks: PlatformClocks::default(),
             },
-            VirtualClock::new(VirtNanos::ZERO, 1.0, None),
+            VirtualClock::new(VirtNanos::ZERO, 1.0),
             DiskImage::new(1024),
         )
     }
@@ -398,7 +385,7 @@ mod tests {
                     mode: DefenseMode::baseline(),
                     clocks: PlatformClocks::default(),
                 },
-                VirtualClock::new(VirtNanos::ZERO, 1.0, None),
+                VirtualClock::new(VirtNanos::ZERO, 1.0),
                 DiskImage::new(1024),
             )
         };

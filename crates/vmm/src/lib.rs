@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::actions::ActionQueue;
     pub use crate::cache::CacheModel;
     pub use crate::channel::{ChannelKind, ChannelPolicies, ChannelPolicy};
-    pub use crate::clock::{EpochConfig, VirtualClock};
+    pub use crate::clock::VirtualClock;
     pub use crate::defense::{DefenseKnobs, DefensePolicy, ReleaseRule};
     pub use crate::devices::{PlatformClocks, TimePolicy};
     pub use crate::guest::{GuestAction, GuestEnv, GuestProgram, IdleGuest};

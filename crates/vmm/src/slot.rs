@@ -106,6 +106,13 @@ pub enum SlotError {
         /// The unknown slot-local fire sequence number.
         fire_seq: u64,
     },
+    /// A guest disk request reaches past the end of its disk image.
+    DiskPastImage {
+        /// The block just past the request's last block.
+        end: u64,
+        /// The image's size in blocks.
+        image_blocks: u64,
+    },
 }
 
 impl std::fmt::Display for SlotError {
@@ -140,6 +147,12 @@ impl std::fmt::Display for SlotError {
             }
             SlotError::UnknownTimerFire { fire_seq } => {
                 write!(f, "timer_elapsed for unknown fire {fire_seq}")
+            }
+            SlotError::DiskPastImage { end, image_blocks } => {
+                write!(
+                    f,
+                    "guest disk request ends at block {end}, past the {image_blocks}-block image"
+                )
             }
         }
     }
@@ -619,10 +632,10 @@ impl GuestSlot {
     ) -> Result<(), SlotError> {
         match action {
             GuestAction::DiskRead { range } => {
-                out.push(self.issue_disk(DiskOp::Read, range, 0));
+                out.push(self.issue_disk(DiskOp::Read, range, 0)?);
             }
             GuestAction::DiskWrite { range, value } => {
-                out.push(self.issue_disk(DiskOp::Write, range, value));
+                out.push(self.issue_disk(DiskOp::Write, range, value)?);
             }
             GuestAction::Send { dst, body } => {
                 let packet = Packet::new(self.cfg.endpoint, dst, body);
@@ -872,7 +885,19 @@ impl GuestSlot {
         Ok(())
     }
 
-    fn issue_disk(&mut self, op: DiskOp, range: BlockRange, value: u64) -> SlotOutput {
+    fn issue_disk(
+        &mut self,
+        op: DiskOp,
+        range: BlockRange,
+        value: u64,
+    ) -> Result<SlotOutput, SlotError> {
+        let image_blocks = self.image.size_blocks();
+        if range.end().0 > image_blocks {
+            return Err(SlotError::DiskPastImage {
+                end: range.end().0,
+                image_blocks,
+            });
+        }
         if op == DiskOp::Write {
             self.image.write(range, value);
         }
@@ -899,10 +924,10 @@ impl GuestSlot {
                     .insert_agreeing(ChannelKind::Disk, op_id, payload, 1);
             }
         }
-        SlotOutput::DiskSubmit {
+        Ok(SlotOutput::DiskSubmit {
             op_id,
             request: DiskRequest { op, range },
-        }
+        })
     }
 
     /// An inbound packet reached this host's device model (step 1 of
@@ -1107,41 +1132,27 @@ impl GuestSlot {
         t
     }
 
-    /// Records one replica's delivery-time proposal for channel `kind`'s
-    /// event `seq` (including this VMM's own). When all proposals are in,
-    /// adopts the median; returns `true` if the delivery time is now
-    /// fixed.
+    /// Records a burst of delivery-time proposals that reached this
+    /// replica together: this VMM's own proposal (a one-entry burst) or
+    /// one PGM packet's delivered backlog. For each entry, when all
+    /// proposals for channel `kind`'s event `seq` are in, adopts the
+    /// median. One virtual-clock read covers the whole batch, and every
+    /// event whose proposal set completes gets its median fixed by an
+    /// in-place selection over its own proposal buffer — no per-event
+    /// clone-and-sort. Returns how many of the batch's events now have a
+    /// fixed delivery time (including ones that already had one), i.e.
+    /// whether the caller needs to recompute the slot's wake.
     ///
     /// A proposal arriving before this replica opened the matching entry
     /// (a peer outran us) is buffered and drained at open — dropping it
     /// would deadlock the agreement. Whether an already-passed median is
     /// clamped to "now" (and counted) is the channel's
     /// [`ChannelPolicy::clamp_counter`].
-    pub fn add_proposal(
-        &mut self,
-        profile: &SpeedProfile,
-        now: SimTime,
-        kind: ChannelKind,
-        seq: u64,
-        proposal: VirtNanos,
-    ) -> bool {
-        let cur_virt = self.virt_at(profile, now);
-        self.record_proposal(kind, seq, proposal, cur_virt)
-    }
-
-    /// Records a burst of proposals that reached this replica together
-    /// (e.g. one PGM packet's delivered backlog): one virtual-clock read
-    /// covers the whole batch, and every event whose proposal set
-    /// completes gets its median fixed by an in-place selection over its
-    /// own proposal buffer — no per-event clone-and-sort. Returns how
-    /// many of the batch's events now have a fixed delivery time
-    /// (including ones that already had one), i.e. whether the caller
-    /// needs to recompute the slot's wake.
     ///
-    /// Behaviour is byte-identical to calling [`GuestSlot::add_proposal`]
-    /// once per entry at the same `now`: all entries see the same current
-    /// virtual time either way, and fixing one event's delivery never
-    /// affects another event's proposals.
+    /// A burst leaves exactly the state of one single-entry burst per
+    /// entry at the same `now`: all entries see the same current virtual
+    /// time either way, and fixing one event's delivery never affects
+    /// another event's proposals.
     pub fn add_proposals(
         &mut self,
         profile: &SpeedProfile,
@@ -1170,10 +1181,9 @@ impl GuestSlot {
         seq < next
     }
 
-    /// The median-agreement core shared by every channel and by both
-    /// entry points ([`GuestSlot::add_proposal`] and
-    /// [`GuestSlot::add_proposals`]). `cur_virt` is the replica's
-    /// current virtual time (read once per batch by the callers).
+    /// The median-agreement core shared by every channel, behind
+    /// [`GuestSlot::add_proposals`]. `cur_virt` is the replica's current
+    /// virtual time (read once per batch).
     fn record_proposal(
         &mut self,
         kind: ChannelKind,
@@ -1351,7 +1361,7 @@ mod tests {
     }
 
     fn clock() -> VirtualClock {
-        VirtualClock::new(VirtNanos::ZERO, 1.0, None)
+        VirtualClock::new(VirtNanos::ZERO, 1.0)
     }
 
     /// A guest that echoes each packet back to its sender and records the
@@ -1447,21 +1457,21 @@ mod tests {
         assert_eq!(own.as_nanos(), 1_000_000 + 10_000_000);
         // No delivery scheduled until all three proposals arrive.
         assert_eq!(slot.next_wake(&p, t_arr), None);
-        assert!(!slot.add_proposal(&p, t_arr, ChannelKind::Net, 0, own));
-        assert!(!slot.add_proposal(
-            &p,
-            t_arr,
-            ChannelKind::Net,
-            0,
-            VirtNanos::from_nanos(11_500_000)
-        ));
-        assert!(slot.add_proposal(
-            &p,
-            t_arr,
-            ChannelKind::Net,
-            0,
-            VirtNanos::from_nanos(12_000_000)
-        ));
+        assert!(slot.add_proposals(&p, t_arr, [(ChannelKind::Net, 0, own)]) == 0);
+        assert!(
+            slot.add_proposals(
+                &p,
+                t_arr,
+                [(ChannelKind::Net, 0, VirtNanos::from_nanos(11_500_000))]
+            ) == 0
+        );
+        assert!(
+            slot.add_proposals(
+                &p,
+                t_arr,
+                [(ChannelKind::Net, 0, VirtNanos::from_nanos(12_000_000))]
+            ) > 0
+        );
         // Median of {11.0ms, 11.5ms, 12.0ms} = 11.5ms.
         let wake = slot.next_wake(&p, t_arr).expect("delivery scheduled");
         // Injection at first exit with virt >= 11.5ms => branch 11.5e6
@@ -1516,9 +1526,9 @@ mod tests {
         // Peers propose times far in this replica's past.
         let late = SimTime::from_millis(50);
         let two_ms = VirtNanos::from_millis(2);
-        slot.add_proposal(&p, late, ChannelKind::Net, 0, two_ms);
-        slot.add_proposal(&p, late, ChannelKind::Net, 0, two_ms);
-        assert!(slot.add_proposal(&p, late, ChannelKind::Net, 0, two_ms));
+        slot.add_proposals(&p, late, [(ChannelKind::Net, 0, two_ms)]);
+        slot.add_proposals(&p, late, [(ChannelKind::Net, 0, two_ms)]);
+        assert!(slot.add_proposals(&p, late, [(ChannelKind::Net, 0, two_ms)]) > 0);
         assert_eq!(slot.counters().get("sync_violations"), 1);
         // Still delivered (recovery), at current virt.
         let wake = slot.next_wake(&p, late).unwrap();
@@ -1531,7 +1541,7 @@ mod tests {
     /// proposed `issue + Δd` exactly.
     fn agree_disk(slot: &mut GuestSlot, p: &SpeedProfile, now: SimTime, op: u64, at: VirtNanos) {
         for _ in 0..3 {
-            slot.add_proposal(p, now, ChannelKind::Disk, op, at);
+            slot.add_proposals(p, now, [(ChannelKind::Disk, op, at)]);
         }
     }
 
@@ -1600,10 +1610,10 @@ mod tests {
         // release point — in this replica's past. No clamp for disk: the
         // interrupt fires at the next exit while the *agreed* timestamp
         // stays replica-identical (no divergence).
-        slot.add_proposal(&p, t_ready, ChannelKind::Disk, *op_id, own);
+        slot.add_proposals(&p, t_ready, [(ChannelKind::Disk, *op_id, own)]);
         let peer = VirtNanos::from_millis(10);
-        slot.add_proposal(&p, t_ready, ChannelKind::Disk, *op_id, peer);
-        assert!(slot.add_proposal(&p, t_ready, ChannelKind::Disk, *op_id, peer));
+        slot.add_proposals(&p, t_ready, [(ChannelKind::Disk, *op_id, peer)]);
+        assert!(slot.add_proposals(&p, t_ready, [(ChannelKind::Disk, *op_id, peer)]) > 0);
         let wake = slot.next_wake(&p, t_ready).unwrap();
         assert_eq!(wake, SimTime::from_millis(25), "fires at the next exit");
         slot.process(&p, &mut cache, wake).expect("process");
@@ -1618,8 +1628,8 @@ mod tests {
         let mut cache = CacheModel::new(8, 2);
         let mut slot = slot_with(Box::new(DiskGuest), stopwatch_cfg().mode);
         let peer = VirtNanos::from_millis(10);
-        assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Disk, 0, peer));
-        assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Disk, 0, peer));
+        assert!(slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Disk, 0, peer)]) == 0);
+        assert!(slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Disk, 0, peer)]) == 0);
         let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
         let SlotOutput::DiskSubmit { op_id, .. } = &out[0] else {
             panic!()
@@ -1630,7 +1640,7 @@ mod tests {
             panic!()
         };
         // Our own proposal completes the drained set of three.
-        assert!(slot.add_proposal(&p, t_ready, ChannelKind::Disk, *op_id, own));
+        assert!(slot.add_proposals(&p, t_ready, [(ChannelKind::Disk, *op_id, own)]) > 0);
         let wake = slot.next_wake(&p, t_ready).expect("agreed");
         slot.process(&p, &mut cache, wake).expect("process");
         assert_eq!(slot.counters().get("disk_irq"), 1);
@@ -1698,12 +1708,10 @@ mod tests {
             // Packet arrives at (slightly) different real times per host.
             slot.on_packet_arrival(p, SimTime::from_micros(900), 0, pkt);
             for prop in [11_000_000u64, 11_500_000, 12_100_000] {
-                slot.add_proposal(
+                slot.add_proposals(
                     p,
                     SimTime::from_millis(2),
-                    ChannelKind::Net,
-                    0,
-                    VirtNanos::from_nanos(prop),
+                    [(ChannelKind::Net, 0, VirtNanos::from_nanos(prop))],
                 );
             }
             let wake = slot.next_wake(p, SimTime::from_millis(2)).unwrap();
@@ -1908,10 +1916,16 @@ mod tests {
         assert_eq!(slot.next_wake(&p, SimTime::ZERO), None);
         for (probe_id, own) in &proposals {
             // Own proposal (as the cloud would add it back), then peers.
-            assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, *probe_id, *own));
+            assert!(
+                slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Cache, *probe_id, *own)]) == 0
+            );
             let peer = VirtNanos::from_nanos(CacheModel::HIT_NS);
-            assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, *probe_id, peer));
-            assert!(slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, *probe_id, peer));
+            assert!(
+                slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Cache, *probe_id, peer)]) == 0
+            );
+            assert!(
+                slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Cache, *probe_id, peer)]) > 0
+            );
         }
         let wake = slot.next_wake(&p, SimTime::ZERO).expect("agreed wake");
         slot.process(&p, &mut cache, wake).expect("process");
@@ -1931,17 +1945,17 @@ mod tests {
         let mut slot = slot_with(Box::<CacheProber>::default(), stopwatch_cfg().mode);
         let hit = VirtNanos::from_nanos(CacheModel::HIT_NS);
         assert!(
-            !slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, 0, hit),
+            slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Cache, 0, hit)]) == 0,
             "no pending yet"
         );
-        assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, 0, hit));
+        assert!(slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Cache, 0, hit)]) == 0);
         let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
         assert_eq!(out.len(), 2);
         // Both early proposals drained at issue; our own completes the set.
         let SlotOutput::Proposal { seq, proposal, .. } = out[0].clone() else {
             panic!("{:?}", out[0]);
         };
-        assert!(slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Cache, seq, proposal));
+        assert!(slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Cache, seq, proposal)]) > 0);
         let wake = slot.next_wake(&p, SimTime::ZERO).expect("probe 0 agreed");
         slot.process(&p, &mut cache, wake).expect("process");
         assert_eq!(probe_readouts(&mut slot), vec![(3, CacheModel::HIT_NS)]);
@@ -1959,18 +1973,18 @@ mod tests {
         let mut slot = slot_with(Box::<EchoGuest>::default(), stopwatch_cfg().mode);
         slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
         let stray = VirtNanos::from_millis(11);
-        assert!(!slot.add_proposal(&p, SimTime::ZERO, ChannelKind::Net, 0, stray));
+        assert!(slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Net, 0, stray)]) == 0);
         // The packet then does arrive: the dropped stray must NOT count
         // toward the three needed proposals.
         let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
         let t = SimTime::from_millis(1);
         slot.on_packet_arrival(&p, t, 0, pkt);
-        assert!(!slot.add_proposal(&p, t, ChannelKind::Net, 0, stray));
+        assert!(slot.add_proposals(&p, t, [(ChannelKind::Net, 0, stray)]) == 0);
         assert!(
-            !slot.add_proposal(&p, t, ChannelKind::Net, 0, stray),
+            slot.add_proposals(&p, t, [(ChannelKind::Net, 0, stray)]) == 0,
             "two live proposals + one dropped stray must not fix delivery"
         );
-        assert!(slot.add_proposal(&p, t, ChannelKind::Net, 0, stray));
+        assert!(slot.add_proposals(&p, t, [(ChannelKind::Net, 0, stray)]) > 0);
     }
 
     /// A guest that arms one-shot virtual timer 1 at boot and records each
@@ -2074,9 +2088,9 @@ mod tests {
         assert_eq!(slot.counters().get("dt_violations"), 0);
         assert_eq!(slot.next_wake(&p, t), None, "no delivery before agreement");
         for _ in 0..2 {
-            slot.add_proposal(&p, t, ChannelKind::Timer, fire_seq, own);
+            slot.add_proposals(&p, t, [(ChannelKind::Timer, fire_seq, own)]);
         }
-        assert!(slot.add_proposal(&p, t, ChannelKind::Timer, fire_seq, own));
+        assert!(slot.add_proposals(&p, t, [(ChannelKind::Timer, fire_seq, own)]) > 0);
         let wake = slot.next_wake(&p, t).expect("agreed");
         slot.process(&p, &mut cache, wake).expect("process");
         let fires = vtimer_fires(&mut slot);
@@ -2163,7 +2177,7 @@ mod tests {
         // into the buffer (the pending entry is gone and the fire is
         // poisoned locally; every replica cancels at the same pc).
         let stray = VirtNanos::from_millis(30);
-        assert!(!slot.add_proposal(&p, t, ChannelKind::Timer, fire_seq, stray));
+        assert!(slot.add_proposals(&p, t, [(ChannelKind::Timer, fire_seq, stray)]) == 0);
         assert_eq!(
             slot.early_buffered(),
             0,
@@ -2471,7 +2485,9 @@ mod tests {
             let fixed = burst_slot.add_proposals(&p, now, burst.iter().copied());
             let fixed_single = burst
                 .iter()
-                .filter(|&&(kind, seq, prop)| single_slot.add_proposal(&p, now, kind, seq, prop))
+                .filter(|&&(kind, seq, prop)| {
+                    single_slot.add_proposals(&p, now, [(kind, seq, prop)]) > 0
+                })
                 .count();
             assert_eq!(fixed, fixed_single, "fixed-entry count");
             let state = agreement_state(&burst_slot, &p, now);

@@ -12,7 +12,7 @@ use crate::registry::{
 use netsim::packet::{Body, EndpointId, Packet};
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime, VirtNanos};
-use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{ClientApp, CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
@@ -281,16 +281,11 @@ pub struct AttackWorkload;
 
 struct AttackInstalled {
     vm: VmHandle,
-    client: ClientHandle,
 }
 
 impl InstalledWorkload for AttackInstalled {
     fn vm(&self) -> VmHandle {
         self.vm
-    }
-
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
     }
 
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
@@ -348,14 +343,14 @@ impl Workload for AttackWorkload {
             b.add_baseline_vm(ctx.replica_hosts[0], Box::new(LoadGuest::new(load_chunk)));
         }
         let me = b.next_client_endpoint();
-        let client = b.add_client(Box::new(ProbeClient::new(
+        b.add_client(Box::new(ProbeClient::new(
             me,
             vm.endpoint,
             probes,
             SimDuration::from_millis(gap_ms),
             ctx.seed ^ 0xa77a_c4ed,
         )));
-        Ok(Box::new(AttackInstalled { vm, client }))
+        Ok(Box::new(AttackInstalled { vm }))
     }
 }
 

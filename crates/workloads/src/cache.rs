@@ -9,8 +9,8 @@
 //! replica) the asymmetry shows through and the attacker recovers the
 //! secret set round after round; under StopWatch the probe readout is
 //! the **median** of the replicas' proposals (the unified
-//! `GuestSlot::add_proposal` agreement path), and with only one of 3 (or 5)
-//! replicas perturbed the median reads "hit" — the attacker's recovery
+//! `GuestSlot::add_proposals` agreement path), and with only one of 3 (or
+//! 5) replicas perturbed the median reads "hit" — the attacker's recovery
 //! accuracy collapses toward chance.
 //!
 //! The per-set probe-latency samples feed the sweep layer's
@@ -20,10 +20,11 @@
 
 use crate::parsec::CompletionWaiter;
 use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
+    recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
+    WorkloadParams,
 };
 use netsim::packet::{Body, EndpointId, Packet};
-use stopwatch_core::cloud::{ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
@@ -296,7 +297,6 @@ pub struct CacheChannelWorkload;
 
 struct CacheChannelInstalled {
     vm: VmHandle,
-    client: ClientHandle,
     secret: u64,
     sets: u64,
 }
@@ -306,37 +306,18 @@ impl InstalledWorkload for CacheChannelInstalled {
         self.vm
     }
 
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
-    }
-
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
         let g = sim
             .cloud
             .guest_program::<PrimeProbeGuest>(self.vm, 0)
             .expect("attacker program");
-        let samples: Vec<f64> = g.samples_ns().iter().map(|&ns| ns as f64 / 1.0e6).collect();
-        let rounds = g.rounds_done();
-        let recovered = g
-            .guesses()
-            .iter()
-            .filter(|&&guess| guess == self.secret)
-            .count() as f64;
-        let accuracy = if rounds > 0 {
-            recovered / f64::from(rounds)
-        } else {
-            0.0
-        };
-        WorkloadOutcome {
-            samples_ms: samples,
-            completed: u64::from(rounds),
-            extra: vec![
-                ("probe_rounds".to_string(), f64::from(rounds)),
-                ("recovered_rounds".to_string(), recovered),
-                ("recovery_accuracy".to_string(), accuracy),
-                ("chance_accuracy".to_string(), 1.0 / self.sets as f64),
-            ],
-        }
+        recovery_outcome(
+            g.samples_ns(),
+            g.guesses(),
+            g.rounds_done(),
+            self.secret,
+            self.sets,
+        )
     }
 }
 
@@ -397,13 +378,8 @@ impl Workload for CacheChannelWorkload {
                 Box::new(CacheVictimGuest::new(secret, ways, victim_every)),
             );
         }
-        let client = b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(CacheChannelInstalled {
-            vm,
-            client,
-            secret,
-            sets,
-        }))
+        b.add_client(Box::new(CompletionWaiter::new(1)));
+        Ok(Box::new(CacheChannelInstalled { vm, secret, sets }))
     }
 }
 

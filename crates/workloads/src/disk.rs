@@ -24,11 +24,12 @@
 
 use crate::parsec::CompletionWaiter;
 use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
+    recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
+    WorkloadParams,
 };
 use netsim::packet::{Body, EndpointId, Packet};
 use simkit::time::VirtNanos;
-use stopwatch_core::cloud::{ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
@@ -309,7 +310,6 @@ pub struct DiskChannelWorkload;
 
 struct DiskChannelInstalled {
     vm: VmHandle,
-    client: ClientHandle,
     secret: u64,
     arms: u64,
 }
@@ -319,37 +319,18 @@ impl InstalledWorkload for DiskChannelInstalled {
         self.vm
     }
 
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
-    }
-
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
         let g = sim
             .cloud
             .guest_program::<DiskProbeGuest>(self.vm, 0)
             .expect("attacker program");
-        let samples: Vec<f64> = g.samples_ns().iter().map(|&ns| ns as f64 / 1.0e6).collect();
-        let rounds = g.rounds_done();
-        let recovered = g
-            .guesses()
-            .iter()
-            .filter(|&&guess| guess == self.secret)
-            .count() as f64;
-        let accuracy = if rounds > 0 {
-            recovered / f64::from(rounds)
-        } else {
-            0.0
-        };
-        WorkloadOutcome {
-            samples_ms: samples,
-            completed: u64::from(rounds),
-            extra: vec![
-                ("probe_rounds".to_string(), f64::from(rounds)),
-                ("recovered_rounds".to_string(), recovered),
-                ("recovery_accuracy".to_string(), accuracy),
-                ("chance_accuracy".to_string(), 1.0 / self.arms as f64),
-            ],
-        }
+        recovery_outcome(
+            g.samples_ns(),
+            g.guesses(),
+            g.rounds_done(),
+            self.secret,
+            self.arms,
+        )
     }
 }
 
@@ -424,13 +405,8 @@ impl Workload for DiskChannelWorkload {
                 )),
             );
         }
-        let client = b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(DiskChannelInstalled {
-            vm,
-            client,
-            secret,
-            arms,
-        }))
+        b.add_client(Box::new(CompletionWaiter::new(1)));
+        Ok(Box::new(DiskChannelInstalled { vm, secret, arms }))
     }
 }
 

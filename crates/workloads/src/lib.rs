@@ -14,14 +14,14 @@
 //!   channel the Δd release times close (Sec. V-A);
 //! * [`timer`] — the virtual-timer guest pair exercising the vCPU
 //!   scheduler-beat channel the Δt release times close;
-//! * [`registry`] — the typed workload API: the open [`registry::Workload`]
-//!   trait + registration table sweep harnesses build scenarios from, with
+//! * [`registry`] — the typed workload API: the [`registry::Workload`]
+//!   trait + the static table sweep harnesses build scenarios from, with
 //!   a self-describing [`registry::ParamSpec`] schema per workload (each
 //!   workload also names the timing channels it exercises).
 //!
 //! Adding a workload is implementing [`registry::Workload`] (in its own
-//! module, like the ones above) and calling [`registry::register`] — no
-//! central dispatch to edit.
+//! module, like the ones above) and adding one row to the table in
+//! `registry.rs` — no central dispatch to edit.
 
 pub mod attack;
 pub mod cache;
@@ -40,11 +40,11 @@ pub mod prelude {
     pub use crate::nfs::{NfsOp, NfsServerGuest, NfsWorkload, NhfsstoneClient, PAPER_MIX};
     pub use crate::parsec::{
         profile, CompletionWaiter, ParsecGuest, ParsecProfile, ParsecWorkload, PARSEC,
+        PARSEC_WORKLOADS,
     };
     pub use crate::registry::{
-        find as find_workload, install as install_workload, register as register_workload,
-        require as require_workload, workload_names, workloads, InstallCtx, InstalledWorkload,
-        ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
+        install as install_workload, require as require_workload, workloads, InstallCtx,
+        InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
     };
     pub use crate::timer::{TimerChannelWorkload, TimerProbeGuest, TimerVictimGuest};
     pub use crate::web::{

@@ -491,10 +491,6 @@ impl InstalledWorkload for NfsInstalled {
         self.vm
     }
 
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
-    }
-
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
         let c = sim
             .cloud
@@ -586,7 +582,7 @@ mod tests {
     fn run_nfs(stopwatch: bool, rate: f64, ops: u64) -> (f64, u64, u64) {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         let vm = if stopwatch {
-            b.add_stopwatch_vm(&[0, 1, 2], || Box::new(NfsServerGuest::new()))
+            b.add_defended_vm(&[0, 1, 2], || Box::new(NfsServerGuest::new()))
         } else {
             b.add_baseline_vm(0, Box::new(NfsServerGuest::new()))
         };

@@ -209,21 +209,36 @@ impl ClientApp for CompletionWaiter {
 
 /// One `"parsec:<app>"` workload: a [`ParsecGuest`] built from its
 /// profile, measured by a [`CompletionWaiter`] (Fig. 7). Each of the five
-/// [`PARSEC`] profiles registers as its own named workload.
+/// [`PARSEC`] profiles is its own named workload, one of
+/// [`PARSEC_WORKLOADS`].
 pub struct ParsecWorkload {
+    name: &'static str,
     profile: ParsecProfile,
-    name: String,
 }
 
-impl ParsecWorkload {
-    /// A workload named `parsec:<profile name>`.
-    pub fn new(profile: ParsecProfile) -> Self {
-        ParsecWorkload {
-            name: format!("parsec:{}", profile.name),
-            profile,
-        }
-    }
-}
+/// The five Fig. 7 workloads, in [`PARSEC`] order.
+pub static PARSEC_WORKLOADS: [ParsecWorkload; 5] = [
+    ParsecWorkload {
+        name: "parsec:ferret",
+        profile: PARSEC[0],
+    },
+    ParsecWorkload {
+        name: "parsec:blackscholes",
+        profile: PARSEC[1],
+    },
+    ParsecWorkload {
+        name: "parsec:canneal",
+        profile: PARSEC[2],
+    },
+    ParsecWorkload {
+        name: "parsec:dedup",
+        profile: PARSEC[3],
+    },
+    ParsecWorkload {
+        name: "parsec:streamcluster",
+        profile: PARSEC[4],
+    },
+];
 
 struct ParsecInstalled {
     vm: VmHandle,
@@ -233,10 +248,6 @@ struct ParsecInstalled {
 impl InstalledWorkload for ParsecInstalled {
     fn vm(&self) -> VmHandle {
         self.vm
-    }
-
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
     }
 
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
@@ -255,7 +266,7 @@ impl InstalledWorkload for ParsecInstalled {
 
 impl Workload for ParsecWorkload {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn about(&self) -> &str {
@@ -302,7 +313,7 @@ mod tests {
         let mut b = CloudBuilder::new(cfg, 3);
         let monitor_ep = EndpointId(2000);
         let vm = if stopwatch {
-            b.add_stopwatch_vm(&[0, 1, 2], move || {
+            b.add_defended_vm(&[0, 1, 2], move || {
                 Box::new(ParsecGuest::new(prof, monitor_ep))
             })
         } else {

@@ -1,5 +1,5 @@
-//! The typed workload API: an open [`Workload`] trait plus a registration
-//! table, replacing the old closed `match` on string keys.
+//! The typed workload API: a [`Workload`] trait plus one static table of
+//! every workload, [`workloads`].
 //!
 //! This is the joint between the declarative sweep layer (`harness`) and
 //! the concrete guests/clients of this crate: a scenario names a workload
@@ -8,16 +8,15 @@
 //! type, default, doc — so the sweep layer can enumerate and type-check
 //! every parameter *before* a scenario runs, and `swbench describe`
 //! prints the catalogue. Adding a workload (a cache-channel guest pair, a
-//! trace replayer, ...) is implementing [`Workload`] and calling
-//! [`register`]; no central dispatch changes.
+//! trace replayer, ...) is implementing [`Workload`] and adding one row to
+//! the table; no central dispatch changes.
 //!
 //! Every workload reports its results the same way — a vector of
 //! latency-like samples in milliseconds plus a completion count
 //! ([`WorkloadOutcome`]) — which is what sweep aggregation consumes.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
-use stopwatch_core::cloud::{ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::{self, ValueType};
 use vmm::channel::ChannelKind;
 use vmm::guest::{GuestProgram, IdleGuest};
@@ -174,6 +173,36 @@ pub struct WorkloadOutcome {
     pub extra: Vec<(String, f64)>,
 }
 
+/// Scores a secret-recovery attacker (the cache, disk and timer channel
+/// workloads): its per-probe samples in ns become `samples_ms`, each
+/// finished round is one completed operation, and `extra` reports how
+/// many rounds guessed `secret` among `choices` candidates, that
+/// accuracy, and the `1 / choices` accuracy of guessing blind.
+pub(crate) fn recovery_outcome(
+    samples_ns: &[u64],
+    guesses: &[u64],
+    rounds: u32,
+    secret: u64,
+    choices: u64,
+) -> WorkloadOutcome {
+    let recovered = guesses.iter().filter(|&&guess| guess == secret).count() as f64;
+    let accuracy = if rounds > 0 {
+        recovered / f64::from(rounds)
+    } else {
+        0.0
+    };
+    WorkloadOutcome {
+        samples_ms: samples_ns.iter().map(|&ns| ns as f64 / 1.0e6).collect(),
+        completed: u64::from(rounds),
+        extra: vec![
+            ("probe_rounds".to_string(), f64::from(rounds)),
+            ("recovered_rounds".to_string(), recovered),
+            ("recovery_accuracy".to_string(), accuracy),
+            ("chance_accuracy".to_string(), 1.0 / choices as f64),
+        ],
+    }
+}
+
 /// Handle to a workload wired into a cloud, used to pull measurements out
 /// of the finished simulation. Each [`Workload`] returns its own
 /// implementation; the sweep layer only sees this interface.
@@ -181,20 +210,15 @@ pub trait InstalledWorkload {
     /// The workload's protected VM.
     fn vm(&self) -> VmHandle;
 
-    /// The workload's measuring client, if it has one.
-    fn client(&self) -> Option<ClientHandle> {
-        None
-    }
-
     /// Extracts the measurements after a run.
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome;
 }
 
 /// An installable experiment workload: a name, a self-describing
 /// parameter schema, and the wiring that installs it into a
-/// [`CloudBuilder`]. Implementations register via [`register`] (built-ins
-/// are pre-registered) and plug into every sweep layer — `swbench`
-/// grids and presets — with no central dispatch.
+/// [`CloudBuilder`]. Each implementation is one row of [`workloads`] and
+/// plugs into every sweep layer — `swbench` grids and presets — with no
+/// central dispatch.
 pub trait Workload: Send + Sync {
     /// The registry key (`"web-http"`, `"parsec:ferret"`, ...).
     fn name(&self) -> &str;
@@ -275,77 +299,43 @@ impl Workload for IdleWorkload {
     }
 }
 
-fn builtin_workloads() -> Vec<Arc<dyn Workload>> {
-    let mut table: Vec<Arc<dyn Workload>> = vec![
-        Arc::new(IdleWorkload),
-        Arc::new(crate::web::WebHttpWorkload),
-        Arc::new(crate::web::WebUdpWorkload),
-        Arc::new(crate::nfs::NfsWorkload),
-        Arc::new(crate::attack::AttackWorkload),
-        Arc::new(crate::cache::CacheChannelWorkload),
-        Arc::new(crate::disk::DiskChannelWorkload),
-        Arc::new(crate::timer::TimerChannelWorkload),
-    ];
-    for profile in crate::parsec::PARSEC {
-        table.push(Arc::new(crate::parsec::ParsecWorkload::new(profile)));
-    }
-    table
-}
+/// Every workload, in presentation order (`swbench workloads`).
+static WORKLOADS: &[&dyn Workload] = &[
+    &IdleWorkload,
+    &crate::web::WebHttpWorkload,
+    &crate::web::WebUdpWorkload,
+    &crate::nfs::NfsWorkload,
+    &crate::attack::AttackWorkload,
+    &crate::cache::CacheChannelWorkload,
+    &crate::disk::DiskChannelWorkload,
+    &crate::timer::TimerChannelWorkload,
+    &crate::parsec::PARSEC_WORKLOADS[0],
+    &crate::parsec::PARSEC_WORKLOADS[1],
+    &crate::parsec::PARSEC_WORKLOADS[2],
+    &crate::parsec::PARSEC_WORKLOADS[3],
+    &crate::parsec::PARSEC_WORKLOADS[4],
+];
 
-fn table() -> &'static RwLock<Vec<Arc<dyn Workload>>> {
-    static TABLE: OnceLock<RwLock<Vec<Arc<dyn Workload>>>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(builtin_workloads()))
-}
-
-/// Registers a workload. A workload with the same name replaces the
-/// existing entry (latest wins); otherwise it is appended, preserving
-/// registration order in [`workload_names`] and `swbench describe`.
-pub fn register(workload: Arc<dyn Workload>) {
-    let mut t = table().write().expect("workload table");
-    match t.iter_mut().find(|w| w.name() == workload.name()) {
-        Some(slot) => *slot = workload,
-        None => t.push(workload),
-    }
+/// Every workload, in presentation order.
+pub fn workloads() -> &'static [&'static dyn Workload] {
+    WORKLOADS
 }
 
 /// Looks up a workload by name.
-pub fn find(name: &str) -> Option<Arc<dyn Workload>> {
-    table()
-        .read()
-        .expect("workload table")
-        .iter()
-        .find(|w| w.name() == name)
-        .cloned()
-}
-
-/// Like [`find`], but unknown names become the standard
-/// layer-key-suggestion error message.
 ///
 /// # Errors
 ///
-/// Names the unknown workload, the nearest registered name (for plausible
-/// typos), and the full registry.
-pub fn require(name: &str) -> Result<Arc<dyn Workload>, String> {
-    find(name).ok_or_else(|| {
-        let names = workload_names();
-        let keys: Vec<&str> = names.iter().map(String::as_str).collect();
-        schema::unknown_key("workload", name, &keys)
-    })
-}
-
-/// A snapshot of every registered workload, in registration order.
-pub fn workloads() -> Vec<Arc<dyn Workload>> {
-    table().read().expect("workload table").clone()
-}
-
-/// Every installable workload name, in registration order.
-pub fn workload_names() -> Vec<String> {
-    table()
-        .read()
-        .expect("workload table")
+/// Names the unknown workload, the nearest workload name (for plausible
+/// typos), and the full table.
+pub fn require(name: &str) -> Result<&'static dyn Workload, String> {
+    WORKLOADS
         .iter()
-        .map(|w| w.name().to_string())
-        .collect()
+        .copied()
+        .find(|w| w.name() == name)
+        .ok_or_else(|| {
+            let keys: Vec<&str> = WORKLOADS.iter().map(|w| w.name()).collect();
+            schema::unknown_key("workload", name, &keys)
+        })
 }
 
 /// Wires workload `name` into the builder: its VM under the builder's
@@ -370,27 +360,6 @@ pub fn install(
     }
     let workload = require(name)?;
     params.validate(name, workload.params())?;
-    install_prepared(&workload, b, replica_hosts, params, seed)
-}
-
-/// [`install`] for a workload that has already been looked up and whose
-/// parameters are already validated — the path a [`require`]-and-cache
-/// caller (the harness scenario arena) takes so repeated builds of the
-/// same shape skip the registry lock and schema walk.
-///
-/// # Errors
-///
-/// Empty `replica_hosts` is reported as a message.
-pub fn install_prepared(
-    workload: &Arc<dyn Workload>,
-    b: &mut CloudBuilder,
-    replica_hosts: &[usize],
-    params: &WorkloadParams,
-    seed: u64,
-) -> Result<Box<dyn InstalledWorkload>, String> {
-    if replica_hosts.is_empty() {
-        return Err("workload needs at least one replica host".to_string());
-    }
     let ctx = InstallCtx {
         replica_hosts,
         seed,
@@ -419,7 +388,7 @@ mod tests {
 
     #[test]
     fn names_cover_parsec_apps() {
-        let names = workload_names();
+        let names: Vec<&str> = workloads().iter().map(|w| w.name()).collect();
         for builtin in [
             "idle",
             "web-http",
@@ -427,16 +396,18 @@ mod tests {
             "nfs",
             "attack",
             "cache-channel",
+            "disk-channel",
+            "timer-channel",
         ] {
-            assert!(names.iter().any(|n| n == builtin), "missing {builtin}");
+            assert!(names.contains(&builtin), "missing {builtin}");
         }
         for p in PARSEC {
             let name = format!("parsec:{}", p.name);
-            assert!(names.contains(&name), "missing {name}");
+            assert!(names.contains(&name.as_str()), "missing {name}");
         }
-        // The table is process-global and other tests may register extra
-        // workloads concurrently, so only a lower bound is stable here.
-        assert!(names.len() >= 6 + PARSEC.len());
+        assert_eq!(names.len(), 13);
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(unique.len(), names.len(), "duplicate workload name");
     }
 
     #[test]
@@ -480,13 +451,13 @@ mod tests {
         assert!(err.contains("did you mean \"parsec:ferret\""), "{err}");
         let typo = WorkloadParams::from_pairs([("byts", "10")]);
         let err = typo
-            .validate("web-http", find("web-http").unwrap().params())
+            .validate("web-http", require("web-http").unwrap().params())
             .unwrap_err();
         assert!(err.contains("did you mean \"bytes\""), "{err}");
         assert!(err.contains("web-http"), "{err}");
         let ill_typed = WorkloadParams::from_pairs([("bytes", "many")]);
         let err = ill_typed
-            .validate("web-http", find("web-http").unwrap().params())
+            .validate("web-http", require("web-http").unwrap().params())
             .unwrap_err();
         assert!(err.contains("\"bytes\""), "{err}");
         assert!(err.contains("many"), "{err}");
@@ -494,45 +465,12 @@ mod tests {
 
     #[test]
     fn resolved_overlays_explicit_values_on_defaults() {
-        let specs = find("web-http").unwrap().params().to_vec();
+        let specs = require("web-http").unwrap().params().to_vec();
         let params = WorkloadParams::from_pairs([("bytes", "777")]);
         let resolved = params.resolved(&specs);
         assert_eq!(resolved.len(), specs.len());
         assert!(resolved.contains(&("bytes".to_string(), "777".to_string())));
         assert!(resolved.contains(&("downloads".to_string(), "3".to_string())));
-    }
-
-    #[test]
-    fn register_is_open_and_latest_wins() {
-        struct Custom;
-        impl Workload for Custom {
-            fn name(&self) -> &str {
-                "custom-test"
-            }
-            fn about(&self) -> &str {
-                "test-only"
-            }
-            fn params(&self) -> &[ParamSpec] {
-                &[]
-            }
-            fn install(
-                &self,
-                b: &mut CloudBuilder,
-                ctx: &InstallCtx<'_>,
-                _params: &WorkloadParams,
-            ) -> Result<Box<dyn InstalledWorkload>, String> {
-                let vm = ctx.add_vm(b, &|| Box::new(IdleGuest));
-                Ok(Box::new(IdleInstalled { vm }))
-            }
-        }
-        let before = workload_names().len();
-        register(Arc::new(Custom));
-        assert_eq!(workload_names().len(), before + 1);
-        assert!(find("custom-test").is_some());
-        register(Arc::new(Custom)); // same name: replaces, not duplicates
-        assert_eq!(workload_names().len(), before + 1);
-        let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
-        assert!(install("custom-test", &mut b, &[0, 1, 2], &WorkloadParams::new(), 1).is_ok());
     }
 
     #[test]

@@ -22,11 +22,12 @@
 
 use crate::parsec::CompletionWaiter;
 use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
+    recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
+    WorkloadParams,
 };
 use netsim::packet::{Body, EndpointId, Packet};
 use simkit::time::{VirtNanos, VirtOffset};
-use stopwatch_core::cloud::{ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
@@ -290,7 +291,6 @@ pub struct TimerChannelWorkload;
 
 struct TimerChannelInstalled {
     vm: VmHandle,
-    client: ClientHandle,
     secret: u64,
     arms: u64,
 }
@@ -300,37 +300,18 @@ impl InstalledWorkload for TimerChannelInstalled {
         self.vm
     }
 
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
-    }
-
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
         let g = sim
             .cloud
             .guest_program::<TimerProbeGuest>(self.vm, 0)
             .expect("attacker program");
-        let samples: Vec<f64> = g.samples_ns().iter().map(|&ns| ns as f64 / 1.0e6).collect();
-        let rounds = g.rounds_done();
-        let recovered = g
-            .guesses()
-            .iter()
-            .filter(|&&guess| guess == self.secret)
-            .count() as f64;
-        let accuracy = if rounds > 0 {
-            recovered / f64::from(rounds)
-        } else {
-            0.0
-        };
-        WorkloadOutcome {
-            samples_ms: samples,
-            completed: u64::from(rounds),
-            extra: vec![
-                ("probe_rounds".to_string(), f64::from(rounds)),
-                ("recovered_rounds".to_string(), recovered),
-                ("recovery_accuracy".to_string(), accuracy),
-                ("chance_accuracy".to_string(), 1.0 / self.arms as f64),
-            ],
-        }
+        recovery_outcome(
+            g.samples_ns(),
+            g.guesses(),
+            g.rounds_done(),
+            self.secret,
+            self.arms,
+        )
     }
 }
 
@@ -385,13 +366,8 @@ impl Workload for TimerChannelWorkload {
                 Box::new(TimerVictimGuest::new(secret, arms, window, start)),
             );
         }
-        let client = b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(TimerChannelInstalled {
-            vm,
-            client,
-            secret,
-            arms,
-        }))
+        b.add_client(Box::new(CompletionWaiter::new(1)));
+        Ok(Box::new(TimerChannelInstalled { vm, secret, arms }))
     }
 }
 

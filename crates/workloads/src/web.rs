@@ -489,10 +489,6 @@ impl InstalledWorkload for WebHttpInstalled {
         self.vm
     }
 
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
-    }
-
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
         let c = sim
             .cloud
@@ -567,10 +563,6 @@ impl InstalledWorkload for WebUdpInstalled {
         self.vm
     }
 
-    fn client(&self) -> Option<ClientHandle> {
-        Some(self.client)
-    }
-
     fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
         let c = sim
             .cloud
@@ -639,12 +631,12 @@ mod tests {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         let vm = if udp {
             if stopwatch {
-                b.add_stopwatch_vm(&[0, 1, 2], || Box::new(UdpFileGuest::new()))
+                b.add_defended_vm(&[0, 1, 2], || Box::new(UdpFileGuest::new()))
             } else {
                 b.add_baseline_vm(0, Box::new(UdpFileGuest::new()))
             }
         } else if stopwatch {
-            b.add_stopwatch_vm(&[0, 1, 2], || Box::new(FileServerGuest::new()))
+            b.add_defended_vm(&[0, 1, 2], || Box::new(FileServerGuest::new()))
         } else {
             b.add_baseline_vm(0, Box::new(FileServerGuest::new()))
         };

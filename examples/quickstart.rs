@@ -61,8 +61,9 @@ impl ClientApp for OnePing {
 
 fn main() {
     let mut builder = CloudBuilder::new(CloudConfig::default(), 3);
-    // Three replicas of the echo guest, one per host.
-    let vm = builder.add_stopwatch_vm(&[0, 1, 2], || Box::new(EchoGuest));
+    // Three replicas of the echo guest, one per host, under the default
+    // defense arm (`cfg.defense = "stopwatch"`).
+    let vm = builder.add_defended_vm(&[0, 1, 2], || Box::new(EchoGuest));
     let client = builder.add_client(Box::new(OnePing {
         server: vm.endpoint,
         me: EndpointId(2000),

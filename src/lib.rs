@@ -36,9 +36,10 @@
 //! ```
 //! use stopwatch_repro::prelude::*;
 //!
-//! // A three-host StopWatch cloud running one protected echo service.
+//! // A three-host cloud running one idle guest under the default
+//! // defense arm, StopWatch.
 //! let mut builder = CloudBuilder::new(CloudConfig::fast_test(), 3);
-//! builder.add_stopwatch_vm(&[0, 1, 2], || Box::new(IdleGuest));
+//! builder.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
 //! let mut sim = builder.build();
 //! sim.run_until(SimTime::from_millis(200));
 //! assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);

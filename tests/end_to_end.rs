@@ -87,7 +87,7 @@ fn build_ping_cloud(
     cfg.seed = seed;
     let mut b = CloudBuilder::new(cfg, 3);
     let counter = Cell::new(0u64);
-    let vm = b.add_stopwatch_vm(&[0, 1, 2], move || {
+    let vm = b.add_defended_vm(&[0, 1, 2], move || {
         // When injecting a fault, exactly ONE replica (the third built)
         // behaves differently — breaking determinism on purpose.
         let c = counter.get();
@@ -175,7 +175,7 @@ fn five_replica_configuration_works() {
     let mut cfg = CloudConfig::fast_test();
     cfg.replicas = 5;
     let mut b = CloudBuilder::new(cfg, 5);
-    let vm = b.add_stopwatch_vm(&[0, 1, 2, 3, 4], || Box::new(EchoGuest { salt: 0 }));
+    let vm = b.add_defended_vm(&[0, 1, 2, 3, 4], || Box::new(EchoGuest { salt: 0 }));
     let client = b.add_client(Box::new(PingClient {
         me: EndpointId(2000),
         server: vm.endpoint,
@@ -208,8 +208,8 @@ fn multiple_vms_share_the_cloud() {
     let mut cfg = CloudConfig::fast_test();
     cfg.seed = 9;
     let mut b = CloudBuilder::new(cfg, 5);
-    let vm_a = b.add_stopwatch_vm(&[0, 1, 2], || Box::new(EchoGuest { salt: 0 }));
-    let vm_b = b.add_stopwatch_vm(&[0, 3, 4], || Box::new(EchoGuest { salt: 0 }));
+    let vm_a = b.add_defended_vm(&[0, 1, 2], || Box::new(EchoGuest { salt: 0 }));
+    let vm_b = b.add_defended_vm(&[0, 3, 4], || Box::new(EchoGuest { salt: 0 }));
     let ca = b.add_client(Box::new(PingClient {
         me: EndpointId(2000),
         server: vm_a.endpoint,
@@ -255,7 +255,7 @@ fn proposal_loss_recovered_by_pgm() {
         ..LinkModel::lan()
     };
     let mut b = CloudBuilder::new(cfg, 3);
-    let vm = b.add_stopwatch_vm(&[0, 1, 2], || Box::new(EchoGuest { salt: 0 }));
+    let vm = b.add_defended_vm(&[0, 1, 2], || Box::new(EchoGuest { salt: 0 }));
     let client = b.add_client(Box::new(PingClient {
         me: EndpointId(2000),
         server: vm.endpoint,

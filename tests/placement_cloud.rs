@@ -67,7 +67,7 @@ fn planner_placements_run_as_a_cloud() {
     let mut handles = Vec::new();
     for tri in planner.placed() {
         let hosts: Vec<usize> = tri.nodes().iter().map(|n| n.0).collect();
-        handles.push(b.add_stopwatch_vm(&hosts, || Box::new(Echo)));
+        handles.push(b.add_defended_vm(&hosts, || Box::new(Echo)));
     }
     let mut clients = Vec::new();
     for (i, vm) in handles.iter().enumerate() {

@@ -76,28 +76,6 @@ proptest! {
         prop_assert!(m >= lo && m <= hi);
     }
 
-    /// Virtual clocks with identical epoch updates stay identical, and
-    /// virtual time is monotone, for arbitrary update sequences.
-    #[test]
-    fn virtual_clock_epochs_deterministic(
-        updates in prop::collection::vec((1u64..10_000_000, 1u64..10_000_000), 1..12)
-    ) {
-        let cfg = EpochConfig { interval_instr: 100_000, slope_min: 0.25, slope_max: 4.0 };
-        let mut a = VirtualClock::new(VirtNanos::from_nanos(500), 1.0, Some(cfg));
-        let mut b = a.clone();
-        let mut instr = 0u64;
-        let mut last = VirtNanos::ZERO;
-        for (r, d) in updates {
-            instr += 100_000;
-            let v = a.virt(instr);
-            prop_assert!(v >= last, "monotone across epochs");
-            last = v;
-            a.apply_epoch(SimTime::from_nanos(r), SimDuration::from_nanos(d));
-            b.apply_epoch(SimTime::from_nanos(r), SimDuration::from_nanos(d));
-            prop_assert_eq!(a.virt(instr + 50_000), b.virt(instr + 50_000));
-        }
-    }
-
     /// Speed profiles: branch/time conversion round-trips within a couple
     /// of branches for arbitrary jitter and offsets.
     #[test]
@@ -244,7 +222,7 @@ proptest! {
         let mut slot = GuestSlot::new(
             Box::new(OpenerGuest),
             cfg,
-            VirtualClock::new(VirtNanos::ZERO, 1.0, None),
+            VirtualClock::new(VirtNanos::ZERO, 1.0),
             DiskImage::new(1 << 20),
         );
 
@@ -260,10 +238,10 @@ proptest! {
         for &(kind, ms) in &early {
             for peer in 0..peers {
                 let v = VirtNanos::from_millis(ms) + VirtOffset::from_nanos(peer as u64);
-                prop_assert!(!slot.add_proposal(&p, t0, kind, 0, v));
+                prop_assert!(slot.add_proposals(&p, t0, [(kind, 0, v)]) == 0);
             }
         }
-        prop_assert!(!slot.add_proposal(&p, t0, ChannelKind::Net, 0, VirtNanos::from_millis(7)));
+        prop_assert!(slot.add_proposals(&p, t0, [(ChannelKind::Net, 0, VirtNanos::from_millis(7))]) == 0);
         prop_assert_eq!(slot.early_buffered(), 3 * peers, "net stray dropped, rest held");
 
         // Boot: every entry opens, draining the buffer into the pending
@@ -303,15 +281,9 @@ proptest! {
         }
         let mut t = t_fire;
         for &(kind, seq, v) in &own {
-            slot.add_proposal(&p, t, kind, seq, v);
+            slot.add_proposals(&p, t, [(kind, seq, v)]);
             for straggler in 0..(needed - 1 - peers) {
-                slot.add_proposal(
-                    &p,
-                    t,
-                    kind,
-                    seq,
-                    v + VirtOffset::from_nanos(straggler as u64),
-                );
+                slot.add_proposals(&p, t, [(kind, seq, v + VirtOffset::from_nanos(straggler as u64))]);
             }
         }
 
@@ -328,7 +300,7 @@ proptest! {
         // Strays for the already-retired event 0 of every kind (an id
         // below the allocation cursor) must be dropped, not re-buffered.
         for &(kind, ms) in &early {
-            slot.add_proposal(&p, t, kind, 0, VirtNanos::from_millis(ms));
+            slot.add_proposals(&p, t, [(kind, 0, VirtNanos::from_millis(ms))]);
         }
         prop_assert_eq!(slot.early_buffered(), 0, "retired ids never re-buffer");
     }

@@ -195,7 +195,7 @@ fn attacker_cannot_read_real_time_under_stopwatch() {
         ),
         clocks: PlatformClocks::default(),
     };
-    let clock = VirtualClock::new(VirtNanos::ZERO, 1.0, None);
+    let clock = VirtualClock::new(VirtNanos::ZERO, 1.0);
     let fast = SpeedProfile::new(
         1.2e9,
         0.0,
