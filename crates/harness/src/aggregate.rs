@@ -127,8 +127,11 @@ pub struct SweepReport {
 
 impl SweepReport {
     /// Folds runner outcomes into a report. `baseline_cell` names the cell
-    /// every leakage verdict compares against; `None` uses the first cell
-    /// with samples (grid order — declare the null arm first).
+    /// every leakage verdict compares against. `None` pairs each
+    /// `victim=true` cell with its `victim=false` sibling when the grid
+    /// has a victim axis, and otherwise compares each cell with the first
+    /// cell with samples that ran the same workload (grid order — declare
+    /// the null arm first).
     pub fn from_outcomes(
         name: &str,
         outcomes: &[RunOutcome],
@@ -416,17 +419,22 @@ fn leakage_verdicts(cells: &[CellAggregate], baseline_cell: Option<&str>) -> Vec
             return paired;
         }
     }
-    let baseline = match baseline_cell {
-        Some(name) => cells.iter().find(|c| c.cell == name),
-        None => cells.iter().find(|c| !c.samples.is_empty()),
-    };
-    let Some(base) = baseline else {
-        return Vec::new();
+    // Without an explicit anchor, each cell is judged against the first
+    // cell with samples that ran the same workload: a verdict between two
+    // workloads measures the workloads, not the defense. That anchor cell
+    // gets no verdict of its own.
+    let anchor = |c: &CellAggregate| match baseline_cell {
+        Some(name) => cells.iter().find(|b| b.cell == name),
+        None => cells
+            .iter()
+            .find(|b| b.workload == c.workload && !b.samples.is_empty()),
     };
     cells
         .iter()
-        .filter(|c| c.cell != base.cell)
-        .filter_map(|c| verdict_against(base, c))
+        .filter_map(|c| {
+            let base = anchor(c).filter(|b| b.cell != c.cell)?;
+            verdict_against(base, c)
+        })
         .collect()
 }
 
@@ -505,6 +513,57 @@ mod tests {
         assert_eq!(r.leakage[0].cell, "b");
         assert_eq!(r.leakage[0].baseline, "a");
         assert!(r.leakage[0].ks_distance > 0.9, "disjoint distributions");
+    }
+
+    #[test]
+    fn verdicts_without_a_baseline_compare_cells_of_one_workload() {
+        // A workload axis and no victim axis (the Fig. 5 grid): every
+        // verdict's baseline ran its cell's workload, and each workload's
+        // first cell anchors the others without a verdict of its own.
+        let run = |workload: &str, defense: &str, samples: Vec<f64>| {
+            let cell = format!("workload={workload},cfg.defense={defense}");
+            let mut o = outcome(&cell, 1, samples);
+            let r = o.result.as_mut().expect("built Ok");
+            r.workload = workload.to_string();
+            r.defense = defense.to_string();
+            r.cell_params = vec![
+                ("workload".to_string(), workload.to_string()),
+                ("cfg.defense".to_string(), defense.to_string()),
+            ];
+            o
+        };
+        let outcomes = vec![
+            run("web-http", "baseline", vec![1.0, 2.0]),
+            run("web-http", "stopwatch", vec![11.0, 12.0]),
+            run("web-udp", "baseline", vec![3.0, 4.0]),
+            run("web-udp", "stopwatch", vec![13.0, 14.0]),
+        ];
+        let r = SweepReport::from_outcomes("t", &outcomes, None);
+        let pairs: Vec<(&str, &str)> = r
+            .leakage
+            .iter()
+            .map(|v| (v.cell.as_str(), v.baseline.as_str()))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                (
+                    "workload=web-http,cfg.defense=stopwatch",
+                    "workload=web-http,cfg.defense=baseline"
+                ),
+                (
+                    "workload=web-udp,cfg.defense=stopwatch",
+                    "workload=web-udp,cfg.defense=baseline"
+                ),
+            ]
+        );
+        for v in &r.leakage {
+            let workload_of = |name: &str| {
+                let c = r.cells.iter().find(|c| c.cell == name).expect("cell");
+                c.workload.clone()
+            };
+            assert_eq!(workload_of(&v.cell), workload_of(&v.baseline), "{v:?}");
+        }
     }
 
     fn arm_outcome(defense: &str, samples: Vec<f64>) -> RunOutcome {

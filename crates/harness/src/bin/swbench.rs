@@ -22,7 +22,9 @@
 //!       --set K=V          base CloudConfig override
 //!       --duration-s N     simulated-time budget per scenario (default 60)
 //!       --threads N        worker threads (default: all cores)
-//!       --baseline CELL    leakage baseline cell (default: first cell)
+//!       --baseline CELL    leakage baseline cell (default: each victim
+//!                          cell's victim=false sibling, else the first
+//!                          cell that ran the same workload)
 //!       --out FILE         JSON output path
 //!
 //! swbench workloads
@@ -131,18 +133,16 @@ fn describe(which: Option<&str>) -> Result<(), String> {
             }
             println!();
             println!("Defense arms (`cfg.defense` axis, `--set defense=NAME`):");
-            // Alphabetical for the same reason as the workloads below.
-            let mut arms = vmm::defense::ARMS.to_vec();
-            arms.sort_by_key(|a| a.name());
-            for arm in arms {
-                println!("{:<18} {}", arm.name(), arm.about());
-                let knobs = arm.knobs();
+            // The registry is alphabetical (its tests pin that), for the
+            // same reason as the workloads below.
+            for arm in vmm::defense::ARMS {
+                println!("{:<18} {}", arm.name, arm.about);
                 println!(
                     "  knobs: {}",
-                    if knobs.is_empty() {
+                    if arm.knobs.is_empty() {
                         "(none)".to_string()
                     } else {
-                        knobs.join(", ")
+                        arm.knobs.join(", ")
                     }
                 );
             }

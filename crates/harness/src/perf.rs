@@ -155,7 +155,7 @@ pub const PERF_BENCHES: &[PerfBench] = &[
             // epoch and bucket are sized like Δt: they must fit inside
             // the 5 ms probe window (see timer-storm above).
             let scenarios = vmm::defense::arm_names()
-                .into_iter()
+                .iter()
                 .map(|arm| {
                     let mut s = Scenario::new("timer-channel", 42);
                     s.label = format!("defense-storm:{arm}");

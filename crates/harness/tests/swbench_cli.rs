@@ -117,7 +117,7 @@ fn describe_lists_every_defense_arm_with_its_knobs() {
         "defenses section missing:\n{stdout}"
     );
     // Every registered arm, in alphabetical order, with its knob keys.
-    let mut names = vmm::defense::arm_names();
+    let mut names = vmm::defense::arm_names().to_vec();
     names.sort_unstable();
     let positions: Vec<usize> = names
         .iter()

@@ -35,7 +35,7 @@ use vmm::clock::VirtualClock;
 use vmm::guest::GuestProgram;
 use vmm::host::HostMachine;
 use vmm::sched::VcpuScheduler;
-use vmm::slot::{ArrivalOutcome, DefenseMode, GuestSlot, SlotConfig, SlotOutput};
+use vmm::slot::{ArrivalOutcome, DefenseMode, GuestSlot, SlotConfig, SlotError, SlotOutput};
 use vmm::speed::SpeedProfile;
 
 /// An external (unreplicated) client machine's application logic.
@@ -403,16 +403,30 @@ impl Cloud {
     }
 
     fn disk_done(&mut self, sim: &mut Engine, h: usize, s: usize, op_id: u64) {
-        let now = sim.now();
-        match self.hosts[h].disk_ready(s, now, op_id) {
-            Ok(ArrivalOutcome::Proposal(proposal)) => {
-                // The replicas agree on the completion timestamp exactly
-                // like on a packet's Δn delivery time.
-                self.propose_and_multicast(sim, h, s, ChannelKind::Disk, op_id, proposal);
+        let outcome = self.hosts[h].disk_ready(s, sim.now(), op_id).map(Some);
+        self.settled(sim, h, s, ChannelKind::Disk, op_id, outcome);
+    }
+
+    /// Acts on slot `(h, s)`'s settlement of `kind`'s event `seq`, the
+    /// one flow every timing channel shares: a StopWatch proposal is
+    /// applied locally and multicast to the peer replicas (Fig. 3,
+    /// generalized), a local arm's fixed delivery re-targets the slot's
+    /// wake, and a cancelled timer fire needs nothing.
+    fn settled(
+        &mut self,
+        sim: &mut Engine,
+        h: usize,
+        s: usize,
+        kind: ChannelKind,
+        seq: u64,
+        outcome: Result<Option<ArrivalOutcome>, SlotError>,
+    ) {
+        match outcome {
+            Ok(Some(ArrivalOutcome::Proposal(proposal))) => {
+                self.propose_and_multicast(sim, h, s, kind, seq, proposal);
             }
-            Ok(ArrivalOutcome::Scheduled) => {
-                self.reschedule_wake(sim, h, s);
-            }
+            Ok(Some(ArrivalOutcome::Scheduled)) => self.reschedule_wake(sim, h, s),
+            Ok(None) => {}
             Err(e) => self.fail(&format!("host {h} slot {s}"), e),
         }
     }
@@ -446,19 +460,8 @@ impl Cloud {
 
     fn timer_fire(&mut self, sim: &mut Engine, h: usize, s: usize, fire_seq: u64) {
         self.timer_fires.remove(&(h, s, fire_seq));
-        let now = sim.now();
-        match self.hosts[h].timer_elapsed(s, now, fire_seq) {
-            Ok(Some(ArrivalOutcome::Proposal(proposal))) => {
-                // The replicas agree on the fire's delivery timestamp
-                // exactly like on a packet's Δn delivery time.
-                self.propose_and_multicast(sim, h, s, ChannelKind::Timer, fire_seq, proposal);
-            }
-            Ok(Some(ArrivalOutcome::Scheduled)) => {
-                self.reschedule_wake(sim, h, s);
-            }
-            Ok(None) => {} // fire was cancelled in time
-            Err(e) => self.fail(&format!("host {h} slot {s}"), e),
-        }
+        let outcome = self.hosts[h].timer_elapsed(s, sim.now(), fire_seq);
+        self.settled(sim, h, s, ChannelKind::Timer, fire_seq, outcome);
     }
 
     /// Applies slot `(h, s)`'s own delivery-time proposal locally, then
@@ -664,15 +667,8 @@ impl Cloud {
         seq: u64,
         packet: Packet,
     ) {
-        let now = sim.now();
-        match self.hosts[h].packet_arrival(s, now, seq, packet) {
-            ArrivalOutcome::Proposal(proposal) => {
-                self.propose_and_multicast(sim, h, s, ChannelKind::Net, seq, proposal);
-            }
-            ArrivalOutcome::Scheduled => {
-                self.reschedule_wake(sim, h, s);
-            }
-        }
+        let outcome = self.hosts[h].packet_arrival(s, sim.now(), seq, packet);
+        self.settled(sim, h, s, ChannelKind::Net, seq, Ok(Some(outcome)));
     }
 
     fn multicast_proposal(
@@ -1014,24 +1010,24 @@ impl CloudBuilder {
 
     /// Adds a VM guarded by the **configured** defense arm
     /// (`cfg.defense`, resolved through the `vmm::defense` registry):
-    /// a replicated arm consumes all of `hosts` as replica hosts and
-    /// invokes `make()` once per replica (the replicas must be
-    /// identical); a single-host arm runs one instance on `hosts[0]`.
+    /// an arm lowered to [`DefenseMode::StopWatch`] consumes all of
+    /// `hosts` as replica hosts and invokes `make()` once per replica
+    /// (the replicas must be identical); a single-host arm runs one
+    /// instance on `hosts[0]`.
     /// Scenario factories call this so one workload definition runs
     /// under every arm a sweep names.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.defense` names no registered arm, if `hosts` is
-    /// empty or names an unknown host, or (replicated arms) if
+    /// empty or names an unknown host, or (StopWatch) if
     /// `hosts` does not match the configured replica count.
     pub fn add_defended_vm<F>(&mut self, hosts: &[usize], make: F) -> VmHandle
     where
         F: Fn() -> Box<dyn GuestProgram>,
     {
-        let arm = self.cfg.defense_arm();
-        let mode = arm.mode(&self.cfg.defense_knobs());
-        let hosts = if arm.replicated() {
+        let mode = self.cfg.defense_mode();
+        let hosts = if matches!(mode, DefenseMode::StopWatch { .. }) {
             assert_eq!(hosts.len(), self.cfg.replicas, "replica count mismatch");
             hosts
         } else {
@@ -1271,20 +1267,16 @@ impl CloudSim {
 mod tests {
     use super::*;
     use netsim::packet::Body;
-    use storage::block::BlockRange;
-    use storage::device::DiskOp;
     use vmm::guest::{GuestEnv, IdleGuest};
 
     /// Guest that echoes every Raw packet back to its source.
     struct Echo;
     impl GuestProgram for Echo {
-        fn on_boot(&mut self, _env: &mut GuestEnv) {}
         fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
             if let Body::Raw { tag, len } = *packet.body() {
                 env.send(packet.src(), Body::Raw { tag: tag + 1, len });
             }
         }
-        fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
     }
 
     /// Client that sends `n` pings (one per tick) and counts replies.

@@ -11,15 +11,8 @@
 use crate::schema::{self, ValueType};
 use netsim::link::LinkModel;
 use simkit::time::{SimDuration, VirtOffset};
-use vmm::defense::{DefenseKnobs, DefenseMode, DefensePolicy};
+use vmm::defense::{DefenseArm, DefenseKnobs, DefenseMode};
 use vmm::devices::PlatformClocks;
-
-/// The registered defense-arm names, alphabetical — the `defense` knob's
-/// enum options. Kept in lockstep with `vmm::defense::ARMS` by the
-/// `defense_knob_matches_the_registry` test (the list must be `'static`
-/// for [`ValueType::Enum`], so it cannot be built from the registry at
-/// runtime).
-static DEFENSE_ARMS: &[&str] = &["baseline", "bucketed", "deterland", "stopwatch"];
 
 /// Which disk medium backs the hosts (Sec. VII-D conjectures SSDs would
 /// shrink Δd).
@@ -227,11 +220,11 @@ impl CloudConfig {
     /// On an arm name the registry does not know — unreachable through
     /// [`CloudConfig::apply`], which validates the `defense` knob, but
     /// possible when the field is assigned directly.
-    pub fn defense_arm(&self) -> &'static dyn DefensePolicy {
+    pub fn defense_arm(&self) -> &'static DefenseArm {
         vmm::defense::arm(&self.defense).unwrap_or_else(|| {
             panic!(
                 "{}",
-                schema::unknown_key("defense arm", &self.defense, DEFENSE_ARMS)
+                schema::unknown_key("defense arm", &self.defense, vmm::defense::arm_names())
             )
         })
     }
@@ -361,12 +354,16 @@ static KNOBS: &[KnobSpec] = &[
     },
     KnobSpec {
         key: "defense",
-        ty: ValueType::Enum(DEFENSE_ARMS),
+        ty: ValueType::Enum(vmm::defense::arm_names()),
         doc: "defense arm guarding the timing channels (see the describe defenses section)",
         get: |c| c.defense.clone(),
         set: |c, v| {
             if vmm::defense::arm(v).is_none() {
-                return Err(schema::unknown_key("defense arm", v, DEFENSE_ARMS));
+                return Err(schema::unknown_key(
+                    "defense arm",
+                    v,
+                    vmm::defense::arm_names(),
+                ));
             }
             c.defense = v.to_string();
             Ok(())
@@ -719,17 +716,14 @@ mod tests {
 
     #[test]
     fn defense_knob_matches_the_registry() {
-        // The static enum list the knob schema exposes must track the
-        // vmm::defense registry exactly.
-        assert_eq!(DEFENSE_ARMS, vmm::defense::arm_names().as_slice());
         // Every arm's declared knob keys exist in the config schema, so
         // `swbench describe` can cross-link them.
         for a in vmm::defense::ARMS {
-            for key in a.knobs() {
+            for key in a.knobs {
                 assert!(
                     CloudConfig::knob(key).is_some(),
                     "arm {:?} reads unknown knob {key:?}",
-                    a.name()
+                    a.name
                 );
             }
         }
@@ -749,11 +743,15 @@ mod tests {
         use vmm::slot::DefenseMode;
 
         let mut c = CloudConfig::default();
-        assert_eq!(c.defense_arm().name(), "stopwatch");
-        assert!(c.defense_arm().replicated());
+        assert_eq!(c.defense_arm().name, "stopwatch");
         assert_eq!(
             c.defense_mode(),
-            DefenseMode::stop_watch(c.delta_n, c.delta_d, c.delta_t, c.replicas)
+            DefenseMode::StopWatch {
+                delta_n: c.delta_n,
+                delta_d: c.delta_d,
+                delta_t: c.delta_t,
+                replicas: c.replicas
+            }
         );
         c.apply("defense", "baseline").unwrap();
         assert_eq!(c.defense_mode(), DefenseMode::baseline());

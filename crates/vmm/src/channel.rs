@@ -2,39 +2,41 @@
 //!
 //! StopWatch's central claim (paper Secs. V–VI) is that *every* timing
 //! channel an attacker can observe — network interrupts, cache-probe
-//! readouts, disk/DMA completions — must be delivered at replica-agreed
-//! times; a channel mitigated ad hoc (or forgotten) leaks on its own.
-//! This module is the joint that makes that a structural property rather
-//! than a per-channel copy of the agreement machinery:
+//! readouts, disk/DMA completions, timer fires — must be delivered at
+//! replica-agreed times; a channel mitigated ad hoc (or forgotten) leaks
+//! on its own. This module is the joint that makes that a structural
+//! property rather than a per-channel copy of the agreement machinery:
 //!
 //! * [`ChannelKind`] names each timing channel the VMM mediates. Every
 //!   kind flows through **one** pending table, **one** early-proposal
 //!   buffer, and **one** replica-median agreement path in
 //!   [`crate::slot::GuestSlot`], and **one** PGM demux in the cloud
-//!   layer. Adding a fourth channel (trace replay, a collaborating
+//!   layer. Adding a fifth channel (trace replay, a collaborating
 //!   attacker's probe stream, ...) is a new kind plus a delivery hook —
 //!   not another fork of `slot.rs`.
-//! * [`ChannelPolicy`] expresses the per-channel knobs that used to be
-//!   special-cased fields: the proposal **offset** (Δn for network
-//!   packets, Δd for disk completions, zero for cache probes) and the
-//!   **synchrony clamp** (whether a median that already passed in this
-//!   replica's virtual time is clamped to "now" and counted, or left in
-//!   the logical past so the readout stays a pure function of agreed
-//!   values).
+//! * What differs per channel and is the same in every configuration is
+//!   a [`ChannelKind`] method: the **synchrony clamp**
+//!   ([`ChannelKind::clamp_counter`]), whether early peer proposals are
+//!   buffered ([`ChannelKind::buffers_early`]), whether delivery is fixed
+//!   on a median-determining majority
+//!   ([`ChannelKind::fixes_on_majority`]), and which counter records a
+//!   local overrun of the release bound
+//!   ([`ChannelKind::overrun_counter`]). The one configured part, the
+//!   proposal offset (Δn, Δd, Δt; zero for cache), lives in
+//!   [`crate::defense::DefenseMode::StopWatch`] and is read through
+//!   [`crate::defense::DefenseMode::offset`].
 //!
 //! # Why the clamp differs per channel
 //!
 //! Network packets arrive from *outside* the replica set; the agreed
 //! median lying in the past means the synchrony assumption broke (paper
 //! footnote 4) — the packet is delivered "now", diverging this replica,
-//! and `sync_violations` records it. Cache probes and disk completions
-//! are *guest-initiated*: the guest blocks on them, so an agreed
-//! timestamp behind the physical clock projection is routine (the
+//! and `sync_violations` records it. Cache probes, disk completions and
+//! timer fires are *guest-initiated*: the guest blocks on them, so an
+//! agreed timestamp behind the physical clock projection is routine (the
 //! interrupt simply fires at the next exit) and the guest-visible value
 //! stays a pure function of agreed values on every replica. Clamping
 //! those to per-replica "now" would be the divergence, not the cure.
-
-use simkit::time::VirtOffset;
 
 /// A timing channel mediated by the VMM: the kinds of interrupt whose
 /// delivery times replicas agree on.
@@ -108,32 +110,31 @@ impl ChannelKind {
             ChannelKind::Cache => 3,
         }
     }
-}
 
-/// How one channel's proposals and deliveries behave — the per-channel
-/// policy that used to be special-cased fields (`delta_n`, `delta_d`) and
-/// divergent method bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelPolicy {
-    /// Virtual-time offset added to every local proposal (Δn for network,
-    /// Δd for disk, zero for cache probes — their proposal *is* the
-    /// locally measured completion time).
-    pub offset: VirtOffset,
     /// When the agreed median already passed in this replica's virtual
     /// time: `Some(counter)` clamps delivery to "now" and bumps the named
     /// slot counter (network packets — synchrony violation, footnote 4);
-    /// `None` keeps the agreed time so delivery fires at the next exit
-    /// and the readout stays replica-identical (cache, disk).
-    pub clamp_counter: Option<&'static str>,
+    /// `None` keeps the agreed time so delivery fires at the next exit and
+    /// the readout stays replica-identical (see the module docs).
+    pub fn clamp_counter(self) -> Option<&'static str> {
+        match self {
+            ChannelKind::Net => Some("sync_violations"),
+            ChannelKind::Cache | ChannelKind::Disk | ChannelKind::Timer => None,
+        }
+    }
+
     /// Whether a peer proposal arriving before this replica opened the
     /// matching pending entry is buffered until the local open. `true`
-    /// for guest-initiated channels (cache, disk): the local open is
-    /// guaranteed by replica determinism, so dropping the proposal would
-    /// deadlock the agreement. `false` for externally created entries
-    /// (net): the packet copy that opens the entry can be lost on a
-    /// lossy fabric, and buffering for an open that never comes would
+    /// for guest-initiated channels (cache, disk, timer): the local open
+    /// is guaranteed by replica determinism, so dropping the proposal
+    /// would deadlock the agreement. `false` for externally created
+    /// entries (net): the packet copy that opens the entry can be lost on
+    /// a lossy fabric, and buffering for an open that never comes would
     /// leak the buffer entry forever.
-    pub buffer_early: bool,
+    pub fn buffers_early(self) -> bool {
+        self != ChannelKind::Net
+    }
+
     /// Whether delivery is fixed as soon as the proposals received so far
     /// *determine* the median (no assignment of the missing proposals can
     /// change it — e.g. two equal proposals out of three). `true` for the
@@ -144,66 +145,19 @@ pub struct ChannelPolicy {
     /// lag into ever-later medians. `false` for the physically-gated
     /// channels (net/disk arrivals, cache exits), whose proposals reach
     /// every replica promptly regardless of virtual-time skew.
-    pub fix_on_majority: bool,
-}
-
-/// The full per-channel policy table of one StopWatch slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChannelPolicies {
-    net: ChannelPolicy,
-    cache: ChannelPolicy,
-    disk: ChannelPolicy,
-    timer: ChannelPolicy,
-}
-
-impl ChannelPolicies {
-    /// The paper's StopWatch policy set: Δn-offset clamped network
-    /// delivery, unclamped zero-offset cache readouts, Δd-offset
-    /// unclamped disk completions, Δt-offset unclamped timer fires.
-    pub fn stopwatch(delta_n: VirtOffset, delta_d: VirtOffset, delta_t: VirtOffset) -> Self {
-        ChannelPolicies {
-            net: ChannelPolicy {
-                offset: delta_n,
-                clamp_counter: Some("sync_violations"),
-                buffer_early: false,
-                fix_on_majority: false,
-            },
-            cache: ChannelPolicy {
-                offset: VirtOffset::from_nanos(0),
-                clamp_counter: None,
-                buffer_early: true,
-                fix_on_majority: false,
-            },
-            disk: ChannelPolicy {
-                offset: delta_d,
-                clamp_counter: None,
-                buffer_early: true,
-                fix_on_majority: false,
-            },
-            // Timers are guest-armed, so the pending entry exists on every
-            // replica before any proposal can arrive — buffer early peers
-            // like the other guest-initiated channels. The Δt offset is
-            // measured from the *programmed deadline*, not the dispatch
-            // time, so scheduler jitter never reaches the proposal; and
-            // because proposals are virtual-time-gated, delivery is fixed
-            // the moment the received proposals pin the median rather than
-            // waiting on the slowest (most contended) replica's fire.
-            timer: ChannelPolicy {
-                offset: delta_t,
-                clamp_counter: None,
-                buffer_early: true,
-                fix_on_majority: true,
-            },
-        }
+    pub fn fixes_on_majority(self) -> bool {
+        self == ChannelKind::Timer
     }
 
-    /// The policy of one channel.
-    pub fn policy(&self, kind: ChannelKind) -> &ChannelPolicy {
-        match kind {
-            ChannelKind::Net => &self.net,
-            ChannelKind::Cache => &self.cache,
-            ChannelKind::Disk => &self.disk,
-            ChannelKind::Timer => &self.timer,
+    /// The slot counter that records a StopWatch proposal past its
+    /// release bound `anchor + Δ`: the local device overran an offset
+    /// sized too small (paper Sec. V-A). Disk and timer only: a cache
+    /// probe's offset is zero by design, and a packet has no anchor.
+    pub fn overrun_counter(self) -> Option<&'static str> {
+        match self {
+            ChannelKind::Disk => Some("dd_violations"),
+            ChannelKind::Timer => Some("dt_violations"),
+            ChannelKind::Net | ChannelKind::Cache => None,
         }
     }
 }
@@ -211,6 +165,7 @@ impl ChannelPolicies {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkit::time::VirtOffset;
 
     #[test]
     fn wire_ids_are_stable_and_distinct() {
@@ -222,35 +177,45 @@ mod tests {
 
     #[test]
     fn stopwatch_policies_route_offsets_per_channel() {
-        let p = ChannelPolicies::stopwatch(
-            VirtOffset::from_millis(10),
-            VirtOffset::from_millis(12),
-            VirtOffset::from_millis(8),
-        );
-        assert_eq!(p.policy(ChannelKind::Net).offset.as_millis_f64(), 10.0);
-        assert_eq!(p.policy(ChannelKind::Disk).offset.as_millis_f64(), 12.0);
-        assert_eq!(p.policy(ChannelKind::Timer).offset.as_millis_f64(), 8.0);
-        assert_eq!(p.policy(ChannelKind::Cache).offset.as_nanos(), 0);
-        assert_eq!(
-            p.policy(ChannelKind::Net).clamp_counter,
-            Some("sync_violations")
-        );
-        assert_eq!(p.policy(ChannelKind::Cache).clamp_counter, None);
-        assert_eq!(p.policy(ChannelKind::Disk).clamp_counter, None);
-        assert_eq!(p.policy(ChannelKind::Timer).clamp_counter, None);
+        use crate::defense::DefenseMode;
+        let mode = DefenseMode::StopWatch {
+            delta_n: VirtOffset::from_millis(10),
+            delta_d: VirtOffset::from_millis(12),
+            delta_t: VirtOffset::from_millis(8),
+            replicas: 3,
+        };
+        let offset = |kind| mode.offset(kind).expect("StopWatch offset");
+        assert_eq!(offset(ChannelKind::Net).as_millis_f64(), 10.0);
+        assert_eq!(offset(ChannelKind::Disk).as_millis_f64(), 12.0);
+        assert_eq!(offset(ChannelKind::Timer).as_millis_f64(), 8.0);
+        assert_eq!(offset(ChannelKind::Cache).as_nanos(), 0);
+        // A local arm proposes nothing, so it has no offset.
+        for kind in ChannelKind::ALL {
+            assert_eq!(DefenseMode::baseline().offset(kind), None);
+        }
+        assert_eq!(ChannelKind::Net.clamp_counter(), Some("sync_violations"));
+        assert_eq!(ChannelKind::Cache.clamp_counter(), None);
+        assert_eq!(ChannelKind::Disk.clamp_counter(), None);
+        assert_eq!(ChannelKind::Timer.clamp_counter(), None);
         // Guest-initiated channels buffer early peers (the local open is
         // guaranteed); externally opened net entries do not.
-        assert!(!p.policy(ChannelKind::Net).buffer_early);
-        assert!(p.policy(ChannelKind::Cache).buffer_early);
-        assert!(p.policy(ChannelKind::Disk).buffer_early);
-        assert!(p.policy(ChannelKind::Timer).buffer_early);
+        assert!(!ChannelKind::Net.buffers_early());
+        assert!(ChannelKind::Cache.buffers_early());
+        assert!(ChannelKind::Disk.buffers_early());
+        assert!(ChannelKind::Timer.buffers_early());
         // Only the virtual-time-gated timer channel fixes delivery on a
         // median-determining majority; the physically-gated channels wait
         // for the full proposal set so their traces are unchanged.
-        assert!(!p.policy(ChannelKind::Net).fix_on_majority);
-        assert!(!p.policy(ChannelKind::Cache).fix_on_majority);
-        assert!(!p.policy(ChannelKind::Disk).fix_on_majority);
-        assert!(p.policy(ChannelKind::Timer).fix_on_majority);
+        assert!(!ChannelKind::Net.fixes_on_majority());
+        assert!(!ChannelKind::Cache.fixes_on_majority());
+        assert!(!ChannelKind::Disk.fixes_on_majority());
+        assert!(ChannelKind::Timer.fixes_on_majority());
+        // Only the anchored channels with a configured offset count an
+        // overrun of their release bound.
+        assert_eq!(ChannelKind::Net.overrun_counter(), None);
+        assert_eq!(ChannelKind::Cache.overrun_counter(), None);
+        assert_eq!(ChannelKind::Disk.overrun_counter(), Some("dd_violations"));
+        assert_eq!(ChannelKind::Timer.overrun_counter(), Some("dt_violations"));
     }
 
     #[test]

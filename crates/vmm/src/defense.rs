@@ -28,26 +28,33 @@
 //!
 //! # Registering a new arm
 //!
-//! Implement [`DefensePolicy`] on a unit struct, add it to [`ARMS`]
-//! (alphabetical), and list the `CloudConfig` knob keys it reads in
-//! [`DefensePolicy::knobs`]. The config layer (`cfg.defense`) and the
+//! Add a [`DefenseArm`] row to [`ARMS`] (alphabetical): its name, a
+//! one-line description, the `CloudConfig` knob keys it reads, and the
+//! lowering to a [`DefenseMode`]. The lowered mode is the only record of
+//! what an arm does: a `StopWatch` mode replicates the guest, a `Local`
+//! one runs it on one host. The config layer (`cfg.defense`) and the
 //! sweep validator resolve arm names through [`arm`]/[`arm_names`], so a
 //! registered arm is immediately sweepable and shows up in `swbench
 //! describe`.
 
-use crate::channel::ChannelPolicies;
+use crate::channel::ChannelKind;
 use simkit::time::{VirtNanos, VirtOffset};
 
 /// Defense configuration of one guest slot — the hot-path form every
-/// [`DefensePolicy`] lowers to.
+/// [`DefenseArm`] lowers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefenseMode {
-    /// StopWatch: replica-median agreement on every timing channel, with
-    /// per-channel [`crate::channel::ChannelPolicy`] offsets (Δn, Δd, Δt)
-    /// and clamping; guest outputs tunneled to the egress.
+    /// StopWatch: replica-median agreement on every timing channel, each
+    /// replica proposing its channel's offset past the event's anchor
+    /// (see [`DefenseMode::offset`]); guest outputs tunneled to the
+    /// egress.
     StopWatch {
-        /// Per-channel proposal/delivery policies.
-        channels: ChannelPolicies,
+        /// Network delivery offset Δn.
+        delta_n: VirtOffset,
+        /// Disk release offset Δd.
+        delta_d: VirtOffset,
+        /// Timer release offset Δt (from the programmed deadline).
+        delta_t: VirtOffset,
         /// Number of replicas (3 in the paper; 5 discussed in Sec. IX).
         replicas: usize,
     },
@@ -60,26 +67,34 @@ pub enum DefenseMode {
 }
 
 impl DefenseMode {
-    /// The paper's StopWatch arm: Δn network offsets, Δd disk offsets,
-    /// Δt timer offsets, unclamped zero-offset cache readouts.
-    pub fn stop_watch(
-        delta_n: VirtOffset,
-        delta_d: VirtOffset,
-        delta_t: VirtOffset,
-        replicas: usize,
-    ) -> Self {
-        DefenseMode::StopWatch {
-            channels: ChannelPolicies::stopwatch(delta_n, delta_d, delta_t),
-            replicas,
-        }
-    }
-
     /// Unmodified Xen: interrupts delivered at the earliest exit, outputs
     /// sent directly.
     pub fn baseline() -> Self {
         DefenseMode::Local {
             release: ReleaseRule::Identity,
         }
+    }
+
+    /// The StopWatch proposal offset of `kind`'s events: Δn, Δd or Δt,
+    /// and zero for cache probes, whose proposal *is* the locally
+    /// measured completion time. `None` under a local arm, which proposes
+    /// nothing.
+    pub fn offset(&self, kind: ChannelKind) -> Option<VirtOffset> {
+        let DefenseMode::StopWatch {
+            delta_n,
+            delta_d,
+            delta_t,
+            ..
+        } = *self
+        else {
+            return None;
+        };
+        Some(match kind {
+            ChannelKind::Net => delta_n,
+            ChannelKind::Cache => VirtOffset::ZERO,
+            ChannelKind::Disk => delta_d,
+            ChannelKind::Timer => delta_t,
+        })
     }
 }
 
@@ -143,7 +158,7 @@ impl ReleaseRule {
     }
 }
 
-/// The knob values a [`DefensePolicy`] may read when lowering to a
+/// The knob values a [`DefenseArm`] may read when lowering to a
 /// [`DefenseMode`]. Built by the config layer from `CloudConfig` (this
 /// crate cannot see that type); every field maps 1:1 to a config knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,125 +180,87 @@ pub struct DefenseKnobs {
 }
 
 /// One pluggable defense arm: a name the config layer keys on, the
-/// subset of knobs it reads, whether it replicates the guest, and the
-/// lowering to the slot's hot-path [`DefenseMode`].
-pub trait DefensePolicy: Sync {
+/// subset of knobs it reads, and the lowering to the slot's hot-path
+/// [`DefenseMode`].
+#[derive(Debug)]
+pub struct DefenseArm {
     /// The registry key (`cfg.defense` value).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// One-line description for `swbench describe`.
-    fn about(&self) -> &'static str;
+    pub about: &'static str,
     /// The `CloudConfig` knob keys this arm reads (documented there).
-    fn knobs(&self) -> &'static [&'static str];
-    /// `true` when the arm runs the guest on every replica host under
-    /// median agreement; `false` for single-host arms.
-    fn replicated(&self) -> bool;
+    pub knobs: &'static [&'static str],
+    lower: fn(&DefenseKnobs) -> DefenseMode,
+}
+
+impl DefenseArm {
     /// Lowers the arm to the slot's defense mode.
-    fn mode(&self, knobs: &DefenseKnobs) -> DefenseMode;
-}
-
-/// Unmodified Xen.
-struct Baseline;
-
-impl DefensePolicy for Baseline {
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-    fn about(&self) -> &'static str {
-        "unmodified Xen: events deliver at locally observed times"
-    }
-    fn knobs(&self) -> &'static [&'static str] {
-        &[]
-    }
-    fn replicated(&self) -> bool {
-        false
-    }
-    fn mode(&self, _knobs: &DefenseKnobs) -> DefenseMode {
-        DefenseMode::baseline()
-    }
-}
-
-/// Tizpaz-Niari-style bucketed quantization.
-struct Bucketed;
-
-impl DefensePolicy for Bucketed {
-    fn name(&self) -> &'static str {
-        "bucketed"
-    }
-    fn about(&self) -> &'static str {
-        "quantitative mitigation: event lag quantized up to fixed buckets"
-    }
-    fn knobs(&self) -> &'static [&'static str] {
-        &["bucket_ns", "buckets"]
-    }
-    fn replicated(&self) -> bool {
-        false
-    }
-    fn mode(&self, knobs: &DefenseKnobs) -> DefenseMode {
-        DefenseMode::Local {
-            release: ReleaseRule::Quantize {
-                bucket: knobs.bucket,
-                buckets: knobs.buckets,
-            },
-        }
-    }
-}
-
-/// Deterland-style deterministic time-slicing.
-struct Deterland;
-
-impl DefensePolicy for Deterland {
-    fn name(&self) -> &'static str {
-        "deterland"
-    }
-    fn about(&self) -> &'static str {
-        "deterministic time-slicing: events release at the next epoch boundary"
-    }
-    fn knobs(&self) -> &'static [&'static str] {
-        &["epoch_ms"]
-    }
-    fn replicated(&self) -> bool {
-        false
-    }
-    fn mode(&self, knobs: &DefenseKnobs) -> DefenseMode {
-        DefenseMode::Local {
-            release: ReleaseRule::EpochBoundary { epoch: knobs.epoch },
-        }
-    }
-}
-
-/// The paper's replica-median agreement.
-struct StopWatchArm;
-
-impl DefensePolicy for StopWatchArm {
-    fn name(&self) -> &'static str {
-        "stopwatch"
-    }
-    fn about(&self) -> &'static str {
-        "replica-median agreement on every channel's delivery time"
-    }
-    fn knobs(&self) -> &'static [&'static str] {
-        &["delta_n_ms", "delta_d_ms", "delta_t_ms", "replicas"]
-    }
-    fn replicated(&self) -> bool {
-        true
-    }
-    fn mode(&self, knobs: &DefenseKnobs) -> DefenseMode {
-        DefenseMode::stop_watch(knobs.delta_n, knobs.delta_d, knobs.delta_t, knobs.replicas)
+    pub fn mode(&self, knobs: &DefenseKnobs) -> DefenseMode {
+        (self.lower)(knobs)
     }
 }
 
 /// Every registered arm, alphabetical by name (registry iteration order
 /// is presentation order in `swbench describe`).
-pub static ARMS: &[&dyn DefensePolicy] = &[&Baseline, &Bucketed, &Deterland, &StopWatchArm];
+pub const ARMS: &[DefenseArm] = &[
+    DefenseArm {
+        name: "baseline",
+        about: "unmodified Xen: events deliver at locally observed times",
+        knobs: &[],
+        lower: |_| DefenseMode::baseline(),
+    },
+    DefenseArm {
+        name: "bucketed",
+        about: "quantitative mitigation: event lag quantized up to fixed buckets",
+        knobs: &["bucket_ns", "buckets"],
+        lower: |k| DefenseMode::Local {
+            release: ReleaseRule::Quantize {
+                bucket: k.bucket,
+                buckets: k.buckets,
+            },
+        },
+    },
+    DefenseArm {
+        name: "deterland",
+        about: "deterministic time-slicing: events release at the next epoch boundary",
+        knobs: &["epoch_ms"],
+        lower: |k| DefenseMode::Local {
+            release: ReleaseRule::EpochBoundary { epoch: k.epoch },
+        },
+    },
+    DefenseArm {
+        name: "stopwatch",
+        about: "replica-median agreement on every channel's delivery time",
+        knobs: &["delta_n_ms", "delta_d_ms", "delta_t_ms", "replicas"],
+        lower: |k| DefenseMode::StopWatch {
+            delta_n: k.delta_n,
+            delta_d: k.delta_d,
+            delta_t: k.delta_t,
+            replicas: k.replicas,
+        },
+    },
+];
+
+/// Every registered arm name, in [`ARMS`] order.
+const ARM_NAMES: [&str; ARMS.len()] = {
+    let mut names = [""; ARMS.len()];
+    let mut i = 0;
+    while i < ARMS.len() {
+        names[i] = ARMS[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// Looks up an arm by registry key.
-pub fn arm(name: &str) -> Option<&'static dyn DefensePolicy> {
-    ARMS.iter().copied().find(|a| a.name() == name)
+pub fn arm(name: &str) -> Option<&'static DefenseArm> {
+    ARMS.iter().find(|a| a.name == name)
 }
 
-/// Every registered arm name, alphabetical.
-pub fn arm_names() -> Vec<&'static str> {
-    ARMS.iter().map(|a| a.name()).collect()
+/// Every registered arm name, alphabetical (the `defense` knob's enum
+/// options).
+pub const fn arm_names() -> &'static [&'static str] {
+    &ARM_NAMES
 }
 
 #[cfg(test)]
@@ -305,23 +282,23 @@ mod tests {
     #[test]
     fn registry_is_alphabetical_and_resolvable() {
         let names = arm_names();
-        let mut sorted = names.clone();
+        let mut sorted = names.to_vec();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "ARMS must stay alphabetical");
-        assert_eq!(
-            names,
-            vec!["baseline", "bucketed", "deterland", "stopwatch"]
-        );
-        for n in names {
-            assert_eq!(arm(n).expect("registered").name(), n);
+        assert_eq!(names, ["baseline", "bucketed", "deterland", "stopwatch"]);
+        for &n in names {
+            assert_eq!(arm(n).expect("registered").name, n);
         }
         assert!(arm("xen").is_none());
     }
 
     #[test]
     fn only_stopwatch_replicates() {
+        // Replication is read off the lowered mode: only StopWatch's
+        // agrees across replicas.
         for a in ARMS {
-            assert_eq!(a.replicated(), a.name() == "stopwatch", "{}", a.name());
+            let replicated = matches!(a.mode(&knobs()), DefenseMode::StopWatch { .. });
+            assert_eq!(replicated, a.name == "stopwatch", "{}", a.name);
         }
     }
 
@@ -331,7 +308,12 @@ mod tests {
         assert_eq!(arm("baseline").unwrap().mode(&k), DefenseMode::baseline());
         assert_eq!(
             arm("stopwatch").unwrap().mode(&k),
-            DefenseMode::stop_watch(k.delta_n, k.delta_d, k.delta_t, 3)
+            DefenseMode::StopWatch {
+                delta_n: k.delta_n,
+                delta_d: k.delta_d,
+                delta_t: k.delta_t,
+                replicas: 3
+            }
         );
         assert_eq!(
             arm("deterland").unwrap().mode(&k),
@@ -353,14 +335,10 @@ mod tests {
     #[test]
     fn arm_knob_lists_are_nonempty_except_baseline() {
         for a in ARMS {
-            if a.name() == "baseline" {
-                assert!(a.knobs().is_empty());
+            if a.name == "baseline" {
+                assert!(a.knobs.is_empty());
             } else {
-                assert!(
-                    !a.knobs().is_empty(),
-                    "{} must document its knobs",
-                    a.name()
-                );
+                assert!(!a.knobs.is_empty(), "{} must document its knobs", a.name);
             }
         }
     }

@@ -224,18 +224,26 @@ impl<'a> GuestEnv<'a> {
 /// the Xen HVM flow the paper modifies. All decisions must be functions of
 /// the handler inputs and [`GuestEnv`] clock reads only — no ambient
 /// randomness, no host state — or replica determinism (and with it the
-/// defense's output voting) breaks.
+/// defense's output voting) breaks. Every handler defaults to a no-op, so
+/// a program implements only the interrupts it reacts to.
 pub trait GuestProgram {
     /// Called once when the VM boots.
-    fn on_boot(&mut self, env: &mut GuestEnv);
+    fn on_boot(&mut self, _env: &mut GuestEnv) {}
 
     /// A network packet was copied into guest memory and its interrupt
     /// asserted.
-    fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv);
+    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
 
     /// A disk operation completed (for reads, `data` holds per-block
     /// content hashes).
-    fn on_disk_done(&mut self, op: DiskOp, range: BlockRange, data: &[u64], env: &mut GuestEnv);
+    fn on_disk_done(
+        &mut self,
+        _op: DiskOp,
+        _range: BlockRange,
+        _data: &[u64],
+        _env: &mut GuestEnv,
+    ) {
+    }
 
     /// A PIT timer interrupt (only delivered when [`GuestProgram::wants_timer`]).
     fn on_timer(&mut self, _env: &mut GuestEnv) {}
@@ -274,18 +282,7 @@ pub trait GuestProgram {
 #[derive(Debug, Clone, Default)]
 pub struct IdleGuest;
 
-impl GuestProgram for IdleGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-    fn on_disk_done(
-        &mut self,
-        _op: DiskOp,
-        _range: BlockRange,
-        _data: &[u64],
-        _env: &mut GuestEnv,
-    ) {
-    }
-}
+impl GuestProgram for IdleGuest {}
 
 #[cfg(test)]
 mod tests {

@@ -364,16 +364,12 @@ mod tests {
             fn on_boot(&mut self, env: &mut GuestEnv) {
                 env.set_timer(1, VirtNanos::from_millis(5));
             }
-            fn on_packet(&mut self, _p: &Packet, _e: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         }
         struct Burn;
         impl GuestProgram for Burn {
             fn on_boot(&mut self, env: &mut GuestEnv) {
                 env.compute(1_000_000_000);
             }
-            fn on_packet(&mut self, _p: &Packet, _e: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         }
         let mut h = host();
         let slot_for = |prog: Box<dyn GuestProgram>, ep: u64| {

@@ -13,20 +13,23 @@
 //!   behind the coresidency channel (Sec. III);
 //! * [`channel`] — the unified timing-channel descriptors: every
 //!   interrupt class an attacker could time (net, cache, disk, timer)
-//!   named by a [`channel::ChannelKind`] with a per-channel
-//!   [`channel::ChannelPolicy`] (Δn/Δd/Δt offsets, synchrony clamping);
-//! * [`defense`] — the pluggable defense arms: StopWatch's replica
-//!   median, Deterland epoch-boundary release, Tizpaz-Niari bucketed
-//!   quantization, and the unprotected baseline, all as release
-//!   policies over the same channel core;
+//!   named by a [`channel::ChannelKind`], whose methods carry the
+//!   per-channel constants (synchrony clamp, early buffering, majority
+//!   fix, overrun counter);
+//! * [`defense`] — the pluggable defense arms, one [`defense::ARMS`] row
+//!   each: StopWatch's replica median (with its Δn/Δd/Δt offsets),
+//!   Deterland epoch-boundary release, Tizpaz-Niari bucketed
+//!   quantization, and the unprotected baseline, all lowered to a
+//!   [`defense::DefenseMode`] over the same channel core;
 //! * [`guest`] — the deterministic guest-program abstraction;
 //! * [`sched`] — the deterministic per-host vCPU scheduler (round-robin
 //!   timeslices, hypercraft-style `switch_vm_timer`/`htimedelta`
 //!   accounting) whose dispatch jitter is the timer channel's leak;
 //! * [`slot`] — the per-guest VMM machinery: guest-caused VM exits,
 //!   interrupt injection at VM entry, hidden device buffers,
-//!   guest-programmable virtual timers, and **one** replica-median
-//!   agreement path shared by every timing channel;
+//!   guest-programmable virtual timers, and **one** `open` and one
+//!   `settle` per channel event, feeding one replica-median agreement
+//!   path shared by every timing channel;
 //! * [`host`] — a physical machine aggregating slots, a disk, a vCPU
 //!   scheduler, and a speed profile.
 //!
@@ -50,9 +53,9 @@ pub mod speed;
 pub mod prelude {
     pub use crate::actions::ActionQueue;
     pub use crate::cache::CacheModel;
-    pub use crate::channel::{ChannelKind, ChannelPolicies, ChannelPolicy};
+    pub use crate::channel::ChannelKind;
     pub use crate::clock::VirtualClock;
-    pub use crate::defense::{DefenseKnobs, DefensePolicy, ReleaseRule};
+    pub use crate::defense::{DefenseArm, DefenseKnobs, ReleaseRule};
     pub use crate::devices::{PlatformClocks, TimePolicy};
     pub use crate::guest::{GuestAction, GuestEnv, GuestProgram, IdleGuest};
     pub use crate::host::HostMachine;

@@ -10,9 +10,9 @@
 //!   `(injection branch, delivery virt, class rank, id, kind)` holding
 //!   exactly the rows whose delivery is fixed and whose data is ready,
 //!   so the query reads the set's first element instead of scanning
-//!   every live row. The four mutators that can make a row injectable or
-//!   retire it — `insert_local`, `set_deliver`, `set_ready`, `remove` —
-//!   keep the index in step with the columns.
+//!   every live row. The three mutators that can make a row injectable or
+//!   retire it — `set_deliver`, `set_ready`, `remove` — keep the index in
+//!   step with the columns.
 //! * **Point updates** — opening an entry, pushing a proposal, fixing a
 //!   delivery, injecting. An `FxHashMap` keyed by `(kind, seq)` resolves
 //!   to a row index; freed rows are recycled through a free list, so a
@@ -192,7 +192,8 @@ impl PendingTable {
         row
     }
 
-    /// Opens an entry awaiting `needed` replica proposals.
+    /// Opens an entry awaiting `needed` replica proposals (1 under a local
+    /// arm, whose entry awaits only its own settlement).
     pub fn insert_agreeing(
         &mut self,
         kind: ChannelKind,
@@ -203,27 +204,6 @@ impl PendingTable {
         let row = self.acquire(kind, seq, needed);
         self.ready[row as usize] = payload.ready();
         self.payload[row as usize] = Some(payload);
-        row
-    }
-
-    /// Opens an entry already fixed at a locally decided delivery time
-    /// (baseline arms). `inj_branch` is the caller-computed injection
-    /// branch of `deliver`.
-    pub fn insert_local(
-        &mut self,
-        kind: ChannelKind,
-        seq: u64,
-        payload: ChannelPayload,
-        deliver: VirtNanos,
-        inj_branch: u64,
-    ) -> Row {
-        let row = self.acquire(kind, seq, 1);
-        let r = row as usize;
-        self.ready[r] = payload.ready();
-        self.payload[r] = Some(payload);
-        self.deliver[r] = Some(deliver);
-        self.inj_branch[r] = inj_branch;
-        self.index_if_due(r);
         row
     }
 
@@ -292,12 +272,6 @@ impl PendingTable {
     pub fn payload_mut(&mut self, row: Row) -> &mut ChannelPayload {
         self.payload[row as usize]
             .as_mut()
-            .expect("live row has a payload")
-    }
-
-    pub fn payload_of(&self, row: Row) -> &ChannelPayload {
-        self.payload[row as usize]
-            .as_ref()
             .expect("live row has a payload")
     }
 
@@ -472,7 +446,8 @@ mod tests {
             period: None,
         };
         let tick = VirtNanos::from_nanos(500);
-        t.insert_local(ChannelKind::Timer, 0, timer, tick, 10);
+        let timer_row = t.insert_agreeing(ChannelKind::Timer, 0, timer, 1);
+        t.set_deliver(timer_row, tick, 10);
         let pit = Some((tick, 10));
         assert_eq!(t.next_due(pit, 10), Some((10, tick, 0, 0, None)));
         assert_eq!(t.next_due(pit, 10), scan_next_due(&t, pit, 10));
@@ -529,7 +504,8 @@ mod tests {
             // A local arm's open, already fixed.
             1 if t.row(kind, seq).is_none() => {
                 let in_flight = (a >> 6) & 1 == 1;
-                t.insert_local(kind, seq, payload_for(kind, in_flight), deliver, c);
+                let row = t.insert_agreeing(kind, seq, payload_for(kind, in_flight), 1);
+                t.set_deliver(row, deliver, c);
             }
             // Fix an open row's delivery (before or after its data).
             2 => {

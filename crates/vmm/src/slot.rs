@@ -7,14 +7,28 @@
 //!   points where interrupts are injected (Sec. IV-B);
 //! * the **unified timing-channel core**: every interrupt class whose
 //!   timing an attacker could observe — network packets (Sec. V-B,
-//!   Fig. 3), shared-LLC probe readouts (Sec. III), and disk/DMA
-//!   completions (Sec. V-A) — flows through one pending table, one
-//!   early-proposal buffer, and one replica-median agreement path,
-//!   parameterized by [`ChannelKind`] and its [`ChannelPolicy`]
-//!   (Δn/Δd offsets, synchrony clamping);
+//!   Fig. 3), shared-LLC probe readouts (Sec. III), disk/DMA
+//!   completions (Sec. V-A) and virtual-timer fires — flows through one
+//!   pending table, one early-proposal buffer, and one replica-median
+//!   agreement path, parameterized by [`ChannelKind`];
 //! * delivery of data *only at injection time* (no early polling);
 //! * detection of synchrony violations (median already passed — paper
-//!   footnote 4) and Δd violations (the local disk overran Δd).
+//!   footnote 4) and Δd/Δt violations (the local device overran its
+//!   release bound).
+//!
+//! # One `open`, one `settle`
+//!
+//! Every channel event takes the same two steps, and they are the only
+//! places the defense arm is decided. `open` files the event in the
+//! pending table: under StopWatch it awaits every replica's proposal
+//! (draining peer proposals that arrived first), under a local arm only
+//! its own settlement. `settle` runs once the event is observed locally
+//! — packet arrival, probe latency, disk transfer, hardware timer fire —
+//! at `observed`, anchored at the replica-identical instant `anchor`
+//! where the event has one (issue time, programmed deadline). StopWatch
+//! proposes the release bound `anchor + Δ`, or `observed` when the local
+//! device overran it; a local arm fixes `release.apply(observed,
+//! anchor)` at once. Each call site supplies only its inputs.
 //!
 //! # Determinism model
 //!
@@ -36,19 +50,19 @@
 
 use crate::actions::ActionQueue;
 use crate::cache::CacheModel;
-use crate::channel::{ChannelKind, ChannelPolicy};
+use crate::channel::ChannelKind;
 use crate::clock::VirtualClock;
 pub use crate::defense::{DefenseMode, ReleaseRule};
 use crate::devices::PlatformClocks;
 use crate::guest::{GuestAction, GuestEnv, GuestProgram};
-use crate::pending::{ChannelPayload, Due, PendingTable};
+use crate::pending::{ChannelPayload, Due, PendingTable, Row};
 use crate::speed::SpeedProfile;
 use netsim::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
 use simkit::metrics::Counters;
 use simkit::time::{SimTime, VirtNanos, VirtOffset};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use storage::block::{BlockRange, DiskImage};
 use storage::device::{DiskOp, DiskRequest};
 
@@ -203,14 +217,14 @@ pub enum SlotOutput {
     },
 }
 
-/// Outcome of channel input arriving at this slot's device model (an
-/// inbound packet, a finished disk transfer).
+/// Outcome of settling a locally observed channel event (an inbound
+/// packet, a finished disk transfer, an elapsed hardware timer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalOutcome {
     /// StopWatch: the VMM proposes this virtual delivery time; multicast it
     /// to the peer VMMs.
     Proposal(VirtNanos),
-    /// Baseline: delivery scheduled immediately; just recompute the wake.
+    /// A local arm fixed the delivery time; just recompute the wake.
     Scheduled,
 }
 
@@ -283,10 +297,12 @@ pub struct GuestSlot {
     next_fire_seq: u64,
     /// Armed virtual timers: guest timer id -> live fire sequence number.
     armed: BTreeMap<u64, u64>,
-    /// Fires cancelled after their hardware event was scheduled; the
-    /// elapse callback consumes (and ignores) them, so the set never
-    /// outlives its events.
-    cancelled_fires: BTreeSet<u64>,
+    /// Fires whose hardware event has not elapsed yet: fire sequence
+    /// number -> programmed deadline, or `None` once the guest cancelled
+    /// the fire (its elapse is then consumed silently). The deadline
+    /// outlives the pending entry: StopWatch may deliver a fire from its
+    /// peers' proposals before this host's own hardware event elapses.
+    hw_fires: FxHashMap<u64, Option<VirtNanos>>,
     out_seq: u64,
     ticks_delivered: u64,
     // Telemetry.
@@ -348,7 +364,7 @@ impl GuestSlot {
             next_probe_id: 0,
             next_fire_seq: 0,
             armed: BTreeMap::new(),
-            cancelled_fires: BTreeSet::new(),
+            hw_fires: FxHashMap::default(),
             out_seq: 0,
             ticks_delivered: 0,
             counters: Counters::new(),
@@ -467,27 +483,6 @@ impl GuestSlot {
         let branch = self.injection_branch(tick);
         self.pit_memo.set((n, tick.as_nanos(), branch));
         (tick, branch)
-    }
-
-    /// The policy of one channel under the current defense mode (local
-    /// arms never consult a channel policy — their entries are delivered
-    /// at locally decided, release-rule-shaped times).
-    fn policy(&self, kind: ChannelKind) -> Option<&ChannelPolicy> {
-        match &self.cfg.mode {
-            DefenseMode::StopWatch { channels, .. } => Some(channels.policy(kind)),
-            DefenseMode::Local { .. } => None,
-        }
-    }
-
-    /// A local arm's delivery time for an event locally observed at
-    /// `local`, anchored at `reference` where the event has a
-    /// replica-identical issue instant (see [`ReleaseRule::apply`]).
-    /// Identity under baseline; never called in StopWatch mode.
-    fn local_release(&self, local: VirtNanos, reference: Option<VirtNanos>) -> VirtNanos {
-        match self.cfg.mode {
-            DefenseMode::Local { release } => release.apply(local, reference),
-            DefenseMode::StopWatch { .. } => local,
-        }
     }
 
     /// Runs a guest handler at logical position `at_pc`. `irq_timestamp`
@@ -666,7 +661,6 @@ impl GuestSlot {
                     "cache_misses"
                 });
                 let issue_virt = self.clock.virt(self.pc);
-                let local = issue_virt + VirtOffset::from_nanos(latency);
                 let probe_id = self.next_probe_id;
                 self.next_probe_id += 1;
                 let payload = ChannelPayload::Cache {
@@ -674,32 +668,19 @@ impl GuestSlot {
                     tag,
                     issue_virt,
                 };
-                match self.policy(ChannelKind::Cache) {
-                    Some(policy) => {
-                        // Hidden until the replicas agree: propose our
-                        // locally measured completion time and wait for
-                        // the median (Fig. 3's flow, cache edition).
-                        let proposal = local + policy.offset;
-                        self.open_pending(ChannelKind::Cache, probe_id, payload);
-                        out.push(SlotOutput::Proposal {
-                            kind: ChannelKind::Cache,
-                            seq: probe_id,
-                            proposal,
-                        });
-                    }
-                    None => {
-                        // Local arm: the release-rule-shaped local
-                        // latency is the readout (identity = baseline).
-                        let deliver = self.local_release(local, Some(issue_virt));
-                        let branch = self.injection_branch(deliver);
-                        self.pending.insert_local(
-                            ChannelKind::Cache,
-                            probe_id,
-                            payload,
-                            deliver,
-                            branch,
-                        );
-                    }
+                let row = self.open(ChannelKind::Cache, probe_id, payload);
+                // The locally measured completion is the observation;
+                // under StopWatch it stays hidden until the replicas
+                // agree (Fig. 3's flow, cache edition).
+                let observed = issue_virt + VirtOffset::from_nanos(latency);
+                if let ArrivalOutcome::Proposal(proposal) =
+                    self.settle(ChannelKind::Cache, row, observed, Some(issue_virt))
+                {
+                    out.push(SlotOutput::Proposal {
+                        kind: ChannelKind::Cache,
+                        seq: probe_id,
+                        proposal,
+                    });
                 }
             }
             GuestAction::SetTimer {
@@ -734,7 +715,9 @@ impl GuestSlot {
     /// id) and emits the [`SlotOutput::TimerArm`] the host turns into a
     /// hardware timer event. The pending entry opens *now*, on every
     /// replica, at the same logical point — which is why early peer timer
-    /// proposals can always be buffered (see [`ChannelPolicy`]).
+    /// proposals can always be buffered (see
+    /// [`ChannelKind::buffers_early`]). The fire time is settled when the
+    /// hardware event elapses (see `timer_elapsed`).
     fn arm_timer(
         &mut self,
         timer_id: u64,
@@ -748,55 +731,102 @@ impl GuestSlot {
         let fire_seq = self.next_fire_seq;
         self.next_fire_seq += 1;
         self.armed.insert(timer_id, fire_seq);
+        self.hw_fires.insert(fire_seq, Some(deadline));
         self.counters.incr("timer_arms");
         let payload = ChannelPayload::Timer {
             timer_id,
             deadline,
             period,
         };
-        match self.cfg.mode {
-            DefenseMode::StopWatch { .. } => {
-                // The fire time is agreed later, when each host's timer
-                // hardware elapses and the replicas exchange Δt proposals
-                // (see `timer_elapsed`).
-                self.open_pending(ChannelKind::Timer, fire_seq, payload);
-            }
-            DefenseMode::Local { .. } => {
-                // Delivered at the locally observed fire; `timer_elapsed`
-                // fixes the time (deadline + vCPU dispatch delay, shaped
-                // by the arm's release rule).
-                self.pending
-                    .insert_agreeing(ChannelKind::Timer, fire_seq, payload, 1);
-            }
-        }
+        self.open(ChannelKind::Timer, fire_seq, payload);
         out.push(SlotOutput::TimerArm { fire_seq, deadline });
     }
 
     /// Forgets a live fire: its pending entry, any buffered early peer
-    /// proposals, and marks it so the already-scheduled hardware event is
+    /// proposals, and marks it so a still-scheduled hardware event is
     /// consumed silently.
     fn cancel_fire(&mut self, fire_seq: u64) {
         self.pending.remove(ChannelKind::Timer, fire_seq);
         self.early.remove(&(ChannelKind::Timer.id(), fire_seq));
-        self.cancelled_fires.insert(fire_seq);
+        if let Some(deadline) = self.hw_fires.get_mut(&fire_seq) {
+            *deadline = None;
+        }
     }
 
-    /// Opens an agreement entry for `(kind, seq)` and drains any peer
-    /// proposals that outran this replica. The drain can never complete
-    /// the proposal set (PGM dedups retransmits, so at most
-    /// `replicas - 1` peers are buffered and this replica's own proposal
-    /// is still outstanding), so no clamp check is needed here — the
-    /// zero sentinel would skip it in the impossible case.
-    fn open_pending(&mut self, kind: ChannelKind, seq: u64, payload: ChannelPayload) {
+    /// Opens the pending entry of `kind`'s event `seq`. Under StopWatch it
+    /// awaits every replica's proposal, and peer proposals that outran
+    /// this replica are drained into it. The drain can never complete the
+    /// proposal set (PGM dedups retransmits, so at most `replicas - 1`
+    /// peers are buffered and this replica's own proposal is still
+    /// outstanding), so no clamp check is needed here — the zero sentinel
+    /// would skip it in the impossible case. Under a local arm the entry
+    /// awaits only its own [`GuestSlot::settle`].
+    fn open(&mut self, kind: ChannelKind, seq: u64, payload: ChannelPayload) -> Row {
         let DefenseMode::StopWatch { replicas, .. } = self.cfg.mode else {
-            unreachable!("agreement entries are a StopWatch flow");
+            return self.pending.insert_agreeing(kind, seq, payload, 1);
         };
-        self.pending.insert_agreeing(kind, seq, payload, replicas);
+        let row = self.pending.insert_agreeing(kind, seq, payload, replicas);
         if let Some(early) = self.early.remove(&(kind.id(), seq)) {
             for p in early {
                 self.record_proposal(kind, seq, p, VirtNanos::ZERO);
             }
         }
+        row
+    }
+
+    /// Settles `kind`'s event `row`, observed locally at `observed` and
+    /// anchored at its replica-identical instant `anchor` where it has
+    /// one. StopWatch returns this replica's proposal (see
+    /// [`GuestSlot::propose`]) for the caller to multicast; a local arm
+    /// fixes the delivery at `release.apply(observed, anchor)` at once.
+    fn settle(
+        &mut self,
+        kind: ChannelKind,
+        row: Row,
+        observed: VirtNanos,
+        anchor: Option<VirtNanos>,
+    ) -> ArrivalOutcome {
+        match self.cfg.mode {
+            DefenseMode::StopWatch { .. } => {
+                ArrivalOutcome::Proposal(self.propose(kind, observed, anchor))
+            }
+            DefenseMode::Local { release } => {
+                let deliver = release.apply(observed, anchor);
+                let branch = self.injection_branch(deliver);
+                self.pending.set_deliver(row, deliver, branch);
+                ArrivalOutcome::Scheduled
+            }
+        }
+    }
+
+    /// StopWatch's proposal for `kind`'s event observed locally at
+    /// `observed`: the release bound `anchor + Δ`, or `observed` when the
+    /// local device overran the bound (counted in
+    /// [`ChannelKind::overrun_counter`]). The anchor is replica-identical,
+    /// so proposals differ only where local devices do. A packet has no
+    /// anchor: its proposal is `observed + Δn`.
+    fn propose(
+        &mut self,
+        kind: ChannelKind,
+        observed: VirtNanos,
+        anchor: Option<VirtNanos>,
+    ) -> VirtNanos {
+        let delta = self
+            .cfg
+            .mode
+            .offset(kind)
+            .expect("only StopWatch proposes: a local arm settles its own entry");
+        let Some(anchor) = anchor else {
+            return observed + delta;
+        };
+        let bound = anchor + delta;
+        if bound >= observed {
+            return bound;
+        }
+        if let Some(counter) = kind.overrun_counter() {
+            self.counters.incr(counter);
+        }
+        observed
     }
 
     fn inject(
@@ -909,21 +939,10 @@ impl GuestSlot {
             issue_virt: self.clock.virt(self.pc),
             data: None,
         };
-        match self.cfg.mode {
-            DefenseMode::StopWatch { .. } => {
-                // The completion timestamp is agreed later, when the host
-                // transfers finish and the replicas exchange proposals
-                // (see `disk_ready`). Peers with faster disks may already
-                // have proposed this op.
-                self.open_pending(ChannelKind::Disk, op_id, payload);
-            }
-            DefenseMode::Local { .. } => {
-                // Delivered when the data is ready; `disk_ready` fixes the
-                // time (shaped by the arm's release rule).
-                self.pending
-                    .insert_agreeing(ChannelKind::Disk, op_id, payload, 1);
-            }
-        }
+        // Settled when the host transfer finishes (see `disk_ready`).
+        // Under StopWatch, peers with faster disks may already have
+        // proposed this op.
+        self.open(ChannelKind::Disk, op_id, payload);
         Ok(SlotOutput::DiskSubmit {
             op_id,
             request: DiskRequest { op, range },
@@ -932,8 +951,8 @@ impl GuestSlot {
 
     /// An inbound packet reached this host's device model (step 1 of
     /// Fig. 3). Under StopWatch it is hidden from the guest and a delivery
-    /// proposal is returned for multicast; under Baseline it is scheduled
-    /// for the next exit.
+    /// proposal is returned for multicast; under a local arm it is
+    /// scheduled at the release-shaped arrival time.
     pub fn on_packet_arrival(
         &mut self,
         profile: &SpeedProfile,
@@ -941,23 +960,19 @@ impl GuestSlot {
         ingress_seq: u64,
         packet: Packet,
     ) -> ArrivalOutcome {
-        let payload = ChannelPayload::Net { packet };
-        match self.policy(ChannelKind::Net) {
-            Some(policy) => {
-                let proposal = self.virt_at_last_exit(profile, now) + policy.offset;
-                self.open_pending(ChannelKind::Net, ingress_seq, payload);
-                ArrivalOutcome::Proposal(proposal)
-            }
-            None => {
-                // No replica-identical anchor for an external arrival:
-                // local arms shape the absolute arrival time.
-                let deliver = self.local_release(self.virt_at(profile, now), None);
-                let branch = self.injection_branch(deliver);
-                self.pending
-                    .insert_local(ChannelKind::Net, ingress_seq, payload, deliver, branch);
-                ArrivalOutcome::Scheduled
-            }
-        }
+        let row = self.open(
+            ChannelKind::Net,
+            ingress_seq,
+            ChannelPayload::Net { packet },
+        );
+        // StopWatch's device model reads virtual time as of the last exit
+        // (Fig. 3); a local arm observes the arrival's current virtual
+        // time. An external arrival has no replica-identical anchor.
+        let observed = match self.cfg.mode {
+            DefenseMode::StopWatch { .. } => self.virt_at_last_exit(profile, now),
+            DefenseMode::Local { .. } => self.virt_at(profile, now),
+        };
+        self.settle(ChannelKind::Net, row, observed, None)
     }
 
     /// The host disk finished a transfer for `op_id`; the device model's
@@ -968,7 +983,8 @@ impl GuestSlot {
     /// overran Δd (sized too small, paper Sec. V-A: `dd_violations`
     /// counts it) — and the caller multicasts it; delivery happens at the
     /// replica median, so one contended disk cannot shift what any guest
-    /// observes. Under Baseline the completion is simply scheduled.
+    /// observes. Under a local arm the release-shaped completion is
+    /// scheduled.
     ///
     /// # Errors
     ///
@@ -979,13 +995,8 @@ impl GuestSlot {
         now: SimTime,
         op_id: u64,
     ) -> Result<ArrivalOutcome, SlotError> {
-        let cur_virt = self.virt_at(profile, now);
+        let observed = self.virt_at(profile, now);
         let image = &self.image;
-        let policy = self.policy(ChannelKind::Disk).copied();
-        let release = match self.cfg.mode {
-            DefenseMode::Local { release } => release,
-            DefenseMode::StopWatch { .. } => ReleaseRule::Identity,
-        };
         let Some(row) = self.pending.row(ChannelKind::Disk, op_id) else {
             return Err(SlotError::UnknownDiskOp { op_id });
         };
@@ -1006,32 +1017,7 @@ impl GuestSlot {
             *issue_virt
         };
         self.pending.set_ready(row);
-        match policy {
-            Some(policy) => {
-                // The recorded issue instant is replica-identical;
-                // proposals differ only where local service times do.
-                let release = issue_virt + policy.offset;
-                let proposal = if release < cur_virt {
-                    // Δd was sized below this disk's (possibly contended)
-                    // service time — the local overrun the paper's
-                    // operators watch for.
-                    self.counters.incr("dd_violations");
-                    cur_virt
-                } else {
-                    release
-                };
-                Ok(ArrivalOutcome::Proposal(proposal))
-            }
-            None => {
-                // Local arm: deliver at the next exit after the data is
-                // in, the completion instant shaped by the release rule
-                // anchored at the replica-identical issue time.
-                let deliver = release.apply(cur_virt, Some(issue_virt));
-                let branch = self.injection_branch(deliver);
-                self.pending.set_deliver(row, deliver, branch);
-                Ok(ArrivalOutcome::Scheduled)
-            }
-        }
+        Ok(self.settle(ChannelKind::Disk, row, observed, Some(issue_virt)))
     }
 
     /// The host's hardware timer elapsed for `fire_seq` and the vCPU
@@ -1043,17 +1029,25 @@ impl GuestSlot {
     /// dispatch overran Δt (sized too small: `dt_violations` counts it) —
     /// and the caller multicasts it; delivery happens at the replica
     /// median, so one contended scheduler cannot shift what any guest's
-    /// timer observes. Under Baseline the fire is delivered at the local
-    /// dispatch time, scheduler jitter included — the leak the timer
-    /// workload measures.
+    /// timer observes. Under a local arm the fire is delivered at the
+    /// release-shaped local dispatch time; under baseline that includes
+    /// the scheduler jitter — the leak the timer workload measures.
     ///
     /// Returns `Ok(None)` for a fire the guest cancelled after its
     /// hardware event was scheduled (the cancel already ran identically
     /// on every replica).
     ///
+    /// A StopWatch fire may already be delivered when its hardware event
+    /// elapses: a median-determining majority of peer proposals fixed it
+    /// (see [`ChannelKind::fixes_on_majority`]) and it was injected. Its
+    /// proposal is still returned, because with five replicas a peer may
+    /// still need it; this slot's own [`GuestSlot::add_proposals`] drops
+    /// it as a stray.
+    ///
     /// # Errors
     ///
-    /// [`SlotError::UnknownTimerFire`] when `fire_seq` is not live.
+    /// [`SlotError::UnknownTimerFire`] when `fire_seq` was never armed or
+    /// already elapsed.
     pub fn timer_elapsed(
         &mut self,
         profile: &SpeedProfile,
@@ -1061,54 +1055,26 @@ impl GuestSlot {
         fire_seq: u64,
         sched_delay: VirtOffset,
     ) -> Result<Option<ArrivalOutcome>, SlotError> {
-        if self.cancelled_fires.remove(&fire_seq) {
-            return Ok(None);
-        }
-        let cur_virt = self.virt_at(profile, now);
-        let policy = self.policy(ChannelKind::Timer).copied();
-        let release = match self.cfg.mode {
-            DefenseMode::Local { release } => release,
-            DefenseMode::StopWatch { .. } => ReleaseRule::Identity,
-        };
-        let Some(row) = self.pending.row(ChannelKind::Timer, fire_seq) else {
-            return Err(SlotError::UnknownTimerFire { fire_seq });
-        };
-        let ChannelPayload::Timer { deadline, .. } = *self.pending.payload_of(row) else {
-            return Err(SlotError::UnknownTimerFire { fire_seq });
+        let deadline = match self.hw_fires.remove(&fire_seq) {
+            Some(Some(deadline)) => deadline,
+            Some(None) => return Ok(None),
+            None => return Err(SlotError::UnknownTimerFire { fire_seq }),
         };
         if sched_delay.as_nanos() > 0 {
             self.counters.incr("sched_preemptions");
         }
         // The locally observed fire: the programmed deadline plus however
         // long the run queue held this vCPU (plus any lag of the hardware
-        // event itself).
-        let local_fire = (deadline + sched_delay).max(cur_virt);
-        match policy {
-            Some(policy) => {
-                // The programmed deadline is replica-identical; proposals
-                // differ only where local schedulers do.
-                let release = deadline + policy.offset;
-                let proposal = if release < local_fire {
-                    // Δt was sized below this host's dispatch latency —
-                    // the local overrun the paper's operators watch for.
-                    self.counters.incr("dt_violations");
-                    local_fire
-                } else {
-                    release
-                };
-                Ok(Some(ArrivalOutcome::Proposal(proposal)))
-            }
-            None => {
-                // Local arm: the guest-visible fire is the release-shaped
-                // dispatch time, anchored at the programmed deadline —
-                // identity leaks the scheduler jitter (baseline), an
-                // epoch boundary or bucket grid hides it.
-                let deliver = release.apply(local_fire, Some(deadline));
-                let branch = self.injection_branch(deliver);
-                self.pending.set_deliver(row, deliver, branch);
-                Ok(Some(ArrivalOutcome::Scheduled))
-            }
-        }
+        // event itself). Identity leaks that jitter (baseline); an epoch
+        // boundary, a bucket grid or the replica median hides it.
+        let observed = (deadline + sched_delay).max(self.virt_at(profile, now));
+        let anchor = Some(deadline);
+        let outcome = match self.pending.row(ChannelKind::Timer, fire_seq) {
+            Some(row) => self.settle(ChannelKind::Timer, row, observed, anchor),
+            // Already delivered from the peers' proposals (see above).
+            None => ArrivalOutcome::Proposal(self.propose(ChannelKind::Timer, observed, anchor)),
+        };
+        Ok(Some(outcome))
     }
 
     /// Physical time at which this slot's virtual clock first reaches `v`
@@ -1147,7 +1113,7 @@ impl GuestSlot {
     /// (a peer outran us) is buffered and drained at open — dropping it
     /// would deadlock the agreement. Whether an already-passed median is
     /// clamped to "now" (and counted) is the channel's
-    /// [`ChannelPolicy::clamp_counter`].
+    /// [`ChannelKind::clamp_counter`].
     ///
     /// A burst leaves exactly the state of one single-entry burst per
     /// entry at the same `now`: all entries see the same current virtual
@@ -1191,7 +1157,6 @@ impl GuestSlot {
         proposal: VirtNanos,
         cur_virt: VirtNanos,
     ) -> bool {
-        let policy = self.policy(kind).copied();
         let Some(row) = self.pending.row(kind, seq) else {
             // A peer outran this replica: it proposed an event ours has
             // not opened yet. Guest-initiated channels buffer it for the
@@ -1201,7 +1166,7 @@ impl GuestSlot {
             // An id *below* the kind's local allocation cursor was already
             // opened here (opens are in id order) and has since been
             // delivered or cancelled — also a stray, never re-buffered.
-            if policy.is_some_and(|p| p.buffer_early) && !self.already_opened(kind, seq) {
+            if kind.buffers_early() && !self.already_opened(kind, seq) {
                 self.early
                     .entry((kind.id(), seq))
                     .or_default()
@@ -1221,8 +1186,7 @@ impl GuestSlot {
             // would push the fast replicas' next fires — and thus the next
             // median — ever later. Late stragglers hit the delivered
             // fast-path above or the `already_opened` stray filter.
-            let determined = if received.len() < needed && policy.is_some_and(|p| p.fix_on_majority)
-            {
+            let determined = if received.len() < needed && kind.fixes_on_majority() {
                 median_if_determined(received, needed)
             } else {
                 None
@@ -1239,8 +1203,7 @@ impl GuestSlot {
             // middle element in place (the buffer is dead after this).
             self.pending.median_full(row)
         };
-        let clamp_counter = policy.and_then(|p| p.clamp_counter);
-        let fixed = match clamp_counter.filter(|_| median < cur_virt) {
+        let fixed = match kind.clamp_counter().filter(|_| median < cur_virt) {
             Some(counter) => {
                 // The agreed time already passed in this replica's virtual
                 // time: the synchrony assumption was violated (paper
@@ -1350,12 +1313,12 @@ mod tests {
         SlotConfig {
             endpoint: EndpointId(7),
             exit_every: 50_000, // 50 us at 1e9 b/s
-            mode: DefenseMode::stop_watch(
-                VirtOffset::from_millis(10),
-                VirtOffset::from_millis(10),
-                VirtOffset::from_millis(10),
-                3,
-            ),
+            mode: DefenseMode::StopWatch {
+                delta_n: VirtOffset::from_millis(10),
+                delta_d: VirtOffset::from_millis(10),
+                delta_t: VirtOffset::from_millis(10),
+                replicas: 3,
+            },
             clocks: PlatformClocks::default(),
         }
     }
@@ -1372,18 +1335,9 @@ mod tests {
     }
 
     impl GuestProgram for EchoGuest {
-        fn on_boot(&mut self, _env: &mut GuestEnv) {}
         fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
             self.recv_virt.push(env.now);
             env.send(packet.src(), Body::Raw { tag: 1, len: 64 });
-        }
-        fn on_disk_done(
-            &mut self,
-            _op: DiskOp,
-            _range: BlockRange,
-            _data: &[u64],
-            _env: &mut GuestEnv,
-        ) {
         }
     }
 
@@ -1393,7 +1347,6 @@ mod tests {
         fn on_boot(&mut self, env: &mut GuestEnv) {
             env.disk_read(BlockRange::new(0, 4));
         }
-        fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
         fn on_disk_done(&mut self, op: DiskOp, _r: BlockRange, _d: &[u64], env: &mut GuestEnv) {
             if op == DiskOp::Read {
                 env.compute(1_000_000);
@@ -1752,9 +1705,6 @@ mod tests {
             ticks: u64,
         }
         impl GuestProgram for TimerGuest {
-            fn on_boot(&mut self, _env: &mut GuestEnv) {}
-            fn on_packet(&mut self, _p: &Packet, _e: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
             fn on_timer(&mut self, env: &mut GuestEnv) {
                 self.ticks += 1;
                 assert_eq!(env.pit_ticks, self.ticks);
@@ -1789,7 +1739,6 @@ mod tests {
             fn on_packet(&mut self, _p: &Packet, env: &mut GuestEnv) {
                 env.send(EndpointId(1), Body::Raw { tag: 43, len: 10 });
             }
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         }
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
@@ -1847,8 +1796,6 @@ mod tests {
             env.cache_probe(3, 1); // hit
             env.cache_probe(4, 9); // cold: miss
         }
-        fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-        fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         fn on_cache_probe(&mut self, set: u64, _tag: u64, latency_ns: u64, _env: &mut GuestEnv) {
             self.readouts.push((set, latency_ns));
         }
@@ -2004,8 +1951,6 @@ mod tests {
                 None => env.set_timer(1, deadline),
             }
         }
-        fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-        fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         fn on_vtimer(&mut self, timer_id: u64, env: &mut GuestEnv) {
             assert_eq!(timer_id, 1);
             self.fires.push((env.irq_timestamp, env.now));
@@ -2120,6 +2065,42 @@ mod tests {
     }
 
     #[test]
+    fn stopwatch_fire_fixed_by_peers_still_proposes_when_its_hardware_event_elapses() {
+        let p = profile();
+        let mut cache = CacheModel::new(8, 2);
+        let (mut slot, fire_seq) = boot_vtimer(stopwatch_cfg().mode, 5, None);
+        // Two equal peer proposals of three determine the median, so the
+        // fire is delivered before this host's hardware event elapses.
+        let agreed = VirtNanos::from_millis(15);
+        for _ in 0..2 {
+            slot.add_proposals(&p, SimTime::ZERO, [(ChannelKind::Timer, fire_seq, agreed)]);
+        }
+        let wake = slot
+            .next_wake(&p, SimTime::ZERO)
+            .expect("fixed on majority");
+        slot.process(&p, &mut cache, wake).expect("process");
+        assert_eq!(vtimer_fires(&mut slot).len(), 1);
+        // The late hardware event still proposes deadline + Δt for the
+        // replicas that have not fixed the median yet...
+        let outcome = slot
+            .timer_elapsed(&p, wake, fire_seq, VirtOffset::from_nanos(0))
+            .expect("a late fire is not an error");
+        assert_eq!(outcome, Some(ArrivalOutcome::Proposal(agreed)));
+        // ...and this slot drops its own copy as a stray.
+        assert_eq!(
+            slot.add_proposals(&p, wake, [(ChannelKind::Timer, fire_seq, agreed)]),
+            0
+        );
+        assert_eq!(slot.early_buffered(), 0);
+        assert_eq!(slot.counters().get("vtimer_irq"), 1);
+        // The hardware event is consumed: a second elapse is unknown.
+        assert_eq!(
+            slot.timer_elapsed(&p, wake, fire_seq, VirtOffset::from_nanos(0)),
+            Err(SlotError::UnknownTimerFire { fire_seq })
+        );
+    }
+
+    #[test]
     fn periodic_timer_rearms_from_the_programmed_deadline() {
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
@@ -2156,8 +2137,6 @@ mod tests {
                 env.compute(1_000_000);
                 env.cancel_timer(9);
             }
-            fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
             fn on_vtimer(&mut self, _t: u64, _env: &mut GuestEnv) {
                 panic!("cancelled timer must not fire");
             }
@@ -2204,8 +2183,6 @@ mod tests {
             fn on_boot(&mut self, env: &mut GuestEnv) {
                 env.set_timer(3, VirtNanos::ZERO);
             }
-            fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         }
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
@@ -2240,8 +2217,6 @@ mod tests {
                     VirtOffset::from_nanos(self.period),
                 );
             }
-            fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         }
         let mut slot = slot_with(
             Box::new(OverflowGuest { period: huge }),
@@ -2271,8 +2246,6 @@ mod tests {
                 env.set_timer(5, VirtNanos::from_millis(4));
                 env.set_timer(5, VirtNanos::from_millis(6));
             }
-            fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-            fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
         }
         let p = profile();
         let mut cache = CacheModel::new(8, 2);
@@ -2374,12 +2347,12 @@ mod tests {
     #[should_panic(expected = "odd replica count")]
     fn even_replicas_rejected() {
         let mut cfg = stopwatch_cfg();
-        cfg.mode = DefenseMode::stop_watch(
-            VirtOffset::from_millis(1),
-            VirtOffset::from_millis(1),
-            VirtOffset::from_millis(1),
-            4,
-        );
+        cfg.mode = DefenseMode::StopWatch {
+            delta_n: VirtOffset::from_millis(1),
+            delta_d: VirtOffset::from_millis(1),
+            delta_t: VirtOffset::from_millis(1),
+            replicas: 4,
+        };
         GuestSlot::new(Box::new(IdleGuest), cfg, clock(), DiskImage::new(16));
     }
 
@@ -2396,8 +2369,6 @@ mod tests {
             env.disk_read(BlockRange::new(0, 4));
             env.set_timer(1, VirtNanos::from_millis(5));
         }
-        fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-        fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _e: &mut GuestEnv) {}
     }
 
     /// Everything a proposal can change: the pending rows (fixed

@@ -14,8 +14,6 @@ use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime, VirtNanos};
 use stopwatch_core::cloud::{ClientApp, CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
-use storage::block::BlockRange;
-use storage::device::DiskOp;
 use vmm::guest::{GuestEnv, GuestProgram};
 
 /// The attacker guest: records the virtual time at which each probe packet
@@ -46,15 +44,11 @@ impl AttackerGuest {
 }
 
 impl GuestProgram for AttackerGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
     fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
         if matches!(packet.body(), Body::Raw { tag: 0xBEEF, .. }) {
             self.arrivals.push(env.now);
         }
     }
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
@@ -172,10 +166,6 @@ impl GuestProgram for VictimGuest {
         env.compute(self.burst_branches);
     }
 
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
-
     fn on_timer(&mut self, env: &mut GuestEnv) {
         if env.pit_ticks.is_multiple_of(self.period_ticks) && self.duty_on {
             env.compute(self.burst_branches);
@@ -212,10 +202,6 @@ impl GuestProgram for LoadGuest {
         env.compute(self.chunk);
         env.call_after(0);
     }
-
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
 
     fn on_call(&mut self, _token: u64, env: &mut GuestEnv) {
         env.compute(self.chunk);

@@ -23,11 +23,9 @@ use crate::registry::{
     recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
     WorkloadParams,
 };
-use netsim::packet::{Body, EndpointId, Packet};
+use netsim::packet::{Body, EndpointId};
 use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
-use storage::block::BlockRange;
-use storage::device::DiskOp;
 use vmm::channel::ChannelKind;
 use vmm::guest::{GuestEnv, GuestProgram};
 
@@ -155,10 +153,6 @@ impl GuestProgram for PrimeProbeGuest {
         self.prime(0, env);
     }
 
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
-
     fn on_timer(&mut self, env: &mut GuestEnv) {
         if self.done || self.outstanding > 0 {
             return;
@@ -218,12 +212,6 @@ impl CacheVictimGuest {
 }
 
 impl GuestProgram for CacheVictimGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
-
     fn on_timer(&mut self, env: &mut GuestEnv) {
         if env.pit_ticks.is_multiple_of(self.every_ticks) {
             for way in 0..self.ways {

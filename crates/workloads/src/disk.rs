@@ -27,7 +27,7 @@ use crate::registry::{
     recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
     WorkloadParams,
 };
-use netsim::packet::{Body, EndpointId, Packet};
+use netsim::packet::{Body, EndpointId};
 use simkit::time::VirtNanos;
 use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
@@ -165,10 +165,6 @@ impl DiskProbeGuest {
 }
 
 impl GuestProgram for DiskProbeGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
     fn on_timer(&mut self, env: &mut GuestEnv) {
         if self.done || self.outstanding || env.pit_ticks < self.next_probe_tick {
             return;
@@ -232,12 +228,6 @@ impl DiskSeekVictimGuest {
 }
 
 impl GuestProgram for DiskSeekVictimGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _o: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
-
     fn on_timer(&mut self, env: &mut GuestEnv) {
         if env.pit_ticks.is_multiple_of(self.every_ticks) {
             env.disk_read(BlockRange::new(self.position, 1));

@@ -204,8 +204,6 @@ impl Default for NfsServerGuest {
 }
 
 impl GuestProgram for NfsServerGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
     fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
         let Body::Tcp(seg) = packet.body() else {
             return;

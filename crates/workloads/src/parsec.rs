@@ -136,8 +136,6 @@ impl GuestProgram for ParsecGuest {
         self.issue_next(env);
     }
 
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
     fn on_disk_done(&mut self, _op: DiskOp, _range: BlockRange, _data: &[u64], env: &mut GuestEnv) {
         self.issue_next(env);
     }

@@ -25,12 +25,10 @@ use crate::registry::{
     recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
     WorkloadParams,
 };
-use netsim::packet::{Body, EndpointId, Packet};
+use netsim::packet::{Body, EndpointId};
 use simkit::time::{VirtNanos, VirtOffset};
 use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
 use stopwatch_core::schema::ValueType;
-use storage::block::BlockRange;
-use storage::device::DiskOp;
 use vmm::channel::ChannelKind;
 use vmm::guest::{GuestEnv, GuestProgram};
 
@@ -167,10 +165,6 @@ impl GuestProgram for TimerProbeGuest {
         self.arm_probe(env);
     }
 
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
-
     fn on_vtimer(&mut self, timer_id: u64, env: &mut GuestEnv) {
         if timer_id != PROBE_TIMER || self.done {
             return;
@@ -225,10 +219,6 @@ impl GuestProgram for TimerVictimGuest {
             VirtNanos::from_nanos(self.start.as_nanos() + self.secret * self.window.as_nanos());
         env.set_periodic_timer(BURST_TIMER, first, self.period);
     }
-
-    fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {}
-
-    fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {}
 
     fn on_vtimer(&mut self, timer_id: u64, env: &mut GuestEnv) {
         if timer_id == BURST_TIMER {

@@ -96,8 +96,6 @@ impl Default for FileServerGuest {
 }
 
 impl GuestProgram for FileServerGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
     fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
         let Body::Tcp(seg) = packet.body() else {
             return;
@@ -305,8 +303,6 @@ impl Default for UdpFileGuest {
 }
 
 impl GuestProgram for UdpFileGuest {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
-
     fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
         let Body::Udp(seg) = packet.body() else {
             return;

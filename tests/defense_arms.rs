@@ -44,11 +44,11 @@ fn report(arms: &[&str], threads: usize) -> SweepReport {
 #[test]
 fn every_registered_arm_is_thread_count_invariant() {
     let arms = vmm::defense::arm_names();
-    let one = report(&arms, 1).to_json();
-    let eight = report(&arms, 8).to_json();
+    let one = report(arms, 1).to_json();
+    let eight = report(arms, 8).to_json();
     assert_eq!(one, eight, "1-thread vs 8-thread JSON");
     assert!(one.contains("\"failures\": []"), "runs were not vacuous");
-    for arm in &arms {
+    for arm in arms {
         assert!(
             one.contains(&format!("\"defense\": \"{arm}\"")),
             "arm {arm} missing from the report"

@@ -7,19 +7,10 @@ use stopwatch_repro::prelude::*;
 
 struct Echo;
 impl GuestProgram for Echo {
-    fn on_boot(&mut self, _env: &mut GuestEnv) {}
     fn on_packet(&mut self, packet: &Packet, env: &mut GuestEnv) {
         if let Body::Raw { tag, len } = *packet.body() {
             env.send(packet.src(), Body::Raw { tag: tag + 1, len });
         }
-    }
-    fn on_disk_done(
-        &mut self,
-        _op: storage::device::DiskOp,
-        _r: BlockRange,
-        _d: &[u64],
-        _env: &mut GuestEnv,
-    ) {
     }
 }
 

@@ -171,19 +171,10 @@ impl GuestProgram for OpenerGuest {
         env.disk_read(BlockRange::new(0, 4));
         env.set_timer(1, VirtNanos::from_millis(5));
     }
-    fn on_packet(&mut self, _p: &Packet, _env: &mut GuestEnv) {}
-    fn on_disk_done(
-        &mut self,
-        _op: storage::DiskOp,
-        _r: BlockRange,
-        _d: &[u64],
-        _env: &mut GuestEnv,
-    ) {
-    }
 }
 
 proptest! {
-    /// The early-proposal buffer contract of [`ChannelPolicy::buffer_early`],
+    /// The early-proposal buffer contract of [`ChannelKind::buffers_early`],
     /// across every [`ChannelKind`]: a peer proposal arriving before this
     /// replica opens the matching entry is *buffered then consumed* on the
     /// guest-initiated channels (cache, disk, timer — their local open is
@@ -211,12 +202,7 @@ proptest! {
         let cfg = SlotConfig {
             endpoint: EndpointId(7),
             exit_every: 50_000,
-            mode: DefenseMode::stop_watch(
-                VirtOffset::from_millis(10),
-                VirtOffset::from_millis(10),
-                VirtOffset::from_millis(10),
-                needed,
-            ),
+            mode: DefenseMode::StopWatch { delta_n: VirtOffset::from_millis(10), delta_d: VirtOffset::from_millis(10), delta_t: VirtOffset::from_millis(10), replicas: needed },
             clocks: PlatformClocks::default(),
         };
         let mut slot = GuestSlot::new(

@@ -253,3 +253,43 @@ fn legacy_channels_report_zero_timer_activity() {
         }
     }
 }
+
+/// StopWatch fixes a timer fire as soon as the proposals received
+/// determine its median, so a fast majority can deliver a fire before a
+/// slower replica's own hardware event for it elapses. That late event
+/// must still propose (with five replicas a peer may be waiting for it)
+/// and must not fail the cell. The grid is the one that used to fail 6 of
+/// its 48 scenarios with `timer_elapsed for unknown fire N`.
+#[test]
+fn stopwatch_fire_delivered_before_its_own_hardware_event_keeps_the_cell() {
+    let mut spec = SweepSpec::new("timer-late-fire", "timer-channel")
+        .axis("cfg.delta_t_ms", &["1", "2", "3"])
+        .axis("cfg.replicas", &["3", "5"])
+        .seed_shards(42, 8);
+    spec.base_params = vec![("victim".to_string(), "true".to_string())];
+    spec.base_overrides = vec![("defense".to_string(), "stopwatch".to_string())];
+    let scenarios = spec.scenarios().expect("grid expands");
+    assert_eq!(scenarios.len(), 48);
+    let outcomes = run_scenarios(
+        &scenarios,
+        &RunnerOptions {
+            threads: 2,
+            progress: false,
+        },
+    );
+    let r = SweepReport::from_outcomes("timer-late-fire", &outcomes, None);
+    assert!(r.failures.is_empty(), "failures: {:?}", r.failures);
+    assert_eq!(r.cells.len(), 6);
+    for c in &r.cells {
+        assert_eq!(c.runs, 8, "{}", c.cell);
+        assert_eq!(c.timeouts, 0, "{}", c.cell);
+        let delta_t_ms: f64 = c.params[0].1.parse().expect("Δt axis value");
+        let samples = c.samples.as_slice();
+        assert!(!samples.is_empty(), "{} recorded no fire", c.cell);
+        assert!(
+            samples.iter().all(|&s| s == delta_t_ms),
+            "{}: every fire reads exactly Δt = {delta_t_ms} ms",
+            c.cell
+        );
+    }
+}

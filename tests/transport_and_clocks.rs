@@ -187,12 +187,12 @@ fn attacker_cannot_read_real_time_under_stopwatch() {
     let cfg = SlotConfig {
         endpoint: EndpointId(7),
         exit_every: 50_000,
-        mode: DefenseMode::stop_watch(
-            VirtOffset::from_millis(10),
-            VirtOffset::from_millis(10),
-            VirtOffset::from_millis(10),
-            3,
-        ),
+        mode: DefenseMode::StopWatch {
+            delta_n: VirtOffset::from_millis(10),
+            delta_d: VirtOffset::from_millis(10),
+            delta_t: VirtOffset::from_millis(10),
+            replicas: 3,
+        },
         clocks: PlatformClocks::default(),
     };
     let clock = VirtualClock::new(VirtNanos::ZERO, 1.0);
