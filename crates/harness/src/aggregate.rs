@@ -129,9 +129,11 @@ impl SweepReport {
     /// Folds runner outcomes into a report. `baseline_cell` names the cell
     /// every leakage verdict compares against. `None` pairs each
     /// `victim=true` cell with its `victim=false` sibling when the grid
-    /// has a victim axis, and otherwise compares each cell with the first
-    /// cell with samples that ran the same workload (grid order — declare
-    /// the null arm first).
+    /// has a victim axis, else each defended cell with its
+    /// `cfg.defense=baseline` sibling when the grid has a defense axis,
+    /// and otherwise compares each cell with the first cell with samples
+    /// that ran the same workload (grid order — declare the null arm
+    /// first).
     pub fn from_outcomes(
         name: &str,
         outcomes: &[RunOutcome],
@@ -365,21 +367,51 @@ impl SweepReport {
     }
 }
 
-/// Finds the cell's Baseline sibling — same grid coordinates, but with
-/// the `cfg.defense` axis set to `"baseline"` — and prices the arm
-/// against it. Only meaningful when the sweep actually varies the
-/// defense axis; otherwise there is no sibling and no overhead row.
-fn cell_overhead(cell: &CellAggregate, cells: &[CellAggregate]) -> Option<CellOverhead> {
+/// The cell at `cell`'s grid coordinates but with the first axis that
+/// `on_axis(key, value)` accepts set to `value`; `None` when `cell` has
+/// no such axis or the grid no such cell.
+fn sibling<'a>(
+    cell: &CellAggregate,
+    cells: &'a [CellAggregate],
+    on_axis: fn(&str, &str) -> bool,
+    value: &str,
+) -> Option<&'a CellAggregate> {
+    let axis = cell.params.iter().position(|(k, v)| on_axis(k, v))?;
+    let mut wanted = cell.params.clone();
+    wanted[axis].1 = value.to_string();
+    cells.iter().find(|c| c.params == wanted)
+}
+
+/// A `victim=true` cell's clean sibling: its `victim=false` cell.
+fn victim_sibling<'a>(
+    cell: &CellAggregate,
+    cells: &'a [CellAggregate],
+) -> Option<&'a CellAggregate> {
+    sibling(cell, cells, |k, v| k == "victim" && v == "true", "false")
+}
+
+/// A defended cell's Baseline sibling: same grid coordinates, but with
+/// the `cfg.defense` axis set to `"baseline"`. Only a sweep that varies
+/// the defense axis has one.
+fn baseline_sibling<'a>(
+    cell: &CellAggregate,
+    cells: &'a [CellAggregate],
+) -> Option<&'a CellAggregate> {
     if cell.defense == "baseline" {
         return None;
     }
-    let axis = cell
-        .params
-        .iter()
-        .position(|(k, _)| k == "cfg.defense" || k == "defense")?;
-    let mut wanted = cell.params.clone();
-    wanted[axis].1 = "baseline".to_string();
-    let base = cells.iter().find(|c| c.params == wanted)?;
+    sibling(
+        cell,
+        cells,
+        |k, _| k == "cfg.defense" || k == "defense",
+        "baseline",
+    )
+}
+
+/// Prices the cell's arm against its Baseline sibling; no sibling, no
+/// overhead row.
+fn cell_overhead(cell: &CellAggregate, cells: &[CellAggregate]) -> Option<CellOverhead> {
+    let base = baseline_sibling(cell, cells)?;
     Some(CellOverhead {
         vs_cell: base.cell.clone(),
         throughput_ratio: if base.completed == 0 {
@@ -395,32 +427,29 @@ fn cell_overhead(cell: &CellAggregate, cells: &[CellAggregate]) -> Option<CellOv
 }
 
 fn leakage_verdicts(cells: &[CellAggregate], baseline_cell: Option<&str>) -> Vec<LeakageVerdict> {
-    // With no explicit anchor, a grid with a victim axis judges each
-    // victim cell against the clean (victim=false) cell of the *same*
-    // arm coordinates. Across defense arms this is the verdict that
-    // matters: a clean cell already reads differently per arm by
-    // construction (flat Δ releases vs raw timings), so only the
+    // With no explicit anchor, each cell is judged against the sibling
+    // that differs from it on one axis only, so the verdict measures that
+    // axis and not the workload, file size or rate beside it. A grid with
+    // a victim axis pairs each victim cell with the clean (victim=false)
+    // cell of the *same* arm coordinates. Across defense arms this is the
+    // verdict that matters: a clean cell already reads differently per
+    // arm by construction (flat Δ releases vs raw timings), so only the
     // within-arm comparison says whether the arm closed the channel.
+    // Otherwise a grid with a defense axis pairs each arm with its
+    // Baseline sibling.
     if baseline_cell.is_none() {
-        let paired: Vec<LeakageVerdict> = cells
-            .iter()
-            .filter_map(|c| {
-                let axis = c
-                    .params
-                    .iter()
-                    .position(|(k, v)| k == "victim" && v == "true")?;
-                let mut wanted = c.params.clone();
-                wanted[axis].1 = "false".to_string();
-                let base = cells.iter().find(|b| b.params == wanted)?;
-                verdict_against(base, c)
-            })
-            .collect();
-        if !paired.is_empty() {
-            return paired;
+        for pair in [victim_sibling, baseline_sibling] {
+            let paired: Vec<LeakageVerdict> = cells
+                .iter()
+                .filter_map(|c| verdict_against(pair(c, cells)?, c))
+                .collect();
+            if !paired.is_empty() {
+                return paired;
+            }
         }
     }
-    // Without an explicit anchor, each cell is judged against the first
-    // cell with samples that ran the same workload: a verdict between two
+    // A grid with no such pair judges each cell against the first cell
+    // with samples that ran the same workload: a verdict between two
     // workloads measures the workloads, not the defense. That anchor cell
     // gets no verdict of its own.
     let anchor = |c: &CellAggregate| match baseline_cell {
@@ -515,45 +544,59 @@ mod tests {
         assert!(r.leakage[0].ks_distance > 0.9, "disjoint distributions");
     }
 
-    #[test]
-    fn verdicts_without_a_baseline_compare_cells_of_one_workload() {
-        // A workload axis and no victim axis (the Fig. 5 grid): every
-        // verdict's baseline ran its cell's workload, and each workload's
-        // first cell anchors the others without a verdict of its own.
-        let run = |workload: &str, defense: &str, samples: Vec<f64>| {
-            let cell = format!("workload={workload},cfg.defense={defense}");
-            let mut o = outcome(&cell, 1, samples);
-            let r = o.result.as_mut().expect("built Ok");
-            r.workload = workload.to_string();
-            r.defense = defense.to_string();
-            r.cell_params = vec![
-                ("workload".to_string(), workload.to_string()),
-                ("cfg.defense".to_string(), defense.to_string()),
-            ];
-            o
-        };
-        let outcomes = vec![
-            run("web-http", "baseline", vec![1.0, 2.0]),
-            run("web-http", "stopwatch", vec![11.0, 12.0]),
-            run("web-udp", "baseline", vec![3.0, 4.0]),
-            run("web-udp", "stopwatch", vec![13.0, 14.0]),
-        ];
-        let r = SweepReport::from_outcomes("t", &outcomes, None);
-        let pairs: Vec<(&str, &str)> = r
-            .leakage
+    /// One seed of the grid cell at `params`, run on `workload` under
+    /// `defense`.
+    fn grid_outcome(
+        workload: &str,
+        defense: &str,
+        params: &[(&str, &str)],
+        samples: Vec<f64>,
+    ) -> RunOutcome {
+        let cell: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let mut o = outcome(&cell.join(","), 1, samples);
+        let r = o.result.as_mut().expect("built Ok");
+        r.workload = workload.to_string();
+        r.defense = defense.to_string();
+        r.cell_params = params
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        o
+    }
+
+    fn verdict_pairs(r: &SweepReport) -> Vec<(&str, &str)> {
+        r.leakage
             .iter()
             .map(|v| (v.cell.as_str(), v.baseline.as_str()))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn verdicts_without_a_baseline_compare_cells_of_one_workload() {
+        // A workload axis and neither a victim nor a defense axis: every
+        // verdict's baseline ran its cell's workload, and each workload's
+        // first cell anchors the others without a verdict of its own.
+        let run = |workload: &str, bytes: &str, samples: Vec<f64>| {
+            let params = [("workload", workload), ("bytes", bytes)];
+            grid_outcome(workload, "stopwatch", &params, samples)
+        };
+        let outcomes = vec![
+            run("web-http", "1000", vec![1.0, 2.0]),
+            run("web-http", "100000", vec![11.0, 12.0]),
+            run("web-udp", "1000", vec![3.0, 4.0]),
+            run("web-udp", "100000", vec![13.0, 14.0]),
+        ];
+        let r = SweepReport::from_outcomes("t", &outcomes, None);
         assert_eq!(
-            pairs,
+            verdict_pairs(&r),
             [
                 (
-                    "workload=web-http,cfg.defense=stopwatch",
-                    "workload=web-http,cfg.defense=baseline"
+                    "workload=web-http,bytes=100000",
+                    "workload=web-http,bytes=1000"
                 ),
                 (
-                    "workload=web-udp,cfg.defense=stopwatch",
-                    "workload=web-udp,cfg.defense=baseline"
+                    "workload=web-udp,bytes=100000",
+                    "workload=web-udp,bytes=1000"
                 ),
             ]
         );
@@ -564,6 +607,50 @@ mod tests {
             };
             assert_eq!(workload_of(&v.cell), workload_of(&v.baseline), "{v:?}");
         }
+    }
+
+    #[test]
+    fn verdicts_without_a_baseline_pair_each_arm_with_its_baseline_sibling() {
+        // The Fig. 5 grid (workload x cfg.defense x bytes), no victim
+        // axis: each StopWatch cell is judged against the baseline cell of
+        // the same workload and file size, never against another size, and
+        // baseline cells get no verdict.
+        let mut outcomes = Vec::new();
+        for (w, workload) in ["web-http", "web-udp"].into_iter().enumerate() {
+            for (d, defense) in ["baseline", "stopwatch"].into_iter().enumerate() {
+                for (b, bytes) in ["1000", "100000"].into_iter().enumerate() {
+                    let params = [
+                        ("workload", workload),
+                        ("cfg.defense", defense),
+                        ("bytes", bytes),
+                    ];
+                    let ms = (100 * w + 10 * d + 5 * b) as f64;
+                    outcomes.push(grid_outcome(workload, defense, &params, vec![ms, ms + 1.0]));
+                }
+            }
+        }
+        let r = SweepReport::from_outcomes("t", &outcomes, None);
+        assert_eq!(
+            verdict_pairs(&r),
+            [
+                (
+                    "workload=web-http,cfg.defense=stopwatch,bytes=1000",
+                    "workload=web-http,cfg.defense=baseline,bytes=1000"
+                ),
+                (
+                    "workload=web-http,cfg.defense=stopwatch,bytes=100000",
+                    "workload=web-http,cfg.defense=baseline,bytes=100000"
+                ),
+                (
+                    "workload=web-udp,cfg.defense=stopwatch,bytes=1000",
+                    "workload=web-udp,cfg.defense=baseline,bytes=1000"
+                ),
+                (
+                    "workload=web-udp,cfg.defense=stopwatch,bytes=100000",
+                    "workload=web-udp,cfg.defense=baseline,bytes=100000"
+                ),
+            ]
+        );
     }
 
     fn arm_outcome(defense: &str, samples: Vec<f64>) -> RunOutcome {

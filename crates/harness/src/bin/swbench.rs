@@ -23,8 +23,10 @@
 //!       --duration-s N     simulated-time budget per scenario (default 60)
 //!       --threads N        worker threads (default: all cores)
 //!       --baseline CELL    leakage baseline cell (default: each victim
-//!                          cell's victim=false sibling, else the first
-//!                          cell that ran the same workload)
+//!                          cell's victim=false sibling, else each
+//!                          defended cell's cfg.defense=baseline
+//!                          sibling, else the first cell that ran the
+//!                          same workload)
 //!       --out FILE         JSON output path
 //!
 //! swbench workloads

@@ -202,7 +202,12 @@ proptest! {
         let cfg = SlotConfig {
             endpoint: EndpointId(7),
             exit_every: 50_000,
-            mode: DefenseMode::StopWatch { delta_n: VirtOffset::from_millis(10), delta_d: VirtOffset::from_millis(10), delta_t: VirtOffset::from_millis(10), replicas: needed },
+            mode: DefenseMode::StopWatch {
+                delta_n: VirtOffset::from_millis(10),
+                delta_d: VirtOffset::from_millis(10),
+                delta_t: VirtOffset::from_millis(10),
+                replicas: needed,
+            },
             clocks: PlatformClocks::default(),
         };
         let mut slot = GuestSlot::new(
