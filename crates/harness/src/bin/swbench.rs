@@ -61,7 +61,7 @@ fn main() -> ExitCode {
         }
         Some("workloads") => {
             for w in registry::workloads() {
-                println!("{}", w.name());
+                println!("{}", w.name);
             }
             ExitCode::SUCCESS
         }
@@ -154,8 +154,8 @@ fn describe(which: Option<&str>) -> Result<(), String> {
             );
             // Alphabetical, not table order: the catalogue stays stable
             // when a workload row is added or moved.
-            let mut listed = registry::workloads().to_vec();
-            listed.sort_by(|a, b| a.name().cmp(b.name()));
+            let mut listed: Vec<&Workload> = registry::workloads().iter().collect();
+            listed.sort_by_key(|w| w.name);
             for w in listed {
                 print_workload(w);
             }
@@ -164,11 +164,11 @@ fn describe(which: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-fn print_workload(w: &dyn Workload) {
-    println!("{:<18} {}", w.name(), w.about());
+fn print_workload(w: &Workload) {
+    println!("{:<18} {}", w.name, w.about);
     // Which of the VMM's timing channels (replica-median agreement paths)
     // this workload's guests exercise.
-    let channels: Vec<&str> = w.channels().iter().map(|k| k.name()).collect();
+    let channels: Vec<&str> = w.channels.iter().map(|k| k.name()).collect();
     println!(
         "  channels: {}",
         if channels.is_empty() {
@@ -177,10 +177,10 @@ fn print_workload(w: &dyn Workload) {
             channels.join(", ")
         }
     );
-    if w.params().is_empty() {
+    if w.params.is_empty() {
         println!("  (no parameters)");
     }
-    for p in w.params() {
+    for p in w.params {
         println!(
             "  {:<16} {:<14} {:>12}  {}",
             p.key,

@@ -13,7 +13,7 @@ use simkit::time::{SimDuration, SimTime};
 use std::time::Instant;
 use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::config::CloudConfig;
-use workloads::registry::{self, InstallCtx, Workload, WorkloadParams};
+use workloads::registry::{self, Workload, WorkloadParams};
 
 /// Slot counters folded into every result (summed over all replicas).
 const SLOT_COUNTERS: [&str; 13] = [
@@ -126,12 +126,9 @@ impl Scenario {
             cfg.seed = self.seed;
         }
         lap(&mut phases.resolve_ns);
-        let ctx = InstallCtx {
-            replica_hosts: &entry.replica_hosts,
-            seed: cfg.seed, // post-override: workload streams follow the cloud
-        };
+        // Workload-side randomness follows the post-override cloud seed.
         let mut b = CloudBuilder::new(cfg, entry.hosts);
-        let wl = entry.workload.install(&mut b, &ctx, &entry.params)?;
+        let wl = (entry.workload.install)(&mut b, &entry.replica_hosts, &entry.params)?;
         let mut sim = b.build();
         lap(&mut phases.build_ns);
         let deadline = SimTime::ZERO + self.duration;
@@ -146,8 +143,8 @@ impl Scenario {
             // fails this cell; the rest of the sweep keeps running.
             return Err(format!("slot failure: {err}"));
         }
-        let replicas = sim.cloud.vm_replicas(wl.vm()).len() as u64;
-        let outcome = wl.collect(&mut sim);
+        let replicas = sim.cloud.vm_replicas(wl.vm).len() as u64;
+        let outcome = (wl.collect)(&mut sim);
         let mut counters: Vec<(String, u64)> = sim
             .cloud
             .stats()
@@ -227,7 +224,7 @@ struct ArenaEntry {
     resolved_config: Vec<(String, String)>,
     resolved_params: Vec<(String, String)>,
     params: WorkloadParams,
-    workload: &'static dyn Workload,
+    workload: &'static Workload,
 }
 
 impl ScenarioArena {
@@ -282,11 +279,11 @@ impl ScenarioArena {
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.as_str())),
         );
-        params.validate(&s.workload, workload.params())?;
+        params.validate(workload)?;
         if replica_hosts.is_empty() {
             return Err("workload needs at least one replica host".to_string());
         }
-        let resolved_params = params.resolved(workload.params());
+        let resolved_params = params.resolved(workload.params);
         let resolved_config = cfg
             .resolved()
             .into_iter()

@@ -145,7 +145,7 @@ impl SweepSpec {
             Some(axis) => axis.values.clone(),
             None => vec![self.workload.clone()],
         };
-        let mut in_play: Vec<&dyn Workload> = Vec::new();
+        let mut in_play: Vec<&Workload> = Vec::new();
         for name in &workload_values {
             let w = registry::require(name).map_err(|e| format!("{}: {e}", ctx("workload")))?;
             in_play.push(w);
@@ -158,7 +158,8 @@ impl SweepSpec {
         }
         for (key, value) in &self.base_params {
             for w in &in_play {
-                check_param(&ctx("base parameter"), *w, key, value)?;
+                w.check_param(key, value)
+                    .map_err(|e| format!("{}: {e}", ctx("base parameter")))?;
             }
         }
         for axis in &self.axes {
@@ -184,7 +185,8 @@ impl SweepSpec {
             } else {
                 for w in &in_play {
                     for value in &axis.values {
-                        check_param(&what, *w, &axis.key, value)?;
+                        w.check_param(&axis.key, value)
+                            .map_err(|e| format!("{what}: {e}"))?;
                     }
                 }
             }
@@ -287,45 +289,6 @@ impl SweepSpec {
             drain: self.drain,
             overrides,
         })
-    }
-}
-
-/// Checks one workload-parameter key/value against `workload`'s schema.
-/// An unknown key that names a [`CloudConfig`] knob gets a cross-layer
-/// hint (`cfg.<key>`); other unknown keys get the nearest-parameter
-/// suggestion.
-fn check_param(
-    context: &str,
-    workload: &dyn Workload,
-    key: &str,
-    value: &str,
-) -> Result<(), String> {
-    let specs = workload.params();
-    match specs.iter().find(|s| s.key == key) {
-        Some(spec) => spec.ty.check(value).map_err(|e| {
-            format!(
-                "{context}: workload {:?} parameter {key:?}: {e}",
-                workload.name()
-            )
-        }),
-        None => {
-            if CloudConfig::knob(key).is_some() {
-                return Err(format!(
-                    "{context}: workload {:?} has no parameter {key:?}; \
-                     did you mean the config knob \"cfg.{key}\"?",
-                    workload.name()
-                ));
-            }
-            let keys: Vec<&str> = specs.iter().map(|s| s.key).collect();
-            Err(format!(
-                "{context}: {}",
-                stopwatch_core::schema::unknown_key(
-                    &format!("parameter of workload {:?}", workload.name()),
-                    key,
-                    &keys,
-                )
-            ))
-        }
     }
 }
 

@@ -36,7 +36,7 @@ fn describe_lists_every_knob_and_workload_with_types_and_defaults() {
     assert!(stdout.contains("50:100"), "broadcast_band default missing");
     // Every workload, with params, types and defaults.
     for w in workloads::registry::workloads() {
-        assert!(stdout.contains(w.name()), "workload {} missing", w.name());
+        assert!(stdout.contains(w.name), "workload {} missing", w.name);
     }
     assert!(stdout.contains("bytes"), "web params missing");
     assert!(stdout.contains("100000"), "bytes default missing");
@@ -53,7 +53,7 @@ fn describe_lists_workloads_alphabetically() {
     // appear sorted by name.
     let mut names: Vec<&str> = workloads::registry::workloads()
         .iter()
-        .map(|w| w.name())
+        .map(|w| w.name)
         .collect();
     names.sort_unstable();
     let positions: Vec<usize> = names

@@ -1,47 +1,17 @@
-//! The cloud's ingress and egress nodes (paper Secs. V and VI).
+//! The cloud's egress node (paper Sec. VI).
 //!
-//! * The **ingress node** replicates every packet destined for a guest VM
-//!   to all machines hosting that VM's replicas, so each VMM can propose a
-//!   delivery time.
-//! * The **egress node** receives each guest output packet from every
-//!   replica (tunneled over TCP by the replica's network device model) and
-//!   forwards it to its real destination when the *second* copy arrives —
-//!   the median output timing of three replicas. Because deterministic
-//!   replicas emit identical packet streams, the egress can also *vote*:
-//!   a copy whose content hash disagrees flags a divergent replica.
+//! The egress receives each guest output packet from every replica
+//! (tunneled over TCP by the replica's network device model) and forwards
+//! it to its real destination when the *second* copy arrives — the median
+//! output timing of three replicas. Because deterministic replicas emit
+//! identical packet streams, the egress can also *vote*: a copy whose
+//! content hash disagrees flags a divergent replica. The ingress side,
+//! replicating each inbound packet to the hosts of its guest's replicas,
+//! is the cloud's own routing (`stopwatch_core::cloud`).
 
 use crate::link::NetNode;
 use crate::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
-
-/// Replicates inbound packets to the hosts running a guest's replicas.
-#[derive(Debug, Clone, Default)]
-pub struct IngressNode {
-    routes: FxHashMap<EndpointId, Vec<NetNode>>,
-}
-
-impl IngressNode {
-    /// Creates an ingress with no routes.
-    pub fn new() -> Self {
-        IngressNode::default()
-    }
-
-    /// Registers the replica hosts for a guest endpoint.
-    pub fn register(&mut self, guest: EndpointId, hosts: Vec<NetNode>) {
-        self.routes.insert(guest, hosts);
-    }
-
-    /// The hosts a packet for `guest` must be replicated to (empty when the
-    /// guest is unknown).
-    pub fn route(&self, guest: EndpointId) -> &[NetNode] {
-        self.routes.get(&guest).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of registered guests.
-    pub fn guests(&self) -> usize {
-        self.routes.len()
-    }
-}
 
 /// Decision the egress node takes for one arriving copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,8 +40,6 @@ struct CopyState {
 #[derive(Debug, Clone, Default)]
 pub struct EgressNode {
     seen: FxHashMap<(EndpointId, u64), CopyState>,
-    forwarded: u64,
-    divergences: u64,
 }
 
 impl EgressNode {
@@ -110,34 +78,14 @@ impl EgressNode {
                 1
             }
         };
-        if entry.groups.len() > 1 {
-            self.divergences += 1;
-        }
         if this_group == 2 && !entry.forwarded {
             entry.forwarded = true;
-            self.forwarded += 1;
             return EgressDecision::Forward(packet);
         }
         if entry.groups.len() > 1 && this_group == 1 {
             return EgressDecision::Divergence { from };
         }
         EgressDecision::Hold
-    }
-
-    /// Packets forwarded so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Divergent copies observed so far.
-    pub fn divergences(&self) -> u64 {
-        self.divergences
-    }
-
-    /// Drops per-packet state older than `out_seq < floor` for `guest`
-    /// (bounded memory in long runs).
-    pub fn gc(&mut self, guest: EndpointId, floor: u64) {
-        self.seen.retain(|(g, s), _| *g != guest || *s >= floor);
     }
 }
 
@@ -151,15 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn ingress_routes() {
-        let mut ing = IngressNode::new();
-        ing.register(EndpointId(1), vec![NetNode(0), NetNode(1), NetNode(2)]);
-        assert_eq!(ing.route(EndpointId(1)).len(), 3);
-        assert!(ing.route(EndpointId(9)).is_empty());
-        assert_eq!(ing.guests(), 1);
-    }
-
-    #[test]
     fn egress_forwards_second_copy() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
@@ -170,17 +109,20 @@ mod tests {
         ));
         // Third copy is held (already forwarded).
         assert_eq!(eg.on_copy(g, 0, NetNode(2), pkt(7)), EgressDecision::Hold);
-        assert_eq!(eg.forwarded(), 1);
     }
 
     #[test]
     fn egress_keeps_streams_separate() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        eg.on_copy(g, 0, NetNode(0), pkt(7));
+        assert_eq!(eg.on_copy(g, 0, NetNode(0), pkt(7)), EgressDecision::Hold);
         // A different out_seq does not complete seq 0.
         assert_eq!(eg.on_copy(g, 1, NetNode(1), pkt(8)), EgressDecision::Hold);
-        assert_eq!(eg.forwarded(), 0);
+        // Nor does another guest's copy of the same out_seq.
+        assert_eq!(
+            eg.on_copy(EndpointId(2), 0, NetNode(1), pkt(7)),
+            EgressDecision::Hold
+        );
     }
 
     #[test]
@@ -190,7 +132,6 @@ mod tests {
         eg.on_copy(g, 0, NetNode(0), pkt(7));
         let d = eg.on_copy(g, 0, NetNode(1), pkt(8));
         assert_eq!(d, EgressDecision::Divergence { from: NetNode(1) });
-        assert_eq!(eg.divergences(), 1);
         // The two matching replicas still get the packet out.
         assert!(matches!(
             eg.on_copy(g, 0, NetNode(2), pkt(7)),
@@ -213,22 +154,5 @@ mod tests {
             eg.on_copy(g, 0, NetNode(1), pkt(7)),
             EgressDecision::Forward(_)
         ));
-        assert_eq!(eg.forwarded(), 1);
-        assert!(eg.divergences() >= 1);
-    }
-
-    #[test]
-    fn egress_gc_bounds_state() {
-        let mut eg = EgressNode::new();
-        let g = EndpointId(1);
-        for s in 0..10 {
-            eg.on_copy(g, s, NetNode(0), pkt(s));
-            eg.on_copy(g, s, NetNode(1), pkt(s));
-        }
-        eg.gc(g, 8);
-        // Old seqs re-count from scratch (forwarded again only on 2nd copy).
-        assert_eq!(eg.on_copy(g, 3, NetNode(2), pkt(3)), EgressDecision::Hold);
-        // Recent seq state kept: a third copy of seq 9 is Hold, not Forward.
-        assert_eq!(eg.on_copy(g, 9, NetNode(2), pkt(9)), EgressDecision::Hold);
     }
 }

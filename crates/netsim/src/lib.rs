@@ -16,8 +16,8 @@
 //!   (Fig. 5);
 //! * [`udp`] — UDP with NAK-based reliability, the paper's suggested
 //!   StopWatch-friendly file transfer (Fig. 5);
-//! * [`infra`] — the ingress (replication) and egress (second-copy
-//!   forwarding + output voting) nodes;
+//! * [`infra`] — the egress node (second-copy forwarding + output
+//!   voting);
 //! * [`background`] — the 50–100 pkt/s broadcast chatter of the testbed.
 
 pub mod background;
@@ -31,7 +31,7 @@ pub mod udp;
 /// One-line import for the common types.
 pub mod prelude {
     pub use crate::background::BroadcastSource;
-    pub use crate::infra::{EgressDecision, EgressNode, IngressNode};
+    pub use crate::infra::{EgressDecision, EgressNode};
     pub use crate::link::{Fabric, LinkModel, NetNode};
     pub use crate::packet::{AppData, Body, EndpointId, Packet, TcpSegment, UdpKind, UdpSegment};
     pub use crate::pgm::{PgmPacket, PgmReceiver, PgmSender, RxOutput};

@@ -256,19 +256,9 @@ impl Cloud {
         &self.stats
     }
 
-    /// The egress node (voting / forwarding statistics).
-    pub fn egress(&self) -> &EgressNode {
-        &self.egress
-    }
-
     /// Immutable host access.
     pub fn host(&self, idx: usize) -> &HostMachine {
         &self.hosts[idx]
-    }
-
-    /// Mutable host access (activity levels, program extraction).
-    pub fn host_mut(&mut self, idx: usize) -> &mut HostMachine {
-        &mut self.hosts[idx]
     }
 
     /// The replica placements of a VM.
@@ -858,7 +848,7 @@ impl Cloud {
             // The host scheduling tick rides the same heartbeat: rotate
             // each host's vCPU run queue past its busy slots.
             self.hosts[h].sched_tick();
-            if self.hosts[h].refresh_activity(now) {
+            if self.hosts[h].refresh_activity() {
                 for s in 0..self.hosts[h].slot_count() {
                     self.reschedule_wake(sim, h, s);
                 }

@@ -33,7 +33,6 @@ pub struct HostMachine {
     cache: CacheModel,
     sched: VcpuScheduler,
     slots: Vec<GuestSlot>,
-    activity: Vec<f64>,
 }
 
 impl std::fmt::Debug for HostMachine {
@@ -55,7 +54,6 @@ impl HostMachine {
             cache: CacheModel::new(DEFAULT_CACHE_SETS, DEFAULT_CACHE_WAYS),
             sched: VcpuScheduler::new(VirtOffset::from_millis(DEFAULT_TIMESLICE_MS)),
             slots: Vec::new(),
-            activity: Vec::new(),
         }
     }
 
@@ -89,7 +87,6 @@ impl HostMachine {
     /// Adds a guest slot; returns its index on this host.
     pub fn add_slot(&mut self, slot: GuestSlot) -> usize {
         self.slots.push(slot);
-        self.activity.push(0.0);
         self.slots.len() - 1
     }
 
@@ -115,17 +112,6 @@ impl HostMachine {
     /// The host's speed profile.
     pub fn profile(&self) -> &SpeedProfile {
         &self.profile
-    }
-
-    /// Declares how busy slot `idx`'s guest currently is (`0..1`); the
-    /// aggregate becomes the host's contention factor slowing *all* guests
-    /// — the cross-VM interference that access-driven attacks feed on, and
-    /// the lever of the Sec. IX collaborating-attacker load attack.
-    pub fn set_slot_activity(&mut self, idx: usize, activity: f64) {
-        assert!((0.0..=1.0).contains(&activity), "activity must be in [0,1]");
-        self.activity[idx] = activity;
-        let total: f64 = self.activity.iter().sum();
-        self.profile.set_contention((total * 0.25).min(0.9));
     }
 
     /// Boots slot `idx` at `now`.
@@ -256,19 +242,18 @@ impl HostMachine {
         slot.stall_until(profile, now, until);
     }
 
-    /// Refreshes every slot's activity from its busy state; returns `true`
-    /// when the host's contention factor changed (callers then recompute
-    /// pending wakes). This is how one guest's load perturbs the timing of
-    /// its coresident guests — the substrate of access-driven attacks.
-    pub fn refresh_activity(&mut self, _now: SimTime) -> bool {
+    /// Sets the host's contention factor from its busy slots — a quarter
+    /// per busy guest, capped at 0.9 — slowing *all* guests; returns `true`
+    /// when it changed (callers then recompute pending wakes). This is
+    /// how one guest's load perturbs the timing of its coresident guests:
+    /// the cross-VM interference access-driven attacks feed on, and the
+    /// lever of the Sec. IX collaborating-attacker load attack.
+    pub fn refresh_activity(&mut self) -> bool {
         // `is_busy` reads the action queue directly, which only changes
         // inside `process()` — no per-slot clock sync is needed here.
         let before = self.profile.contention();
-        for (activity, slot) in self.activity.iter_mut().zip(&self.slots) {
-            *activity = if slot.is_busy() { 1.0 } else { 0.0 };
-        }
-        let total: f64 = self.activity.iter().sum();
-        self.profile.set_contention((total * 0.25).min(0.9));
+        let busy = self.slots.iter().filter(|s| s.is_busy()).count();
+        self.profile.set_contention((busy as f64 * 0.25).min(0.9));
         (self.profile.contention() - before).abs() > 1e-12
     }
 }
@@ -278,7 +263,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::devices::PlatformClocks;
-    use crate::guest::IdleGuest;
+    use crate::guest::{GuestEnv, GuestProgram, IdleGuest};
     use crate::slot::{DefenseMode, SlotConfig};
     use netsim::packet::EndpointId;
     use simkit::rng::SimRng;
@@ -299,11 +284,11 @@ mod tests {
         HostMachine::new(NetNode(0), profile, disk)
     }
 
-    fn idle_slot() -> GuestSlot {
+    fn guest_slot(program: Box<dyn GuestProgram>, endpoint: u64) -> GuestSlot {
         GuestSlot::new(
-            Box::new(IdleGuest),
+            program,
             SlotConfig {
-                endpoint: EndpointId(1),
+                endpoint: EndpointId(endpoint),
                 exit_every: 50_000,
                 mode: DefenseMode::baseline(),
                 clocks: PlatformClocks::default(),
@@ -311,6 +296,10 @@ mod tests {
             VirtualClock::new(VirtNanos::ZERO, 1.0),
             DiskImage::new(1024),
         )
+    }
+
+    fn idle_slot() -> GuestSlot {
+        guest_slot(Box::new(IdleGuest), 1)
     }
 
     #[test]
@@ -325,17 +314,35 @@ mod tests {
 
     #[test]
     fn activity_raises_contention() {
+        // Busy from boot until one compute burst retires.
+        struct Burst;
+        impl GuestProgram for Burst {
+            fn on_boot(&mut self, env: &mut GuestEnv) {
+                env.compute(1_000_000);
+            }
+        }
         let mut h = host();
-        h.add_slot(idle_slot());
-        h.add_slot(idle_slot());
+        let idle = h.add_slot(idle_slot());
+        let bursts = [
+            h.add_slot(guest_slot(Box::new(Burst), 2)),
+            h.add_slot(guest_slot(Box::new(Burst), 3)),
+        ];
+        h.boot_slot(idle, SimTime::ZERO).expect("boot idle");
+        assert!(!h.refresh_activity(), "an idle guest adds no contention");
         assert_eq!(h.profile().contention(), 0.0);
-        h.set_slot_activity(0, 0.8);
-        let c1 = h.profile().contention();
-        assert!(c1 > 0.0);
-        h.set_slot_activity(1, 0.8);
-        assert!(h.profile().contention() > c1);
-        h.set_slot_activity(0, 0.0);
-        h.set_slot_activity(1, 0.0);
+        h.boot_slot(bursts[0], SimTime::ZERO).expect("boot");
+        assert!(h.refresh_activity());
+        assert_eq!(h.profile().contention(), 0.25);
+        h.boot_slot(bursts[1], SimTime::ZERO).expect("boot");
+        assert!(h.refresh_activity());
+        assert_eq!(h.profile().contention(), 0.5);
+        // Both bursts retire: the host is quiet again.
+        for &s in &bursts {
+            let end = h.next_wake(s, SimTime::ZERO).expect("burst end");
+            h.process_slot(s, end).expect("retire burst");
+            assert!(!h.slot(s).is_busy());
+        }
+        assert!(h.refresh_activity());
         assert_eq!(h.profile().contention(), 0.0);
     }
 
@@ -355,8 +362,6 @@ mod tests {
 
     #[test]
     fn timer_elapsed_charges_run_queue_wait_to_the_waker() {
-        use crate::guest::{GuestEnv, GuestProgram};
-
         // Slot 0 arms a timer; slot 1 sits on a long compute burst. The
         // scheduler must charge slot 0 one slice of wait.
         struct Arm;
@@ -372,21 +377,8 @@ mod tests {
             }
         }
         let mut h = host();
-        let slot_for = |prog: Box<dyn GuestProgram>, ep: u64| {
-            GuestSlot::new(
-                prog,
-                SlotConfig {
-                    endpoint: EndpointId(ep),
-                    exit_every: 50_000,
-                    mode: DefenseMode::baseline(),
-                    clocks: PlatformClocks::default(),
-                },
-                VirtualClock::new(VirtNanos::ZERO, 1.0),
-                DiskImage::new(1024),
-            )
-        };
-        let armer = h.add_slot(slot_for(Box::new(Arm), 1));
-        let burner = h.add_slot(slot_for(Box::new(Burn), 2));
+        let armer = h.add_slot(guest_slot(Box::new(Arm), 1));
+        let burner = h.add_slot(guest_slot(Box::new(Burn), 2));
         let boot_out = h.boot_slot(armer, SimTime::ZERO).expect("boot armer");
         h.boot_slot(burner, SimTime::ZERO).expect("boot burner");
         assert!(h.slot(burner).is_busy());
@@ -402,13 +394,5 @@ mod tests {
         // The sched tick is pure accounting.
         h.sched_tick();
         assert!(h.scheduler().slices_granted() >= 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "activity")]
-    fn bad_activity_panics() {
-        let mut h = host();
-        h.add_slot(idle_slot());
-        h.set_slot_activity(0, 1.5);
     }
 }

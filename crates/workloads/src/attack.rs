@@ -6,14 +6,13 @@
 //!
 //! Also provides the Sec. IX collaborating-attacker load generator.
 
-use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
-};
+use crate::registry::{Installed, ParamSpec, Workload, WorkloadOutcome, WorkloadParams};
 use netsim::packet::{Body, EndpointId, Packet};
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime, VirtNanos};
-use stopwatch_core::cloud::{ClientApp, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{ClientApp, CloudBuilder};
 use stopwatch_core::schema::ValueType;
+use vmm::channel::ChannelKind;
 use vmm::guest::{GuestEnv, GuestProgram};
 
 /// The attacker guest: records the virtual time at which each probe packet
@@ -263,81 +262,59 @@ const ATTACK_PARAMS: &[ParamSpec] = &[
 /// [`ProbeClient`], optionally coresident with a [`VictimGuest`] and/or a
 /// collaborating [`LoadGuest`] (Fig. 4, Sec. IX). Samples are the
 /// attacker-observed inter-packet deltas.
-pub struct AttackWorkload;
+pub const ATTACK: Workload = Workload {
+    name: "attack",
+    about: "probe-timing attacker, optional coresident victim/collaborator (Fig. 4, Sec. IX)",
+    params: ATTACK_PARAMS,
+    channels: &[ChannelKind::Net],
+    install,
+};
 
-struct AttackInstalled {
-    vm: VmHandle,
-}
-
-impl InstalledWorkload for AttackInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
+fn install(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let probes = params.get(ATTACK_PARAMS, "probes")?;
+    let gap_ms: u64 = params.get(ATTACK_PARAMS, "gap_ms")?;
+    let victim: bool = params.get(ATTACK_PARAMS, "victim")?;
+    let victim_burst = params.get(ATTACK_PARAMS, "victim_burst")?;
+    let victim_period = params.get(ATTACK_PARAMS, "victim_period")?;
+    let load: bool = params.get(ATTACK_PARAMS, "load")?;
+    let load_chunk = params.get(ATTACK_PARAMS, "load_chunk")?;
+    let vm = b.add_defended_vm(hosts, || Box::new(AttackerGuest::new()));
+    if victim {
+        // The victim coresides with the attacker's first replica —
+        // the coresidency the attacker is trying to sense (Fig. 4).
+        b.add_baseline_vm(
+            hosts[0],
+            Box::new(VictimGuest::new(victim_burst, victim_period)),
+        );
     }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let g = sim
-            .cloud
-            .guest_program::<AttackerGuest>(self.vm, 0)
-            .expect("attacker program");
-        let samples = g.deltas_ms();
-        WorkloadOutcome {
-            completed: samples.len() as u64,
-            samples_ms: samples,
-            extra: Vec::new(),
-        }
+    if load {
+        // Sec. IX: a collaborating attacker loads the same host,
+        // trying to marginalize that replica from the median.
+        b.add_baseline_vm(hosts[0], Box::new(LoadGuest::new(load_chunk)));
     }
-}
-
-impl Workload for AttackWorkload {
-    fn name(&self) -> &str {
-        "attack"
-    }
-
-    fn about(&self) -> &str {
-        "probe-timing attacker, optional coresident victim/collaborator (Fig. 4, Sec. IX)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        ATTACK_PARAMS
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let probes = params.get(ATTACK_PARAMS, "probes")?;
-        let gap_ms: u64 = params.get(ATTACK_PARAMS, "gap_ms")?;
-        let victim: bool = params.get(ATTACK_PARAMS, "victim")?;
-        let victim_burst = params.get(ATTACK_PARAMS, "victim_burst")?;
-        let victim_period = params.get(ATTACK_PARAMS, "victim_period")?;
-        let load: bool = params.get(ATTACK_PARAMS, "load")?;
-        let load_chunk = params.get(ATTACK_PARAMS, "load_chunk")?;
-        let vm = ctx.add_vm(b, &|| Box::new(AttackerGuest::new()));
-        if victim {
-            // The victim coresides with the attacker's first replica —
-            // the coresidency the attacker is trying to sense (Fig. 4).
-            b.add_baseline_vm(
-                ctx.replica_hosts[0],
-                Box::new(VictimGuest::new(victim_burst, victim_period)),
-            );
-        }
-        if load {
-            // Sec. IX: a collaborating attacker loads the same host,
-            // trying to marginalize that replica from the median.
-            b.add_baseline_vm(ctx.replica_hosts[0], Box::new(LoadGuest::new(load_chunk)));
-        }
-        let me = b.next_client_endpoint();
-        b.add_client(Box::new(ProbeClient::new(
-            me,
-            vm.endpoint,
-            probes,
-            SimDuration::from_millis(gap_ms),
-            ctx.seed ^ 0xa77a_c4ed,
-        )));
-        Ok(Box::new(AttackInstalled { vm }))
-    }
+    let me = b.next_client_endpoint();
+    let seed = b.config().seed ^ 0xa77a_c4ed;
+    b.add_client(Box::new(ProbeClient::new(
+        me,
+        vm.endpoint,
+        probes,
+        SimDuration::from_millis(gap_ms),
+        seed,
+    )));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            let g = sim
+                .cloud
+                .guest_program::<AttackerGuest>(vm, 0)
+                .expect("attacker program");
+            WorkloadOutcome::per_sample(g.deltas_ms(), Vec::new())
+        }),
+    })
 }
 
 #[cfg(test)]
@@ -360,13 +337,13 @@ mod tests {
         cfg.ips_jitter = 0.03;
         cfg.client_tick = SimDuration::from_millis(2);
         let mut b = CloudBuilder::new(cfg, 3);
-        let wl = install("attack", &mut b, &[0, 1, 2], &params, seed).expect("install");
+        let wl = install("attack", &mut b, &[0, 1, 2], &params).expect("install");
         let mut sim = b.build();
         sim.run_until_clients_done(SimTime::from_secs(600));
         // Let the tail of in-flight deliveries drain.
         let drain = sim.now() + SimDuration::from_millis(500);
         sim.run_until(drain);
-        wl.collect(&mut sim).samples_ms
+        (wl.collect)(&mut sim).samples_ms
     }
 
     fn mean(v: &[f64]) -> f64 {

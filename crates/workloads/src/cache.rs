@@ -19,18 +19,13 @@
 //! the clean cell's leaks nothing through this channel.
 
 use crate::parsec::CompletionWaiter;
-use crate::registry::{
-    recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
-    WorkloadParams,
-};
-use netsim::packet::{Body, EndpointId};
-use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
+use crate::registry::{Installed, ParamSpec, Workload, WorkloadParams};
+use crate::rounds::{RoundScorer, Tell};
+use netsim::packet::EndpointId;
+use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::schema::ValueType;
 use vmm::channel::ChannelKind;
 use vmm::guest::{GuestEnv, GuestProgram};
-
-/// Completion-report tag understood by [`CompletionWaiter`].
-const DONE_TAG: u64 = 0xD0E;
 
 /// The PRIME+PROBE attacker guest.
 ///
@@ -54,15 +49,10 @@ pub struct PrimeProbeGuest {
     sets: u64,
     ways: u64,
     probe_gap_ticks: u64,
-    rounds: u32,
-    monitor: EndpointId,
-    round: u32,
     primed_at_tick: Option<u64>,
     outstanding: u64,
     set_latency: Vec<u64>,
-    samples_ns: Vec<u64>,
-    guesses: Vec<u64>,
-    done: bool,
+    scorer: RoundScorer,
 }
 
 impl PrimeProbeGuest {
@@ -76,36 +66,16 @@ impl PrimeProbeGuest {
         rounds: u32,
         monitor: EndpointId,
     ) -> Self {
+        let sets = sets.max(1);
         PrimeProbeGuest {
-            sets: sets.max(1),
+            sets,
             ways: ways.max(1),
             probe_gap_ticks: probe_gap_ticks.max(1),
-            rounds: rounds.max(1),
-            monitor,
-            round: 0,
             primed_at_tick: None,
             outstanding: 0,
             set_latency: Vec::new(),
-            samples_ns: Vec::new(),
-            guesses: Vec::new(),
-            done: false,
+            scorer: RoundScorer::new(sets, rounds, Tell::Slowest, monitor),
         }
-    }
-
-    /// Per-set probe-latency totals, one entry per `(round, set)` pair in
-    /// round-major order, virtual nanoseconds.
-    pub fn samples_ns(&self) -> &[u64] {
-        &self.samples_ns
-    }
-
-    /// The recovered set per completed round.
-    pub fn guesses(&self) -> &[u64] {
-        &self.guesses
-    }
-
-    /// Completed rounds.
-    pub fn rounds_done(&self) -> u32 {
-        self.round
     }
 
     fn prime(&mut self, at_tick: u64, env: &mut GuestEnv) {
@@ -116,36 +86,6 @@ impl PrimeProbeGuest {
         }
         self.primed_at_tick = Some(at_tick);
     }
-
-    fn finish_round(&mut self, env: &mut GuestEnv) {
-        self.samples_ns.extend(self.set_latency.iter().copied());
-        let max = *self.set_latency.iter().max().expect("sets > 0");
-        let min = *self.set_latency.iter().min().expect("sets > 0");
-        let guess = if max == min {
-            // Flat readout: no signal. Cycle deterministically — the
-            // determinism-safe stand-in for a random guess.
-            u64::from(self.round) % self.sets
-        } else {
-            self.set_latency
-                .iter()
-                .position(|&l| l == max)
-                .expect("max exists") as u64
-        };
-        self.guesses.push(guess);
-        self.round += 1;
-        if self.round >= self.rounds {
-            self.done = true;
-            env.send(
-                self.monitor,
-                Body::Raw {
-                    tag: DONE_TAG,
-                    len: 64,
-                },
-            );
-        } else {
-            self.prime(env.pit_ticks, env);
-        }
-    }
 }
 
 impl GuestProgram for PrimeProbeGuest {
@@ -154,7 +94,7 @@ impl GuestProgram for PrimeProbeGuest {
     }
 
     fn on_timer(&mut self, env: &mut GuestEnv) {
-        if self.done || self.outstanding > 0 {
+        if self.scorer.done() || self.outstanding > 0 {
             return;
         }
         let Some(primed_at) = self.primed_at_tick else {
@@ -176,8 +116,12 @@ impl GuestProgram for PrimeProbeGuest {
     fn on_cache_probe(&mut self, set: u64, _tag: u64, latency_ns: u64, env: &mut GuestEnv) {
         self.set_latency[set as usize] += latency_ns;
         self.outstanding -= 1;
-        if self.outstanding == 0 {
-            self.finish_round(env);
+        if self.outstanding == 0
+            && !self
+                .scorer
+                .finish_round(&self.set_latency, &self.set_latency, env)
+        {
+            self.prime(env.pit_ticks, env);
         }
     }
 
@@ -281,100 +225,71 @@ const CACHE_PARAMS: &[ParamSpec] = &[
 /// optionally coresident with a [`CacheVictimGuest`] on its first replica
 /// host, measured until the attacker finishes its rounds. Samples are
 /// per-set probe-latency totals; `extra` carries the set-recovery score.
-pub struct CacheChannelWorkload;
+pub const CACHE_CHANNEL: Workload = Workload {
+    name: "cache-channel",
+    about:
+        "PRIME+PROBE attacker vs coresident secret-dependent victim on the shared LLC (Sec. III)",
+    params: CACHE_PARAMS,
+    channels: &[ChannelKind::Net, ChannelKind::Cache],
+    install,
+};
 
-struct CacheChannelInstalled {
-    vm: VmHandle,
-    secret: u64,
-    sets: u64,
-}
-
-impl InstalledWorkload for CacheChannelInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
+fn install(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let sets: u64 = params.get(CACHE_PARAMS, "sets")?;
+    let ways: u64 = params.get(CACHE_PARAMS, "ways")?;
+    let probe_gap_ticks = params.get(CACHE_PARAMS, "probe_gap_ticks")?;
+    let rounds = params.get(CACHE_PARAMS, "rounds")?;
+    let secret: u64 = params.get(CACHE_PARAMS, "secret")?;
+    let victim: bool = params.get(CACHE_PARAMS, "victim")?;
+    let victim_every = params.get(CACHE_PARAMS, "victim_every")?;
+    if sets == 0 || ways == 0 {
+        return Err("cache-channel needs sets >= 1 and ways >= 1".to_string());
     }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let g = sim
-            .cloud
-            .guest_program::<PrimeProbeGuest>(self.vm, 0)
-            .expect("attacker program");
-        recovery_outcome(
-            g.samples_ns(),
-            g.guesses(),
-            g.rounds_done(),
-            self.secret,
-            self.sets,
-        )
+    if secret >= sets {
+        return Err(format!(
+            "cache-channel secret set {secret} is out of range (sets = {sets})"
+        ));
     }
-}
-
-impl Workload for CacheChannelWorkload {
-    fn name(&self) -> &str {
-        "cache-channel"
+    b.set_cache_geometry(sets, ways as usize);
+    let monitor = b.next_client_endpoint();
+    let vm = b.add_defended_vm(hosts, move || {
+        Box::new(PrimeProbeGuest::new(
+            sets,
+            ways,
+            probe_gap_ticks,
+            rounds,
+            monitor,
+        ))
+    });
+    if victim {
+        // The coresidency under attack: the victim shares exactly the
+        // attacker's first replica host (Sec. III's threat model).
+        b.add_baseline_vm(
+            hosts[0],
+            Box::new(CacheVictimGuest::new(secret, ways, victim_every)),
+        );
     }
-
-    fn about(&self) -> &str {
-        "PRIME+PROBE attacker vs coresident secret-dependent victim on the shared LLC (Sec. III)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        CACHE_PARAMS
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Cache]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let sets: u64 = params.get(CACHE_PARAMS, "sets")?;
-        let ways: u64 = params.get(CACHE_PARAMS, "ways")?;
-        let probe_gap_ticks = params.get(CACHE_PARAMS, "probe_gap_ticks")?;
-        let rounds = params.get(CACHE_PARAMS, "rounds")?;
-        let secret: u64 = params.get(CACHE_PARAMS, "secret")?;
-        let victim: bool = params.get(CACHE_PARAMS, "victim")?;
-        let victim_every = params.get(CACHE_PARAMS, "victim_every")?;
-        if sets == 0 || ways == 0 {
-            return Err("cache-channel needs sets >= 1 and ways >= 1".to_string());
-        }
-        if secret >= sets {
-            return Err(format!(
-                "cache-channel secret set {secret} is out of range (sets = {sets})"
-            ));
-        }
-        b.set_cache_geometry(sets, ways as usize);
-        let monitor = b.next_client_endpoint();
-        let vm = ctx.add_vm(b, &move || {
-            Box::new(PrimeProbeGuest::new(
-                sets,
-                ways,
-                probe_gap_ticks,
-                rounds,
-                monitor,
-            ))
-        });
-        if victim {
-            // The coresidency under attack: the victim shares exactly the
-            // attacker's first replica host (Sec. III's threat model).
-            b.add_baseline_vm(
-                ctx.replica_hosts[0],
-                Box::new(CacheVictimGuest::new(secret, ways, victim_every)),
-            );
-        }
-        b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(CacheChannelInstalled { vm, secret, sets }))
-    }
+    b.add_client(Box::new(CompletionWaiter::new(1)));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            sim.cloud
+                .guest_program::<PrimeProbeGuest>(vm, 0)
+                .expect("attacker program")
+                .scorer
+                .outcome(secret)
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{install, WorkloadParams};
+    use crate::registry::{install, WorkloadOutcome};
     use simkit::time::{SimDuration, SimTime};
     use stopwatch_core::config::CloudConfig;
 
@@ -384,14 +299,15 @@ mod tests {
             ("victim", if victim { "true" } else { "false" }),
         ]);
         let mut cfg = CloudConfig::fast_test();
+        cfg.seed = seed;
         cfg.defense = if stopwatch { "stopwatch" } else { "baseline" }.to_string();
         let mut b = CloudBuilder::new(cfg, 3);
-        let wl = install("cache-channel", &mut b, &[0, 1, 2], &params, seed).expect("install");
+        let wl = install("cache-channel", &mut b, &[0, 1, 2], &params).expect("install");
         let mut sim = b.build();
         sim.run_until_clients_done(SimTime::from_secs(120));
         let drain = sim.now() + SimDuration::from_millis(500);
         sim.run_until(drain);
-        wl.collect(&mut sim)
+        (wl.collect)(&mut sim)
     }
 
     fn extra(out: &WorkloadOutcome, key: &str) -> f64 {
@@ -463,12 +379,12 @@ mod tests {
     fn bad_geometry_is_rejected() {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         let bad = WorkloadParams::from_pairs([("secret", "99")]);
-        let err = install("cache-channel", &mut b, &[0, 1, 2], &bad, 1)
+        let err = install("cache-channel", &mut b, &[0, 1, 2], &bad)
             .err()
             .expect("out-of-range secret");
         assert!(err.contains("out of range"), "{err}");
         let zero = WorkloadParams::from_pairs([("sets", "0"), ("secret", "0")]);
-        let err = install("cache-channel", &mut b, &[0, 1, 2], &zero, 1)
+        let err = install("cache-channel", &mut b, &[0, 1, 2], &zero)
             .err()
             .expect("zero sets");
         assert!(err.contains("sets >= 1"), "{err}");

@@ -23,21 +23,16 @@
 //! verdicts exactly like network timings and cache readouts do.
 
 use crate::parsec::CompletionWaiter;
-use crate::registry::{
-    recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
-    WorkloadParams,
-};
-use netsim::packet::{Body, EndpointId};
+use crate::registry::{Installed, ParamSpec, Workload, WorkloadParams};
+use crate::rounds::{RoundScorer, Tell};
+use netsim::packet::EndpointId;
 use simkit::time::VirtNanos;
-use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
 use vmm::channel::ChannelKind;
 use vmm::guest::{GuestEnv, GuestProgram};
-
-/// Completion-report tag understood by [`CompletionWaiter`].
-const DONE_TAG: u64 = 0xD0E;
 
 /// The disk-probing attacker guest.
 ///
@@ -51,8 +46,8 @@ const DONE_TAG: u64 = 0xD0E;
 /// 2. when the completion interrupt arrives, add `completion − issue` to
 ///    the arm's latency total; after `probes_per_arm` probes move to the
 ///    next arm;
-/// 3. after the last arm, **guess**: the arm with the *smallest* total
-///    latency is the round's recovered secret (the victim's parked head
+/// 3. after the last arm, **guess**: the arm with the *smallest* single
+///    probe latency is the round's recovered secret (the victim's parked head
 ///    makes its region the cheapest seek) — unless every arm reads the
 ///    same (no signal), in which case the attacker cycles through arms,
 ///    the deterministic stand-in for guessing at random.
@@ -62,19 +57,14 @@ pub struct DiskProbeGuest {
     arms: u64,
     probes_per_arm: u64,
     probe_gap_ticks: u64,
-    rounds: u32,
     arm_span: u64,
-    monitor: EndpointId,
-    round: u32,
     probe_idx: u64,
     outstanding: bool,
     next_probe_tick: u64,
     last_issue: VirtNanos,
     arm_latency: Vec<u64>,
     arm_min: Vec<u64>,
-    samples_ns: Vec<u64>,
-    guesses: Vec<u64>,
-    done: bool,
+    scorer: RoundScorer,
 }
 
 impl DiskProbeGuest {
@@ -89,84 +79,35 @@ impl DiskProbeGuest {
         arm_span: u64,
         monitor: EndpointId,
     ) -> Self {
+        let arms = arms.max(2);
         DiskProbeGuest {
-            arms: arms.max(2),
+            arms,
             probes_per_arm: probes_per_arm.max(1),
             probe_gap_ticks: probe_gap_ticks.max(1),
-            rounds: rounds.max(1),
             arm_span: arm_span.max(1),
-            monitor,
-            round: 0,
             probe_idx: 0,
             outstanding: false,
             next_probe_tick: 0,
             last_issue: VirtNanos::ZERO,
             arm_latency: Vec::new(),
             arm_min: Vec::new(),
-            guesses: Vec::new(),
-            samples_ns: Vec::new(),
-            done: false,
+            // The victim's region is the cheapest seek from the parked
+            // head. The per-arm *minimum* is the sharpest estimator: one
+            // probe that caught the head parked reads almost pure seek
+            // time, while totals smear rotational noise over the round.
+            scorer: RoundScorer::new(arms, rounds, Tell::Fastest, monitor),
         }
-    }
-
-    /// Per-arm latency totals, one entry per `(round, arm)` pair in
-    /// round-major order, virtual nanoseconds.
-    pub fn samples_ns(&self) -> &[u64] {
-        &self.samples_ns
-    }
-
-    /// The recovered arm per completed round.
-    pub fn guesses(&self) -> &[u64] {
-        &self.guesses
-    }
-
-    /// Completed rounds.
-    pub fn rounds_done(&self) -> u32 {
-        self.round
     }
 
     /// Platter position of one arm's probe block.
     fn arm_block(&self, arm: u64) -> u64 {
         arm * self.arm_span
     }
-
-    fn finish_round(&mut self, env: &mut GuestEnv) {
-        self.samples_ns.extend(self.arm_latency.iter().copied());
-        let min = *self.arm_min.iter().min().expect("arms > 0");
-        let max = *self.arm_min.iter().max().expect("arms > 0");
-        let guess = if min == max {
-            // Flat readout: no signal. Cycle deterministically — the
-            // determinism-safe stand-in for a random guess.
-            u64::from(self.round) % self.arms
-        } else {
-            // The victim's region is the cheapest seek from the parked
-            // head. The per-arm *minimum* is the sharpest estimator: one
-            // probe that caught the head parked reads almost pure seek
-            // time, while totals smear rotational noise over the round.
-            self.arm_min
-                .iter()
-                .position(|&l| l == min)
-                .expect("min exists") as u64
-        };
-        self.guesses.push(guess);
-        self.round += 1;
-        self.probe_idx = 0;
-        if self.round >= self.rounds {
-            self.done = true;
-            env.send(
-                self.monitor,
-                Body::Raw {
-                    tag: DONE_TAG,
-                    len: 64,
-                },
-            );
-        }
-    }
 }
 
 impl GuestProgram for DiskProbeGuest {
     fn on_timer(&mut self, env: &mut GuestEnv) {
-        if self.done || self.outstanding || env.pit_ticks < self.next_probe_tick {
+        if self.scorer.done() || self.outstanding || env.pit_ticks < self.next_probe_tick {
             return;
         }
         if self.probe_idx == 0 {
@@ -195,7 +136,9 @@ impl GuestProgram for DiskProbeGuest {
         self.arm_min[arm] = self.arm_min[arm].min(latency);
         self.probe_idx += 1;
         if self.probe_idx >= self.arms * self.probes_per_arm {
-            self.finish_round(env);
+            self.probe_idx = 0;
+            self.scorer
+                .finish_round(&self.arm_latency, &self.arm_min, env);
         }
     }
 
@@ -296,114 +239,85 @@ const DISK_PARAMS: &[ParamSpec] = &[
 /// score. Pair it with `disk=rotating` and a Δd above the disk's
 /// worst-case access time (the preset does) — that is the configuration
 /// the paper's Sec. V-A sizing rule prescribes.
-pub struct DiskChannelWorkload;
+pub const DISK_CHANNEL: Workload = Workload {
+    name: "disk-channel",
+    about:
+        "seek-timing attacker vs coresident secret-dependent victim on the shared disk (Sec. V-A)",
+    params: DISK_PARAMS,
+    channels: &[ChannelKind::Net, ChannelKind::Disk],
+    install,
+};
 
-struct DiskChannelInstalled {
-    vm: VmHandle,
-    secret: u64,
-    arms: u64,
-}
-
-impl InstalledWorkload for DiskChannelInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
+fn install(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let arms: u64 = params.get(DISK_PARAMS, "arms")?;
+    let probes_per_arm = params.get(DISK_PARAMS, "probes_per_arm")?;
+    let probe_gap_ticks = params.get(DISK_PARAMS, "probe_gap_ticks")?;
+    let rounds = params.get(DISK_PARAMS, "rounds")?;
+    let secret: u64 = params.get(DISK_PARAMS, "secret")?;
+    let victim: bool = params.get(DISK_PARAMS, "victim")?;
+    let victim_every = params.get(DISK_PARAMS, "victim_every")?;
+    if arms < 2 {
+        return Err("disk-channel needs arms >= 2".to_string());
     }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let g = sim
-            .cloud
-            .guest_program::<DiskProbeGuest>(self.vm, 0)
-            .expect("attacker program");
-        recovery_outcome(
-            g.samples_ns(),
-            g.guesses(),
-            g.rounds_done(),
-            self.secret,
-            self.arms,
-        )
+    if secret >= arms {
+        return Err(format!(
+            "disk-channel secret arm {secret} is out of range (arms = {arms})"
+        ));
     }
-}
-
-impl Workload for DiskChannelWorkload {
-    fn name(&self) -> &str {
-        "disk-channel"
+    // Spread the arms across the guest image so seek distances (and
+    // with them the head-position signal) are as large as the platter
+    // allows.
+    let image_blocks = b.config().image_blocks;
+    let arm_span = image_blocks / arms;
+    if arm_span == 0 {
+        return Err(format!(
+            "disk-channel needs an image of at least {arms} blocks (cfg.image_blocks = {image_blocks})"
+        ));
     }
-
-    fn about(&self) -> &str {
-        "seek-timing attacker vs coresident secret-dependent victim on the shared disk (Sec. V-A)"
+    let monitor = b.next_client_endpoint();
+    let vm = b.add_defended_vm(hosts, move || {
+        Box::new(DiskProbeGuest::new(
+            arms,
+            probes_per_arm,
+            probe_gap_ticks,
+            rounds,
+            arm_span,
+            monitor,
+        ))
+    });
+    if victim {
+        // The coresidency under attack: the victim shares exactly the
+        // attacker's first replica host — and with it that host's
+        // disk head and FIFO queue.
+        b.add_baseline_vm(
+            hosts[0],
+            Box::new(DiskSeekVictimGuest::new(
+                secret * arm_span + 1,
+                victim_every,
+            )),
+        );
     }
-
-    fn params(&self) -> &[ParamSpec] {
-        DISK_PARAMS
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Disk]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let arms: u64 = params.get(DISK_PARAMS, "arms")?;
-        let probes_per_arm = params.get(DISK_PARAMS, "probes_per_arm")?;
-        let probe_gap_ticks = params.get(DISK_PARAMS, "probe_gap_ticks")?;
-        let rounds = params.get(DISK_PARAMS, "rounds")?;
-        let secret: u64 = params.get(DISK_PARAMS, "secret")?;
-        let victim: bool = params.get(DISK_PARAMS, "victim")?;
-        let victim_every = params.get(DISK_PARAMS, "victim_every")?;
-        if arms < 2 {
-            return Err("disk-channel needs arms >= 2".to_string());
-        }
-        if secret >= arms {
-            return Err(format!(
-                "disk-channel secret arm {secret} is out of range (arms = {arms})"
-            ));
-        }
-        // Spread the arms across the guest image so seek distances (and
-        // with them the head-position signal) are as large as the platter
-        // allows.
-        let image_blocks = b.config().image_blocks;
-        let arm_span = image_blocks / arms;
-        if arm_span == 0 {
-            return Err(format!(
-                "disk-channel needs an image of at least {arms} blocks (cfg.image_blocks = {image_blocks})"
-            ));
-        }
-        let monitor = b.next_client_endpoint();
-        let vm = ctx.add_vm(b, &move || {
-            Box::new(DiskProbeGuest::new(
-                arms,
-                probes_per_arm,
-                probe_gap_ticks,
-                rounds,
-                arm_span,
-                monitor,
-            ))
-        });
-        if victim {
-            // The coresidency under attack: the victim shares exactly the
-            // attacker's first replica host — and with it that host's
-            // disk head and FIFO queue.
-            b.add_baseline_vm(
-                ctx.replica_hosts[0],
-                Box::new(DiskSeekVictimGuest::new(
-                    secret * arm_span + 1,
-                    victim_every,
-                )),
-            );
-        }
-        b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(DiskChannelInstalled { vm, secret, arms }))
-    }
+    b.add_client(Box::new(CompletionWaiter::new(1)));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            sim.cloud
+                .guest_program::<DiskProbeGuest>(vm, 0)
+                .expect("attacker program")
+                .scorer
+                .outcome(secret)
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{install, WorkloadParams};
+    use crate::registry::{install, WorkloadOutcome};
     use simkit::time::{SimDuration, SimTime};
     use stopwatch_core::config::CloudConfig;
 
@@ -425,12 +339,12 @@ mod tests {
         cfg.seed = seed;
         cfg.defense = if stopwatch { "stopwatch" } else { "baseline" }.to_string();
         let mut b = CloudBuilder::new(cfg, 3);
-        let wl = install("disk-channel", &mut b, &[0, 1, 2], &params, seed).expect("install");
+        let wl = install("disk-channel", &mut b, &[0, 1, 2], &params).expect("install");
         let mut sim = b.build();
         sim.run_until_clients_done(SimTime::from_secs(120));
         let drain = sim.now() + SimDuration::from_millis(500);
         sim.run_until(drain);
-        wl.collect(&mut sim)
+        (wl.collect)(&mut sim)
     }
 
     fn extra(out: &WorkloadOutcome, key: &str) -> f64 {
@@ -507,12 +421,12 @@ mod tests {
     fn bad_geometry_is_rejected() {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         let bad = WorkloadParams::from_pairs([("secret", "99")]);
-        let err = install("disk-channel", &mut b, &[0, 1, 2], &bad, 1)
+        let err = install("disk-channel", &mut b, &[0, 1, 2], &bad)
             .err()
             .expect("out-of-range secret");
         assert!(err.contains("out of range"), "{err}");
         let one_arm = WorkloadParams::from_pairs([("arms", "1"), ("secret", "0")]);
-        let err = install("disk-channel", &mut b, &[0, 1, 2], &one_arm, 1)
+        let err = install("disk-channel", &mut b, &[0, 1, 2], &one_arm)
             .err()
             .expect("one arm");
         assert!(err.contains("arms >= 2"), "{err}");

@@ -14,14 +14,14 @@
 //!   channel the Δd release times close (Sec. V-A);
 //! * [`timer`] — the virtual-timer guest pair exercising the vCPU
 //!   scheduler-beat channel the Δt release times close;
-//! * [`registry`] — the typed workload API: the [`registry::Workload`]
-//!   trait + the static table sweep harnesses build scenarios from, with
-//!   a self-describing [`registry::ParamSpec`] schema per workload (each
-//!   workload also names the timing channels it exercises).
+//! * [`registry`] — the typed workload API: one [`registry::Workload`]
+//!   row per workload in the static table sweep harnesses build scenarios
+//!   from, each with a self-describing [`registry::ParamSpec`] schema and
+//!   the timing channels it exercises.
 //!
-//! Adding a workload is implementing [`registry::Workload`] (in its own
-//! module, like the ones above) and adding one row to the table in
-//! `registry.rs` — no central dispatch to edit.
+//! Adding a workload is one const [`registry::Workload`] row plus its
+//! install fn (in its own module, like the ones above) and one entry in
+//! the table in `registry.rs` — no central dispatch to edit.
 
 pub mod attack;
 pub mod cache;
@@ -29,26 +29,23 @@ pub mod disk;
 pub mod nfs;
 pub mod parsec;
 pub mod registry;
+mod rounds;
 pub mod timer;
 pub mod web;
 
 /// One-line import for the common types.
 pub mod prelude {
-    pub use crate::attack::{AttackWorkload, AttackerGuest, LoadGuest, ProbeClient, VictimGuest};
-    pub use crate::cache::{CacheChannelWorkload, CacheVictimGuest, PrimeProbeGuest};
-    pub use crate::disk::{DiskChannelWorkload, DiskProbeGuest, DiskSeekVictimGuest};
-    pub use crate::nfs::{NfsOp, NfsServerGuest, NfsWorkload, NhfsstoneClient, PAPER_MIX};
-    pub use crate::parsec::{
-        profile, CompletionWaiter, ParsecGuest, ParsecProfile, ParsecWorkload, PARSEC,
-        PARSEC_WORKLOADS,
-    };
+    pub use crate::attack::{AttackerGuest, LoadGuest, ProbeClient, VictimGuest};
+    pub use crate::cache::{CacheVictimGuest, PrimeProbeGuest};
+    pub use crate::disk::{DiskProbeGuest, DiskSeekVictimGuest};
+    pub use crate::nfs::{NfsOp, NfsServerGuest, NhfsstoneClient, PAPER_MIX};
+    pub use crate::parsec::{profile, CompletionWaiter, ParsecGuest, ParsecProfile, PARSEC};
     pub use crate::registry::{
-        install as install_workload, require as require_workload, workloads, InstallCtx,
-        InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
+        install as install_workload, require as require_workload, workloads, Installed, ParamSpec,
+        Workload, WorkloadOutcome, WorkloadParams,
     };
-    pub use crate::timer::{TimerChannelWorkload, TimerProbeGuest, TimerVictimGuest};
+    pub use crate::timer::{TimerProbeGuest, TimerVictimGuest};
     pub use crate::web::{
         DownloadResult, FileServerGuest, HttpDownloadClient, UdpDownloadClient, UdpFileGuest,
-        WebHttpWorkload, WebUdpWorkload,
     };
 }

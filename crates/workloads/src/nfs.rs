@@ -4,14 +4,12 @@
 //! 32.34% read, 12.37% create) issued by five client processes at a
 //! constant aggregate rate.
 
-use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
-};
+use crate::registry::{Installed, ParamSpec, Workload, WorkloadOutcome, WorkloadParams};
 use netsim::packet::{AppData, Body, EndpointId, Packet};
 use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent};
 use simkit::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{ClientApp, CloudBuilder};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
@@ -477,70 +475,48 @@ const NFS_PARAMS: &[ParamSpec] = &[
 
 /// The `"nfs"` workload: an [`NfsServerGuest`] driven by an
 /// [`NhfsstoneClient`] with the paper's op mix (Fig. 6).
-pub struct NfsWorkload;
+pub const NFS: Workload = Workload {
+    name: "nfs",
+    about: "NFS server under an nhfsstone-style op mix at a constant rate (Fig. 6)",
+    params: NFS_PARAMS,
+    channels: &[ChannelKind::Net, ChannelKind::Disk],
+    install,
+};
 
-struct NfsInstalled {
-    vm: VmHandle,
-    client: ClientHandle,
-}
-
-impl InstalledWorkload for NfsInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
-    }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let c = sim
-            .cloud
-            .client_app::<NhfsstoneClient>(self.client)
-            .expect("client type");
-        WorkloadOutcome {
-            samples_ms: c.latencies().iter().map(|l| l.as_millis_f64()).collect(),
-            completed: c.completed(),
-            extra: vec![
-                ("sent_segments".to_string(), c.sent_segments as f64),
-                ("received_segments".to_string(), c.received_segments as f64),
-            ],
-        }
-    }
-}
-
-impl Workload for NfsWorkload {
-    fn name(&self) -> &str {
-        "nfs"
-    }
-
-    fn about(&self) -> &str {
-        "NFS server under an nhfsstone-style op mix at a constant rate (Fig. 6)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        NFS_PARAMS
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Disk]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let rate = params.get(NFS_PARAMS, "rate")?;
-        let ops = params.get(NFS_PARAMS, "ops")?;
-        let vm = ctx.add_vm(b, &|| Box::new(NfsServerGuest::new()));
-        let me = b.next_client_endpoint();
-        let client = b.add_client(Box::new(NhfsstoneClient::new(
-            me,
-            vm.endpoint,
-            rate,
-            ops,
-            ctx.seed,
-        )));
-        Ok(Box::new(NfsInstalled { vm, client }))
-    }
+fn install(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let rate = params.get(NFS_PARAMS, "rate")?;
+    let ops = params.get(NFS_PARAMS, "ops")?;
+    let vm = b.add_defended_vm(hosts, || Box::new(NfsServerGuest::new()));
+    let me = b.next_client_endpoint();
+    let seed = b.config().seed;
+    let client = b.add_client(Box::new(NhfsstoneClient::new(
+        me,
+        vm.endpoint,
+        rate,
+        ops,
+        seed,
+    )));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            let c = sim
+                .cloud
+                .client_app::<NhfsstoneClient>(client)
+                .expect("client type");
+            WorkloadOutcome {
+                samples_ms: c.latencies().iter().map(|l| l.as_millis_f64()).collect(),
+                completed: c.completed(),
+                extra: vec![
+                    ("sent_segments".to_string(), c.sent_segments as f64),
+                    ("received_segments".to_string(), c.received_segments as f64),
+                ],
+            }
+        }),
+    })
 }
 
 #[cfg(test)]

@@ -7,12 +7,10 @@
 //! delaying every disk-completion interrupt, so the absolute penalty is
 //! proportional to the number of disk interrupts (Fig. 7b).
 
-use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
-};
+use crate::registry::{Installed, Workload, WorkloadOutcome, WorkloadParams};
 use netsim::packet::{Body, EndpointId, Packet};
 use simkit::time::SimTime;
-use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{ClientApp, CloudBuilder};
 use storage::block::BlockRange;
 use storage::device::DiskOp;
 use vmm::channel::ChannelKind;
@@ -82,6 +80,9 @@ pub fn profile(name: &str) -> Option<ParsecProfile> {
 
 const DONE_TOKEN: u64 = u64::MAX;
 
+/// Tag of the completion report a [`CompletionWaiter`] counts.
+pub(crate) const DONE_TAG: u64 = 0xD0E;
+
 /// A PARSEC application guest: configuration, input unpacking (disk reads
 /// interleaved with compute), computation, result write, completion report.
 pub struct ParsecGuest {
@@ -146,7 +147,7 @@ impl GuestProgram for ParsecGuest {
             env.send(
                 self.monitor,
                 Body::Raw {
-                    tag: 0xD0E,
+                    tag: DONE_TAG,
                     len: 32,
                 },
             );
@@ -186,7 +187,7 @@ impl ClientApp for CompletionWaiter {
     }
 
     fn on_packet(&mut self, packet: &Packet, now: SimTime) -> Vec<Packet> {
-        if matches!(packet.body(), Body::Raw { tag: 0xD0E, .. }) {
+        if matches!(packet.body(), Body::Raw { tag: DONE_TAG, .. }) {
             self.arrivals.push(now);
         }
         Vec::new()
@@ -205,92 +206,48 @@ impl ClientApp for CompletionWaiter {
     }
 }
 
-/// One `"parsec:<app>"` workload: a [`ParsecGuest`] built from its
-/// profile, measured by a [`CompletionWaiter`] (Fig. 7). Each of the five
-/// [`PARSEC`] profiles is its own named workload, one of
-/// [`PARSEC_WORKLOADS`].
-pub struct ParsecWorkload {
-    name: &'static str,
-    profile: ParsecProfile,
-}
-
-/// The five Fig. 7 workloads, in [`PARSEC`] order.
-pub static PARSEC_WORKLOADS: [ParsecWorkload; 5] = [
-    ParsecWorkload {
-        name: "parsec:ferret",
-        profile: PARSEC[0],
-    },
-    ParsecWorkload {
-        name: "parsec:blackscholes",
-        profile: PARSEC[1],
-    },
-    ParsecWorkload {
-        name: "parsec:canneal",
-        profile: PARSEC[2],
-    },
-    ParsecWorkload {
-        name: "parsec:dedup",
-        profile: PARSEC[3],
-    },
-    ParsecWorkload {
-        name: "parsec:streamcluster",
-        profile: PARSEC[4],
-    },
+/// The five Fig. 7 workloads, one `"parsec:<app>"` row per [`PARSEC`]
+/// profile, in [`PARSEC`] order: a [`ParsecGuest`] measured by a
+/// [`CompletionWaiter`].
+pub const WORKLOADS: [Workload; 5] = [
+    app::<0>("parsec:ferret"),
+    app::<1>("parsec:blackscholes"),
+    app::<2>("parsec:canneal"),
+    app::<3>("parsec:dedup"),
+    app::<4>("parsec:streamcluster"),
 ];
 
-struct ParsecInstalled {
-    vm: VmHandle,
-    client: ClientHandle,
-}
-
-impl InstalledWorkload for ParsecInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
-    }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let c = sim
-            .cloud
-            .client_app::<CompletionWaiter>(self.client)
-            .expect("client type");
-        let samples: Vec<f64> = c.arrivals().iter().map(|t| t.as_millis_f64()).collect();
-        WorkloadOutcome {
-            completed: samples.len() as u64,
-            samples_ms: samples,
-            extra: Vec::new(),
-        }
+const fn app<const APP: usize>(name: &'static str) -> Workload {
+    Workload {
+        name,
+        about: "PARSEC app completion time, calibrated to the paper's testbed (Fig. 7)",
+        params: &[],
+        channels: &[ChannelKind::Net, ChannelKind::Disk],
+        install: install::<APP>,
     }
 }
 
-impl Workload for ParsecWorkload {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn about(&self) -> &str {
-        "PARSEC app completion time, calibrated to the paper's testbed (Fig. 7)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        &[]
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Disk]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        _params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let profile = self.profile;
-        let monitor = b.next_client_endpoint();
-        let vm = ctx.add_vm(b, &move || Box::new(ParsecGuest::new(profile, monitor)));
-        let client = b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(ParsecInstalled { vm, client }))
-    }
+/// Installs the app of profile `PARSEC[APP]`.
+fn install<const APP: usize>(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    _params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let profile = PARSEC[APP];
+    let monitor = b.next_client_endpoint();
+    let vm = b.add_defended_vm(hosts, move || Box::new(ParsecGuest::new(profile, monitor)));
+    let client = b.add_client(Box::new(CompletionWaiter::new(1)));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            let c = sim
+                .cloud
+                .client_app::<CompletionWaiter>(client)
+                .expect("client type");
+            let samples = c.arrivals().iter().map(|t| t.as_millis_f64()).collect();
+            WorkloadOutcome::per_sample(samples, Vec::new())
+        }),
+    })
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
-//! The typed workload API: a [`Workload`] trait plus one static table of
-//! every workload, [`workloads`].
+//! The typed workload API: one [`Workload`] row per workload in one
+//! static table, [`workloads`].
 //!
 //! This is the joint between the declarative sweep layer (`harness`) and
 //! the concrete guests/clients of this crate: a scenario names a workload
-//! (`"web-http"`, `"parsec:ferret"`, ...) and the table does the wiring.
+//! (`"web-http"`, `"parsec:ferret"`, ...) and its row does the wiring.
 //! Each workload declares its parameters as [`ParamSpec`] rows — key,
 //! type, default, doc — so the sweep layer can enumerate and type-check
 //! every parameter *before* a scenario runs, and `swbench describe`
 //! prints the catalogue. Adding a workload (a cache-channel guest pair, a
-//! trace replayer, ...) is implementing [`Workload`] and adding one row to
-//! the table; no central dispatch changes.
+//! trace replayer, ...) is one const [`Workload`] row plus its install
+//! fn, and one entry in the table; no central dispatch changes.
 //!
 //! Every workload reports its results the same way — a vector of
 //! latency-like samples in milliseconds plus a completion count
@@ -17,9 +17,10 @@
 
 use std::collections::BTreeMap;
 use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::config::CloudConfig;
 use stopwatch_core::schema::{self, ValueType};
 use vmm::channel::ChannelKind;
-use vmm::guest::{GuestProgram, IdleGuest};
+use vmm::guest::IdleGuest;
 
 /// One declared workload parameter: key, type, default, doc. The default
 /// is the string form the parameter's type parses.
@@ -69,28 +70,15 @@ impl WorkloadParams {
         self.map.insert(key.to_string(), value.to_string());
     }
 
-    /// Checks every key against `specs` (unknown keys get a nearest-key
-    /// suggestion) and every value against its declared type.
+    /// Checks every pair with [`Workload::check_param`].
     ///
     /// # Errors
     ///
-    /// A message naming the workload, the offending key, and — for
-    /// plausible typos — the nearest valid key.
-    pub fn validate(&self, workload: &str, specs: &[ParamSpec]) -> Result<(), String> {
-        for (key, value) in &self.map {
-            let Some(spec) = specs.iter().find(|s| s.key == key.as_str()) else {
-                let keys: Vec<&str> = specs.iter().map(|s| s.key).collect();
-                return Err(schema::unknown_key(
-                    &format!("parameter of workload {workload:?}"),
-                    key,
-                    &keys,
-                ));
-            };
-            spec.ty
-                .check(value)
-                .map_err(|e| format!("workload {workload:?} parameter {key:?}: {e}"))?;
-        }
-        Ok(())
+    /// The first failing pair's message.
+    pub fn validate(&self, workload: &Workload) -> Result<(), String> {
+        self.map
+            .iter()
+            .try_for_each(|(key, value)| workload.check_param(key, value))
     }
 
     /// The fully-resolved parameter set: every declared parameter with its
@@ -132,32 +120,6 @@ impl WorkloadParams {
     }
 }
 
-/// What a workload installs against: the replica placement and the run's
-/// master seed (for client-side randomness). The defense arm comes from
-/// the cloud's own configuration (`cfg.defense`), so one workload
-/// definition runs under every registered arm.
-#[derive(Debug, Clone, Copy)]
-pub struct InstallCtx<'a> {
-    /// Hosts offered to the workload VM: replicated arms (StopWatch)
-    /// spread replicas over all of them, single-host arms (baseline,
-    /// deterland, bucketed) run on the first entry only.
-    pub replica_hosts: &'a [usize],
-    /// Master seed for this run.
-    pub seed: u64,
-}
-
-impl InstallCtx<'_> {
-    /// Adds the workload's VM under the builder's configured defense arm
-    /// — the comparison axis of every shootout figure.
-    pub fn add_vm(
-        &self,
-        b: &mut CloudBuilder,
-        make: &dyn Fn() -> Box<dyn GuestProgram>,
-    ) -> VmHandle {
-        b.add_defended_vm(self.replica_hosts, make)
-    }
-}
-
 /// What a workload measured, in registry-neutral form.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadOutcome {
@@ -173,151 +135,116 @@ pub struct WorkloadOutcome {
     pub extra: Vec<(String, f64)>,
 }
 
-/// Scores a secret-recovery attacker (the cache, disk and timer channel
-/// workloads): its per-probe samples in ns become `samples_ms`, each
-/// finished round is one completed operation, and `extra` reports how
-/// many rounds guessed `secret` among `choices` candidates, that
-/// accuracy, and the `1 / choices` accuracy of guessing blind.
-pub(crate) fn recovery_outcome(
-    samples_ns: &[u64],
-    guesses: &[u64],
-    rounds: u32,
-    secret: u64,
-    choices: u64,
-) -> WorkloadOutcome {
-    let recovered = guesses.iter().filter(|&&guess| guess == secret).count() as f64;
-    let accuracy = if rounds > 0 {
-        recovered / f64::from(rounds)
-    } else {
-        0.0
-    };
-    WorkloadOutcome {
-        samples_ms: samples_ns.iter().map(|&ns| ns as f64 / 1.0e6).collect(),
-        completed: u64::from(rounds),
-        extra: vec![
-            ("probe_rounds".to_string(), f64::from(rounds)),
-            ("recovered_rounds".to_string(), recovered),
-            ("recovery_accuracy".to_string(), accuracy),
-            ("chance_accuracy".to_string(), 1.0 / choices as f64),
-        ],
+impl WorkloadOutcome {
+    /// One completed operation per sample.
+    pub(crate) fn per_sample(samples_ms: Vec<f64>, extra: Vec<(String, f64)>) -> Self {
+        WorkloadOutcome {
+            completed: samples_ms.len() as u64,
+            samples_ms,
+            extra,
+        }
     }
 }
 
-/// Handle to a workload wired into a cloud, used to pull measurements out
-/// of the finished simulation. Each [`Workload`] returns its own
-/// implementation; the sweep layer only sees this interface.
-pub trait InstalledWorkload {
+/// A workload wired into a cloud.
+pub struct Installed {
     /// The workload's protected VM.
-    fn vm(&self) -> VmHandle;
-
-    /// Extracts the measurements after a run.
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome;
+    pub vm: VmHandle,
+    /// Extracts the measurements from the finished simulation.
+    pub collect: Box<dyn FnOnce(&mut CloudSim) -> WorkloadOutcome>,
 }
 
-/// An installable experiment workload: a name, a self-describing
-/// parameter schema, and the wiring that installs it into a
-/// [`CloudBuilder`]. Each implementation is one row of [`workloads`] and
-/// plugs into every sweep layer — `swbench` grids and presets — with no
-/// central dispatch.
-pub trait Workload: Send + Sync {
+/// One registered workload: a row of [`workloads`]. It plugs into every
+/// sweep layer — `swbench` grids and presets — with no central dispatch.
+#[derive(Debug, Clone, Copy)]
+pub struct Workload {
     /// The registry key (`"web-http"`, `"parsec:ferret"`, ...).
-    fn name(&self) -> &str;
-
+    pub name: &'static str,
     /// One-line description for `swbench describe`.
-    fn about(&self) -> &str;
-
+    pub about: &'static str,
     /// The declared parameter schema.
-    fn params(&self) -> &[ParamSpec];
+    pub params: &'static [ParamSpec],
+    /// The timing channels this workload's guests drive — which of the
+    /// VMM's agreement paths it exercises (`swbench describe` prints
+    /// them). Every client-measured workload crosses the network channel.
+    pub channels: &'static [ChannelKind],
+    /// Wires the workload into the builder: its VM under the builder's
+    /// defense arm (`cfg.defense`) on the replica hosts — single-host
+    /// arms use the first — plus its measuring client. Client-side
+    /// randomness derives from the builder's `seed`. The caller has
+    /// validated the parameters and checked that there is a host.
+    ///
+    /// The `Err` is a wiring failure, as a message.
+    pub install: fn(&mut CloudBuilder, &[usize], &WorkloadParams) -> Result<Installed, String>,
+}
 
-    /// The timing channels this workload exercises — which of the VMM's
-    /// agreement paths its guests actually drive (`swbench describe`
-    /// prints them). Defaults to the network channel, which every
-    /// client-measured workload crosses; override to add `cache`/`disk`
-    /// or (for client-less scaffolding) to claim none.
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net]
-    }
-
-    /// Wires the workload into `b`: its protected (or baseline) VM plus
-    /// its measuring client. `params` has been validated against
-    /// [`Workload::params`] by the caller.
+impl Workload {
+    /// Checks one parameter key/value against this workload's schema. An
+    /// unknown key that names a [`CloudConfig`] knob gets a cross-layer
+    /// hint (`cfg.<key>`); other unknown keys get the nearest-parameter
+    /// suggestion.
     ///
     /// # Errors
     ///
-    /// Reports wiring failures as messages.
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String>;
+    /// A message naming the workload, the offending key, and — for
+    /// plausible typos — the nearest valid key.
+    pub fn check_param(&self, key: &str, value: &str) -> Result<(), String> {
+        let name = self.name;
+        match self.params.iter().find(|s| s.key == key) {
+            Some(spec) => spec
+                .ty
+                .check(value)
+                .map_err(|e| format!("workload {name:?} parameter {key:?}: {e}")),
+            None if CloudConfig::knob(key).is_some() => Err(format!(
+                "workload {name:?} has no parameter {key:?}; \
+                 did you mean the config knob \"cfg.{key}\"?"
+            )),
+            None => {
+                let keys: Vec<&str> = self.params.iter().map(|s| s.key).collect();
+                Err(schema::unknown_key(
+                    &format!("parameter of workload {name:?}"),
+                    key,
+                    &keys,
+                ))
+            }
+        }
+    }
 }
 
 /// The "idle" workload: one protected VM running no guest program and no
 /// client — the minimal cloud (overhead floors, placement tests).
-pub struct IdleWorkload;
-
-struct IdleInstalled {
-    vm: VmHandle,
-}
-
-impl InstalledWorkload for IdleInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
-    }
-
-    fn collect(&self, _sim: &mut CloudSim) -> WorkloadOutcome {
-        WorkloadOutcome::default()
-    }
-}
-
-impl Workload for IdleWorkload {
-    fn name(&self) -> &str {
-        "idle"
-    }
-
-    fn about(&self) -> &str {
-        "idle guest, no client (overhead floor / placement scaffolding)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        &[]
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        _params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let vm = ctx.add_vm(b, &|| Box::new(IdleGuest));
-        Ok(Box::new(IdleInstalled { vm }))
-    }
-}
+const IDLE: Workload = Workload {
+    name: "idle",
+    about: "idle guest, no client (overhead floor / placement scaffolding)",
+    params: &[],
+    channels: &[],
+    install: |b, hosts, _| {
+        Ok(Installed {
+            vm: b.add_defended_vm(hosts, || Box::new(IdleGuest)),
+            collect: Box::new(|_| WorkloadOutcome::default()),
+        })
+    },
+};
 
 /// Every workload, in presentation order (`swbench workloads`).
-static WORKLOADS: &[&dyn Workload] = &[
-    &IdleWorkload,
-    &crate::web::WebHttpWorkload,
-    &crate::web::WebUdpWorkload,
-    &crate::nfs::NfsWorkload,
-    &crate::attack::AttackWorkload,
-    &crate::cache::CacheChannelWorkload,
-    &crate::disk::DiskChannelWorkload,
-    &crate::timer::TimerChannelWorkload,
-    &crate::parsec::PARSEC_WORKLOADS[0],
-    &crate::parsec::PARSEC_WORKLOADS[1],
-    &crate::parsec::PARSEC_WORKLOADS[2],
-    &crate::parsec::PARSEC_WORKLOADS[3],
-    &crate::parsec::PARSEC_WORKLOADS[4],
+static WORKLOADS: &[Workload] = &[
+    IDLE,
+    crate::web::WEB_HTTP,
+    crate::web::WEB_UDP,
+    crate::nfs::NFS,
+    crate::attack::ATTACK,
+    crate::cache::CACHE_CHANNEL,
+    crate::disk::DISK_CHANNEL,
+    crate::timer::TIMER_CHANNEL,
+    crate::parsec::WORKLOADS[0],
+    crate::parsec::WORKLOADS[1],
+    crate::parsec::WORKLOADS[2],
+    crate::parsec::WORKLOADS[3],
+    crate::parsec::WORKLOADS[4],
 ];
 
 /// Every workload, in presentation order.
-pub fn workloads() -> &'static [&'static dyn Workload] {
+pub fn workloads() -> &'static [Workload] {
     WORKLOADS
 }
 
@@ -327,15 +254,11 @@ pub fn workloads() -> &'static [&'static dyn Workload] {
 ///
 /// Names the unknown workload, the nearest workload name (for plausible
 /// typos), and the full table.
-pub fn require(name: &str) -> Result<&'static dyn Workload, String> {
-    WORKLOADS
-        .iter()
-        .copied()
-        .find(|w| w.name() == name)
-        .ok_or_else(|| {
-            let keys: Vec<&str> = WORKLOADS.iter().map(|w| w.name()).collect();
-            schema::unknown_key("workload", name, &keys)
-        })
+pub fn require(name: &str) -> Result<&'static Workload, String> {
+    WORKLOADS.iter().find(|w| w.name == name).ok_or_else(|| {
+        let keys: Vec<&str> = WORKLOADS.iter().map(|w| w.name).collect();
+        schema::unknown_key("workload", name, &keys)
+    })
 }
 
 /// Wires workload `name` into the builder: its VM under the builder's
@@ -353,18 +276,13 @@ pub fn install(
     b: &mut CloudBuilder,
     replica_hosts: &[usize],
     params: &WorkloadParams,
-    seed: u64,
-) -> Result<Box<dyn InstalledWorkload>, String> {
+) -> Result<Installed, String> {
     if replica_hosts.is_empty() {
         return Err("workload needs at least one replica host".to_string());
     }
     let workload = require(name)?;
-    params.validate(name, workload.params())?;
-    let ctx = InstallCtx {
-        replica_hosts,
-        seed,
-    };
-    workload.install(b, &ctx, params)
+    params.validate(workload)?;
+    (workload.install)(b, replica_hosts, params)
 }
 
 #[cfg(test)]
@@ -378,17 +296,17 @@ mod tests {
         let mut cfg = CloudConfig::fast_test();
         cfg.defense = if stopwatch { "stopwatch" } else { "baseline" }.to_string();
         let mut b = CloudBuilder::new(cfg, 3);
-        let wl = install(name, &mut b, &[0, 1, 2], &params, 7).expect("install");
+        let wl = install(name, &mut b, &[0, 1, 2], &params).expect("install");
         let mut sim = b.build();
         sim.run_until_clients_done(SimTime::from_secs(120));
         let drain = sim.now() + SimDuration::from_millis(500);
         sim.run_until(drain);
-        wl.collect(&mut sim)
+        (wl.collect)(&mut sim)
     }
 
     #[test]
     fn names_cover_parsec_apps() {
-        let names: Vec<&str> = workloads().iter().map(|w| w.name()).collect();
+        let names: Vec<&str> = workloads().iter().map(|w| w.name).collect();
         for builtin in [
             "idle",
             "web-http",
@@ -413,12 +331,12 @@ mod tests {
     #[test]
     fn every_registered_workload_has_a_valid_schema() {
         for w in workloads() {
-            assert!(!w.name().is_empty());
-            assert!(!w.about().is_empty(), "{:?} lacks an about", w.name());
-            for p in w.params() {
-                assert!(!p.doc.is_empty(), "{}.{} lacks a doc", w.name(), p.key);
+            assert!(!w.name.is_empty());
+            assert!(!w.about.is_empty(), "{:?} lacks an about", w.name);
+            for p in w.params {
+                assert!(!p.doc.is_empty(), "{}.{} lacks a doc", w.name, p.key);
                 p.ty.check(p.default).unwrap_or_else(|e| {
-                    panic!("{}.{} default fails its own type: {e}", w.name(), p.key)
+                    panic!("{}.{} default fails its own type: {e}", w.name, p.key)
                 });
             }
         }
@@ -427,37 +345,28 @@ mod tests {
     #[test]
     fn unknown_workload_and_params_error() {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
-        assert!(install("no-such", &mut b, &[0, 1, 2], &WorkloadParams::new(), 1).is_err());
+        assert!(install("no-such", &mut b, &[0, 1, 2], &WorkloadParams::new()).is_err());
         let bad = WorkloadParams::from_pairs([("byts", "10")]);
-        assert!(install("web-http", &mut b, &[0, 1, 2], &bad, 1).is_err());
+        assert!(install("web-http", &mut b, &[0, 1, 2], &bad).is_err());
         let unparsable = WorkloadParams::from_pairs([("bytes", "many")]);
-        assert!(install("web-http", &mut b, &[0, 1, 2], &unparsable, 1).is_err());
-        assert!(install(
-            "parsec:quake",
-            &mut b,
-            &[0, 1, 2],
-            &WorkloadParams::new(),
-            1
-        )
-        .is_err());
-        assert!(install("idle", &mut b, &[], &WorkloadParams::new(), 1).is_err());
+        assert!(install("web-http", &mut b, &[0, 1, 2], &unparsable).is_err());
+        assert!(install("parsec:quake", &mut b, &[0, 1, 2], &WorkloadParams::new()).is_err());
+        assert!(install("idle", &mut b, &[], &WorkloadParams::new()).is_err());
     }
 
     #[test]
     fn errors_carry_nearest_key_suggestions() {
-        let err = require("web-htp").err().expect("unknown workload");
+        let err = require("web-htp").expect_err("unknown workload");
         assert!(err.contains("did you mean \"web-http\""), "{err}");
-        let err = require("parsec:feret").err().expect("unknown workload");
+        let err = require("parsec:feret").expect_err("unknown workload");
         assert!(err.contains("did you mean \"parsec:ferret\""), "{err}");
         let typo = WorkloadParams::from_pairs([("byts", "10")]);
-        let err = typo
-            .validate("web-http", require("web-http").unwrap().params())
-            .unwrap_err();
+        let err = typo.validate(require("web-http").unwrap()).unwrap_err();
         assert!(err.contains("did you mean \"bytes\""), "{err}");
         assert!(err.contains("web-http"), "{err}");
         let ill_typed = WorkloadParams::from_pairs([("bytes", "many")]);
         let err = ill_typed
-            .validate("web-http", require("web-http").unwrap().params())
+            .validate(require("web-http").unwrap())
             .unwrap_err();
         assert!(err.contains("\"bytes\""), "{err}");
         assert!(err.contains("many"), "{err}");
@@ -465,9 +374,9 @@ mod tests {
 
     #[test]
     fn resolved_overlays_explicit_values_on_defaults() {
-        let specs = require("web-http").unwrap().params().to_vec();
+        let specs = require("web-http").unwrap().params;
         let params = WorkloadParams::from_pairs([("bytes", "777")]);
-        let resolved = params.resolved(&specs);
+        let resolved = params.resolved(specs);
         assert_eq!(resolved.len(), specs.len());
         assert!(resolved.contains(&("bytes".to_string(), "777".to_string())));
         assert!(resolved.contains(&("downloads".to_string(), "3".to_string())));

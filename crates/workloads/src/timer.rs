@@ -21,19 +21,14 @@
 //! pipeline exactly like network timings do.
 
 use crate::parsec::CompletionWaiter;
-use crate::registry::{
-    recovery_outcome, InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome,
-    WorkloadParams,
-};
-use netsim::packet::{Body, EndpointId};
+use crate::registry::{Installed, ParamSpec, Workload, WorkloadParams};
+use crate::rounds::{RoundScorer, Tell};
+use netsim::packet::EndpointId;
 use simkit::time::{VirtNanos, VirtOffset};
-use stopwatch_core::cloud::{CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::schema::ValueType;
 use vmm::channel::ChannelKind;
 use vmm::guest::{GuestEnv, GuestProgram};
-
-/// Completion-report tag understood by [`CompletionWaiter`].
-const DONE_TAG: u64 = 0xD0E;
 
 /// The attacker's one-shot probe timer id (re-armed each window).
 const PROBE_TIMER: u64 = 1;
@@ -48,9 +43,13 @@ const BURST_TIMER: u64 = 7;
 ///
 /// 1. **Arm** a one-shot virtual timer at the midpoint of the current
 ///    window (deadlines follow a fixed absolute schedule, so delivery
-///    jitter never accumulates into the next probe);
-/// 2. **Sample** `irq_timestamp - deadline` when the fire is injected —
-///    the only scheduler-latency view the guest has;
+///    jitter never accumulates into the next probe). When a fire is
+///    delivered after that midpoint has passed — under StopWatch at a
+///    Δt of a window or more, or at a Δt the dispatch overruns, such as
+///    0 — the probe arms 1 ns after the delivery instead;
+/// 2. **Sample** `irq_timestamp - deadline` when the fire is injected,
+///    from the deadline actually armed — the only scheduler-latency
+///    view the guest has;
 /// 3. After `arms` windows, **guess**: the window with the strictly
 ///    largest latency is the round's recovered secret — unless every
 ///    window read the same (no signal), in which case the attacker
@@ -62,14 +61,10 @@ pub struct TimerProbeGuest {
     arms: u64,
     window: VirtOffset,
     start: VirtNanos,
-    rounds: u32,
-    monitor: EndpointId,
-    round: u32,
     arm: u64,
+    armed: VirtNanos,
     window_delay: Vec<u64>,
-    samples_ns: Vec<u64>,
-    guesses: Vec<u64>,
-    done: bool,
+    scorer: RoundScorer,
 }
 
 impl TimerProbeGuest {
@@ -83,80 +78,27 @@ impl TimerProbeGuest {
         rounds: u32,
         monitor: EndpointId,
     ) -> Self {
+        let arms = arms.max(1);
         TimerProbeGuest {
-            arms: arms.max(1),
+            arms,
             window,
             start,
-            rounds: rounds.max(1),
-            monitor,
-            round: 0,
             arm: 0,
+            armed: VirtNanos::ZERO,
             window_delay: Vec::new(),
-            samples_ns: Vec::new(),
-            guesses: Vec::new(),
-            done: false,
+            scorer: RoundScorer::new(arms, rounds, Tell::Slowest, monitor),
         }
     }
 
-    /// Per-window timer-latency samples, one entry per `(round, window)`
-    /// pair in round-major order, virtual nanoseconds.
-    pub fn samples_ns(&self) -> &[u64] {
-        &self.samples_ns
-    }
-
-    /// The recovered window per completed round.
-    pub fn guesses(&self) -> &[u64] {
-        &self.guesses
-    }
-
-    /// Completed rounds.
-    pub fn rounds_done(&self) -> u32 {
-        self.round
-    }
-
-    /// The fixed probe schedule: window `arm` of round `round` is probed
-    /// at its midpoint.
-    fn deadline(&self, round: u32, arm: u64) -> VirtNanos {
-        let w = self.window.as_nanos();
-        let slots = u64::from(round) * self.arms + arm;
-        VirtNanos::from_nanos(self.start.as_nanos() + slots * w + w / 2)
-    }
-
+    /// Arms the probe of window `arm` of the current round at its
+    /// midpoint on the fixed schedule, or 1 ns from now once that
+    /// midpoint has passed.
     fn arm_probe(&mut self, env: &mut GuestEnv) {
-        let deadline = self.deadline(self.round, self.arm);
-        env.set_timer(PROBE_TIMER, deadline);
-    }
-
-    fn finish_round(&mut self, env: &mut GuestEnv) {
-        self.samples_ns.extend(self.window_delay.iter().copied());
-        let max = *self.window_delay.iter().max().expect("arms > 0");
-        let min = *self.window_delay.iter().min().expect("arms > 0");
-        let guess = if max == min {
-            // Flat readout: no signal. Cycle deterministically — the
-            // determinism-safe stand-in for a random guess.
-            u64::from(self.round) % self.arms
-        } else {
-            self.window_delay
-                .iter()
-                .position(|&d| d == max)
-                .expect("max exists") as u64
-        };
-        self.guesses.push(guess);
-        self.window_delay.clear();
-        self.round += 1;
-        self.arm = 0;
-        if self.round >= self.rounds {
-            self.done = true;
-            env.send(
-                self.monitor,
-                Body::Raw {
-                    tag: DONE_TAG,
-                    len: 64,
-                },
-            );
-        } else {
-            self.arm_probe(env);
-        }
+        let w = self.window.as_nanos();
+        let slots = u64::from(self.scorer.round()) * self.arms + self.arm;
+        let midpoint = self.start.as_nanos() + slots * w + w / 2;
+        self.armed = VirtNanos::from_nanos(midpoint.max(env.now.as_nanos() + 1));
+        env.set_timer(PROBE_TIMER, self.armed);
     }
 }
 
@@ -166,21 +108,26 @@ impl GuestProgram for TimerProbeGuest {
     }
 
     fn on_vtimer(&mut self, timer_id: u64, env: &mut GuestEnv) {
-        if timer_id != PROBE_TIMER || self.done {
+        if timer_id != PROBE_TIMER || self.scorer.done() {
             return;
         }
-        let deadline = self.deadline(self.round, self.arm);
         let delay = env
             .irq_timestamp
             .as_nanos()
-            .saturating_sub(deadline.as_nanos());
+            .saturating_sub(self.armed.as_nanos());
         self.window_delay.push(delay);
         self.arm += 1;
         if self.arm >= self.arms {
-            self.finish_round(env);
-        } else {
-            self.arm_probe(env);
+            self.arm = 0;
+            let last = self
+                .scorer
+                .finish_round(&self.window_delay, &self.window_delay, env);
+            self.window_delay.clear();
+            if last {
+                return;
+            }
         }
+        self.arm_probe(env);
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -277,94 +224,65 @@ const TIMER_PARAMS: &[ParamSpec] = &[
 /// optionally coresident with a [`TimerVictimGuest`] on its first replica
 /// host, measured until the attacker finishes its rounds. Samples are
 /// per-window timer latencies; `extra` carries the window-recovery score.
-pub struct TimerChannelWorkload;
+pub const TIMER_CHANNEL: Workload = Workload {
+    name: "timer-channel",
+    about:
+        "virtual-timer attacker vs coresident secret-phased CPU victim on the vCPU scheduler beat",
+    params: TIMER_PARAMS,
+    channels: &[ChannelKind::Net, ChannelKind::Timer],
+    install,
+};
 
-struct TimerChannelInstalled {
-    vm: VmHandle,
-    secret: u64,
-    arms: u64,
-}
-
-impl InstalledWorkload for TimerChannelInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
+fn install(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let arms: u64 = params.get(TIMER_PARAMS, "arms")?;
+    let window_ms: u64 = params.get(TIMER_PARAMS, "window_ms")?;
+    let rounds = params.get(TIMER_PARAMS, "rounds")?;
+    let secret: u64 = params.get(TIMER_PARAMS, "secret")?;
+    let victim: bool = params.get(TIMER_PARAMS, "victim")?;
+    let start_ms: u64 = params.get(TIMER_PARAMS, "start_ms")?;
+    if arms < 2 || window_ms == 0 {
+        return Err("timer-channel needs arms >= 2 and window_ms >= 1".to_string());
     }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let g = sim
-            .cloud
-            .guest_program::<TimerProbeGuest>(self.vm, 0)
-            .expect("attacker program");
-        recovery_outcome(
-            g.samples_ns(),
-            g.guesses(),
-            g.rounds_done(),
-            self.secret,
-            self.arms,
-        )
+    if secret >= arms {
+        return Err(format!(
+            "timer-channel secret arm {secret} is out of range (arms = {arms})"
+        ));
     }
-}
-
-impl Workload for TimerChannelWorkload {
-    fn name(&self) -> &str {
-        "timer-channel"
+    let window = VirtOffset::from_millis(window_ms);
+    let start = VirtNanos::from_millis(start_ms);
+    let monitor = b.next_client_endpoint();
+    let vm = b.add_defended_vm(hosts, move || {
+        Box::new(TimerProbeGuest::new(arms, window, start, rounds, monitor))
+    });
+    if victim {
+        // The coresidency under attack: the victim shares exactly the
+        // attacker's first replica host (Sec. III's threat model).
+        b.add_baseline_vm(
+            hosts[0],
+            Box::new(TimerVictimGuest::new(secret, arms, window, start)),
+        );
     }
-
-    fn about(&self) -> &str {
-        "virtual-timer attacker vs coresident secret-phased CPU victim on the vCPU scheduler beat"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        TIMER_PARAMS
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Timer]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let arms: u64 = params.get(TIMER_PARAMS, "arms")?;
-        let window_ms: u64 = params.get(TIMER_PARAMS, "window_ms")?;
-        let rounds = params.get(TIMER_PARAMS, "rounds")?;
-        let secret: u64 = params.get(TIMER_PARAMS, "secret")?;
-        let victim: bool = params.get(TIMER_PARAMS, "victim")?;
-        let start_ms: u64 = params.get(TIMER_PARAMS, "start_ms")?;
-        if arms < 2 || window_ms == 0 {
-            return Err("timer-channel needs arms >= 2 and window_ms >= 1".to_string());
-        }
-        if secret >= arms {
-            return Err(format!(
-                "timer-channel secret arm {secret} is out of range (arms = {arms})"
-            ));
-        }
-        let window = VirtOffset::from_millis(window_ms);
-        let start = VirtNanos::from_millis(start_ms);
-        let monitor = b.next_client_endpoint();
-        let vm = ctx.add_vm(b, &move || {
-            Box::new(TimerProbeGuest::new(arms, window, start, rounds, monitor))
-        });
-        if victim {
-            // The coresidency under attack: the victim shares exactly the
-            // attacker's first replica host (Sec. III's threat model).
-            b.add_baseline_vm(
-                ctx.replica_hosts[0],
-                Box::new(TimerVictimGuest::new(secret, arms, window, start)),
-            );
-        }
-        b.add_client(Box::new(CompletionWaiter::new(1)));
-        Ok(Box::new(TimerChannelInstalled { vm, secret, arms }))
-    }
+    b.add_client(Box::new(CompletionWaiter::new(1)));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            sim.cloud
+                .guest_program::<TimerProbeGuest>(vm, 0)
+                .expect("attacker program")
+                .scorer
+                .outcome(secret)
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{install, WorkloadParams};
+    use crate::registry::{install, WorkloadOutcome};
     use simkit::time::{SimDuration, SimTime};
     use stopwatch_core::config::CloudConfig;
 
@@ -372,14 +290,15 @@ mod tests {
         let params =
             WorkloadParams::from_pairs([("victim", if victim { "true" } else { "false" })]);
         let mut cfg = CloudConfig::fast_test();
+        cfg.seed = seed;
         cfg.defense = if stopwatch { "stopwatch" } else { "baseline" }.to_string();
         let mut b = CloudBuilder::new(cfg, 3);
-        let wl = install("timer-channel", &mut b, &[0, 1, 2], &params, seed).expect("install");
+        let wl = install("timer-channel", &mut b, &[0, 1, 2], &params).expect("install");
         let mut sim = b.build();
         sim.run_until_clients_done(SimTime::from_secs(120));
         let drain = sim.now() + SimDuration::from_millis(500);
         sim.run_until(drain);
-        wl.collect(&mut sim)
+        (wl.collect)(&mut sim)
     }
 
     fn extra(out: &WorkloadOutcome, key: &str) -> f64 {
@@ -446,12 +365,12 @@ mod tests {
     fn bad_arms_are_rejected() {
         let mut b = CloudBuilder::new(CloudConfig::fast_test(), 3);
         let bad = WorkloadParams::from_pairs([("secret", "9")]);
-        let err = install("timer-channel", &mut b, &[0, 1, 2], &bad, 1)
+        let err = install("timer-channel", &mut b, &[0, 1, 2], &bad)
             .err()
             .expect("out-of-range secret");
         assert!(err.contains("out of range"), "{err}");
         let one = WorkloadParams::from_pairs([("arms", "1"), ("secret", "0")]);
-        let err = install("timer-channel", &mut b, &[0, 1, 2], &one, 1)
+        let err = install("timer-channel", &mut b, &[0, 1, 2], &one)
             .err()
             .expect("one arm");
         assert!(err.contains("arms >= 2"), "{err}");

@@ -3,15 +3,13 @@
 //! ACK crosses the Δn/median machinery) and over UDP with NAK reliability
 //! (fast under StopWatch: almost nothing flows inbound).
 
-use crate::registry::{
-    InstallCtx, InstalledWorkload, ParamSpec, Workload, WorkloadOutcome, WorkloadParams,
-};
+use crate::registry::{Installed, ParamSpec, Workload, WorkloadOutcome, WorkloadParams};
 use netsim::packet::{AppData, Body, EndpointId, Packet};
 use netsim::tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpState};
 use netsim::udp::{UdpClientEvent, UdpFileClient, UdpFileServer};
 use simkit::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
-use stopwatch_core::cloud::{ClientApp, ClientHandle, CloudBuilder, CloudSim, VmHandle};
+use stopwatch_core::cloud::{ClientApp, CloudBuilder};
 use stopwatch_core::schema::ValueType;
 use storage::block::BlockRange;
 use storage::device::DiskOp;
@@ -473,147 +471,100 @@ const WEB_PARAMS: &[ParamSpec] = &[
 
 /// The `"web-http"` workload: a [`FileServerGuest`] measured by an
 /// [`HttpDownloadClient`] (Fig. 5's TCP arm).
-pub struct WebHttpWorkload;
-
-struct WebHttpInstalled {
-    vm: VmHandle,
-    client: ClientHandle,
-}
-
-impl InstalledWorkload for WebHttpInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
-    }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let c = sim
-            .cloud
-            .client_app::<HttpDownloadClient>(self.client)
-            .expect("client type");
-        let samples: Vec<f64> = c
-            .results()
-            .iter()
-            .map(|r| r.latency.as_millis_f64())
-            .collect();
-        WorkloadOutcome {
-            completed: samples.len() as u64,
-            samples_ms: samples,
-            extra: vec![
-                ("sent_segments".to_string(), c.sent_segments as f64),
-                ("received_segments".to_string(), c.received_segments as f64),
-            ],
-        }
-    }
-}
-
-impl Workload for WebHttpWorkload {
-    fn name(&self) -> &str {
-        "web-http"
-    }
-
-    fn about(&self) -> &str {
-        "file retrieval over HTTP/TCP, ACK-per-segment (Fig. 5)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        WEB_PARAMS
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Disk]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let bytes = params.get(WEB_PARAMS, "bytes")?;
-        let downloads = params.get(WEB_PARAMS, "downloads")?;
-        let file_id = params.get(WEB_PARAMS, "file_id")?;
-        let vm = ctx.add_vm(b, &|| Box::new(FileServerGuest::new()));
-        let me = b.next_client_endpoint();
-        let client = b.add_client(Box::new(HttpDownloadClient::new(
-            me,
-            vm.endpoint,
-            file_id,
-            bytes,
-            downloads,
-        )));
-        Ok(Box::new(WebHttpInstalled { vm, client }))
-    }
-}
+pub const WEB_HTTP: Workload = Workload {
+    name: "web-http",
+    about: "file retrieval over HTTP/TCP, ACK-per-segment (Fig. 5)",
+    params: WEB_PARAMS,
+    channels: &[ChannelKind::Net, ChannelKind::Disk],
+    install: install_http,
+};
 
 /// The `"web-udp"` workload: a [`UdpFileGuest`] measured by a
 /// [`UdpDownloadClient`] (Fig. 5's UDP-NAK arm).
-pub struct WebUdpWorkload;
+pub const WEB_UDP: Workload = Workload {
+    name: "web-udp",
+    about: "file retrieval over UDP with NAK reliability (Fig. 5)",
+    params: WEB_PARAMS,
+    channels: &[ChannelKind::Net, ChannelKind::Disk],
+    install: install_udp,
+};
 
-struct WebUdpInstalled {
-    vm: VmHandle,
-    client: ClientHandle,
+/// The [`WEB_PARAMS`] values: `(bytes, downloads, file_id)`.
+fn download_params(params: &WorkloadParams) -> Result<(u64, u32, u64), String> {
+    Ok((
+        params.get(WEB_PARAMS, "bytes")?,
+        params.get(WEB_PARAMS, "downloads")?,
+        params.get(WEB_PARAMS, "file_id")?,
+    ))
 }
 
-impl InstalledWorkload for WebUdpInstalled {
-    fn vm(&self) -> VmHandle {
-        self.vm
-    }
-
-    fn collect(&self, sim: &mut CloudSim) -> WorkloadOutcome {
-        let c = sim
-            .cloud
-            .client_app::<UdpDownloadClient>(self.client)
-            .expect("client type");
-        let samples: Vec<f64> = c
-            .results()
-            .iter()
-            .map(|r| r.latency.as_millis_f64())
-            .collect();
-        WorkloadOutcome {
-            completed: samples.len() as u64,
-            samples_ms: samples,
-            extra: vec![("sent_datagrams".to_string(), c.sent_datagrams as f64)],
-        }
-    }
+/// One sample per finished download: its latency.
+fn download_outcome(results: &[DownloadResult], extra: Vec<(String, f64)>) -> WorkloadOutcome {
+    let samples = results.iter().map(|r| r.latency.as_millis_f64()).collect();
+    WorkloadOutcome::per_sample(samples, extra)
 }
 
-impl Workload for WebUdpWorkload {
-    fn name(&self) -> &str {
-        "web-udp"
-    }
+fn install_http(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let (bytes, downloads, file_id) = download_params(params)?;
+    let vm = b.add_defended_vm(hosts, || Box::new(FileServerGuest::new()));
+    let me = b.next_client_endpoint();
+    let client = b.add_client(Box::new(HttpDownloadClient::new(
+        me,
+        vm.endpoint,
+        file_id,
+        bytes,
+        downloads,
+    )));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            let c = sim
+                .cloud
+                .client_app::<HttpDownloadClient>(client)
+                .expect("client type");
+            download_outcome(
+                c.results(),
+                vec![
+                    ("sent_segments".to_string(), c.sent_segments as f64),
+                    ("received_segments".to_string(), c.received_segments as f64),
+                ],
+            )
+        }),
+    })
+}
 
-    fn about(&self) -> &str {
-        "file retrieval over UDP with NAK reliability (Fig. 5)"
-    }
-
-    fn params(&self) -> &[ParamSpec] {
-        WEB_PARAMS
-    }
-
-    fn channels(&self) -> &'static [ChannelKind] {
-        &[ChannelKind::Net, ChannelKind::Disk]
-    }
-
-    fn install(
-        &self,
-        b: &mut CloudBuilder,
-        ctx: &InstallCtx<'_>,
-        params: &WorkloadParams,
-    ) -> Result<Box<dyn InstalledWorkload>, String> {
-        let bytes = params.get(WEB_PARAMS, "bytes")?;
-        let downloads = params.get(WEB_PARAMS, "downloads")?;
-        let file_id = params.get(WEB_PARAMS, "file_id")?;
-        let vm = ctx.add_vm(b, &|| Box::new(UdpFileGuest::new()));
-        let me = b.next_client_endpoint();
-        let client = b.add_client(Box::new(UdpDownloadClient::new(
-            me,
-            vm.endpoint,
-            file_id,
-            bytes,
-            downloads,
-        )));
-        Ok(Box::new(WebUdpInstalled { vm, client }))
-    }
+fn install_udp(
+    b: &mut CloudBuilder,
+    hosts: &[usize],
+    params: &WorkloadParams,
+) -> Result<Installed, String> {
+    let (bytes, downloads, file_id) = download_params(params)?;
+    let vm = b.add_defended_vm(hosts, || Box::new(UdpFileGuest::new()));
+    let me = b.next_client_endpoint();
+    let client = b.add_client(Box::new(UdpDownloadClient::new(
+        me,
+        vm.endpoint,
+        file_id,
+        bytes,
+        downloads,
+    )));
+    Ok(Installed {
+        vm,
+        collect: Box::new(move |sim| {
+            let c = sim
+                .cloud
+                .client_app::<UdpDownloadClient>(client)
+                .expect("client type");
+            download_outcome(
+                c.results(),
+                vec![("sent_datagrams".to_string(), c.sent_datagrams as f64)],
+            )
+        }),
+    })
 }
 
 #[cfg(test)]
