@@ -4,20 +4,16 @@
 #   production  `.rs` lines above their file's first `#[cfg(test)]`,
 #               outside any `tests/` directory (examples count here);
 #   tests       every other `.rs` line;
-#   other       every other file.
+#   other       every other file, ISSUE.md excluded.
 #
-#   .github/net-lines.sh <base-rev> [excluded-path ...]
+#   .github/net-lines.sh <base-rev>
 #
-# Paths named after <base-rev> are left out of every group.
 # Compares the working tree (tracked files plus untracked, not ignored
 # ones) with <base-rev>, counting a rename as a deletion plus an addition,
 # and prints `+added −removed` and the net for each group.
 set -euo pipefail
 
-base=${1:?usage: .github/net-lines.sh <base-rev> [excluded-path ...]}
-shift
-declare -A excluded=()
-for p in "$@"; do excluded[$p]=1; done
+base=${1:?usage: .github/net-lines.sh <base-rev>}
 cd "$(git rev-parse --show-toplevel)"
 git rev-parse --verify -q "$base^{commit}" >/dev/null || {
     echo "net-lines: unknown revision $base" >&2
@@ -57,7 +53,7 @@ count_rust() {
 }
 
 while IFS= read -r -d '' path; do
-    [[ -n ${excluded[$path]-} ]] && continue
+    [[ $path == ISSUE.md ]] && continue
     tracked=1
     git cat-file -e "$base:$path" 2>/dev/null || git ls-files --error-unmatch -- "$path" \
         >/dev/null 2>&1 || tracked=0

@@ -22,7 +22,7 @@
 //! | crate | role |
 //! |---|---|
 //! | [`simkit`] | discrete-event kernel: time, events, seeded RNG, metrics |
-//! | [`netsim`] | links, PGM multicast, TCP/UDP-lite, ingress/egress nodes |
+//! | [`netsim`] | links, PGM multicast, TCP/UDP-lite, egress node |
 //! | [`storage`] | disk images, rotating/SSD access models, disk devices |
 //! | [`vmm`] | the simulated hypervisor: virtual time, VM exits, devices |
 //! | [`stopwatch_core`] | the defense: replica coordination, median agreement |
