@@ -1,15 +1,18 @@
-//! Heap allocations per executed engine event stay under a budget.
+//! Heap allocations per executed engine event, and the peak heap of a
+//! run, stay under a budget.
 //!
 //! The cloud posts typed events into the engine's recycled slab, reuses
 //! its PGM receive buffers, and refreshes host activity in place, so a
 //! warmed-up run allocates far less than once per event. These tests pin
 //! that: a thread-local counting `#[global_allocator]` (the pattern of the
-//! repo benchmark's `alloc.rs`) counts the allocator calls of one run of a
-//! scenario list at one thread, after an untimed warm-up run of the same
-//! list, and divides by the engine events the run executed.
+//! repo benchmark's `alloc.rs`) counts the allocator calls and the live
+//! bytes of one run of a scenario list at one thread, after an untimed
+//! warm-up run of the same list. The call count is divided by the engine
+//! events the run executed; the live-byte peak is taken as is.
 //!
-//! Each bound is the measured ratio plus headroom, so an allocation put
-//! back on a per-event path fails here first.
+//! Each bound is the measured value plus headroom, so an allocation put
+//! back on a per-event path, or a structure that grows with the run,
+//! fails here first.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,42 +21,57 @@ use harness::prelude::*;
 
 struct Counting;
 
-thread_local! {
-    // Const-initialised and free of `Drop`: reading it never allocates.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static CALLS: Cell<u64> = const { Cell::new(0) };
+#[derive(Clone, Copy)]
+struct State {
+    on: bool,
+    /// Live bytes relative to the start of the measurement.
+    live: i64,
+    peak: i64,
+    calls: u64,
 }
 
-fn record() {
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            CALLS.with(|c| c.set(c.get() + 1));
+thread_local! {
+    // Const-initialised and free of `Drop`: reading it never allocates.
+    static STATE: Cell<State> = const {
+        Cell::new(State { on: false, live: 0, peak: 0, calls: 0 })
+    };
+}
+
+fn record(grown: i64, calls: u64) {
+    let _ = STATE.try_with(|cell| {
+        let mut s = cell.get();
+        if s.on {
+            s.live += grown;
+            s.peak = s.peak.max(s.live);
+            s.calls += calls;
+            cell.set(s);
         }
     });
 }
 
 // SAFETY: every method forwards to `System` unchanged; the bookkeeping
-// touches only thread-local `Cell`s and never allocates.
+// touches only a thread-local `Cell` and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size() as i64, 1);
         // SAFETY: the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record();
+        record(layout.size() as i64, 1);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(-(layout.size() as i64), 0);
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record();
+        record(new_size as i64 - layout.size() as i64, 1);
         // SAFETY: the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,20 +80,35 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Allocator calls per executed event of one run of `scenarios` at one
-/// thread (the runner then stays on the calling thread, which is the one
-/// counted), after a warm-up run.
-fn allocs_per_event(scenarios: &[Scenario]) -> f64 {
+/// One run of `scenarios` at one thread (the runner then stays on the
+/// calling thread, which is the one counted), after a warm-up run: its
+/// outcomes, its allocator calls and its peak live bytes.
+fn measured_run(scenarios: &[Scenario]) -> (Vec<RunOutcome>, u64, u64) {
     let opts = RunnerOptions {
         threads: 1,
         progress: false,
     };
     run_scenarios(scenarios, &opts);
-    CALLS.with(|c| c.set(0));
-    COUNTING.with(|on| on.set(true));
+    STATE.with(|cell| {
+        cell.set(State {
+            on: true,
+            live: 0,
+            peak: 0,
+            calls: 0,
+        })
+    });
     let outcomes = run_scenarios(scenarios, &opts);
-    COUNTING.with(|on| on.set(false));
-    let calls = CALLS.with(Cell::get);
+    let s = STATE.with(|cell| {
+        let s = cell.get();
+        cell.set(State { on: false, ..s });
+        s
+    });
+    (outcomes, s.calls, s.peak.max(0) as u64)
+}
+
+/// Allocator calls per executed event of one warmed-up run.
+fn allocs_per_event(scenarios: &[Scenario]) -> f64 {
+    let (outcomes, calls, _) = measured_run(scenarios);
     let events: u64 = outcomes
         .iter()
         .map(|o| o.result.as_ref().expect("scenario runs").events_executed)
@@ -84,12 +117,16 @@ fn allocs_per_event(scenarios: &[Scenario]) -> f64 {
     calls as f64 / events as f64
 }
 
-#[test]
-fn cache_storm_quick_bench_stays_under_its_allocation_budget() {
-    let scenarios = perf_bench("cache-storm")
+fn cache_storm_quick() -> Vec<Scenario> {
+    perf_bench("cache-storm")
         .expect("perf bench exists")
         .scenarios(true)
-        .expect("bench expands");
+        .expect("bench expands")
+}
+
+#[test]
+fn cache_storm_quick_bench_stays_under_its_allocation_budget() {
+    let scenarios = cache_storm_quick();
     // Measured: 0.177 allocations per event over 63,597 events.
     let ratio = allocs_per_event(&scenarios);
     assert!(
@@ -108,4 +145,14 @@ fn delta_n_quick_sweep_stays_under_its_allocation_budget() {
     // Measured: 0.593 allocations per event.
     let ratio = allocs_per_event(&scenarios);
     assert!(ratio < 0.70, "delta-n: {ratio:.3} allocations per event");
+}
+
+#[test]
+fn cache_storm_quick_bench_peak_heap_stays_under_its_budget() {
+    // The engine queue is the largest structure of a cache-storm run:
+    // 128 probe proposals per round, each multicast to every peer.
+    // Measured: 835,248 bytes.
+    let (outcomes, _, peak) = measured_run(&cache_storm_quick());
+    assert!(outcomes.iter().all(|o| o.result.is_ok()), "scenarios run");
+    assert!(peak < 1 << 20, "cache-storm: peak heap {peak} bytes");
 }

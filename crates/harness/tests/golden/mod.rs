@@ -1,7 +1,6 @@
 //! Shared by `golden_reports.rs` and `scalar_parity.rs`: runs a preset or
-//! perf bench in quick shape at one thread and compares its report with
-//! the digests pinned in `golden_reports.txt` (format and update rule in
-//! `golden_reports.rs`).
+//! perf bench and compares its report with the digests pinned in
+//! `golden_reports.txt` (format and update rule in `golden_reports.rs`).
 
 use harness::prelude::*;
 
@@ -11,15 +10,24 @@ pub const GOLDEN: &str = include_str!("../golden_reports.txt");
 /// or parentheses).
 const REPORT_KEY: &str = "(report)";
 
-/// One golden entry: its key in the file, its report name and its
-/// scenarios.
-pub type Entry = (String, String, Vec<Scenario>);
+/// One golden entry: its key in the file, its report name, its
+/// scenarios, and the worker threads it runs on.
+pub struct Entry {
+    pub key: String,
+    pub name: String,
+    pub scenarios: Vec<Scenario>,
+    pub threads: usize,
+}
 
 /// The quick-shape entry of preset `name`.
 pub fn preset_entry(name: &str) -> Entry {
     let spec = preset(name).expect("preset exists").spec(true);
-    let scenarios = spec.scenarios().expect("preset expands");
-    (format!("preset/{name}"), spec.name, scenarios)
+    Entry {
+        key: format!("preset/{name}"),
+        scenarios: spec.scenarios().expect("preset expands"),
+        name: spec.name,
+        threads: 1,
+    }
 }
 
 /// The quick-shape entry of perf bench `name`.
@@ -28,7 +36,12 @@ pub fn bench_entry(name: &str) -> Entry {
         .expect("perf bench exists")
         .scenarios(true)
         .expect("bench expands");
-    (format!("bench/{name}"), name.to_string(), scenarios)
+    Entry {
+        key: format!("bench/{name}"),
+        name: name.to_string(),
+        scenarios,
+        threads: 1,
+    }
 }
 
 /// 64-bit FNV-1a of `bytes`.
@@ -38,13 +51,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs `scenarios` at one thread into the report `name`.
-fn run_report(name: &str, scenarios: &[Scenario]) -> SweepReport {
+/// Runs `entry`'s scenarios into its report.
+fn run_report(entry: &Entry) -> SweepReport {
     let opts = RunnerOptions {
-        threads: 1,
+        threads: entry.threads,
         progress: false,
     };
-    SweepReport::from_outcomes(name, &run_scenarios(scenarios, &opts), None)
+    let outcomes = run_scenarios(&entry.scenarios, &opts);
+    SweepReport::from_outcomes(&entry.name, &outcomes, None)
 }
 
 /// The golden lines of `entry`'s report: the whole report first, then
@@ -95,10 +109,10 @@ fn key(line: &str) -> &str {
 pub fn check(entries: Vec<Entry>) {
     let mut moved = Vec::new();
     let mut replacements = Vec::new();
-    for (entry, name, scenarios) in &entries {
-        let report = run_report(name, scenarios);
-        let got = digest_lines(entry, &report);
-        let want = golden_lines(entry);
+    for entry in &entries {
+        let report = run_report(entry);
+        let got = digest_lines(&entry.key, &report);
+        let want = golden_lines(&entry.key);
         if got.iter().map(String::as_str).eq(want.iter().copied()) {
             continue;
         }
@@ -117,7 +131,7 @@ pub fn check(entries: Vec<Entry>) {
             ),
             None => String::new(),
         };
-        moved.push(format!("{entry}: first differing {first}{failed}"));
+        moved.push(format!("{}: first differing {first}{failed}", entry.key));
         replacements.extend(got);
     }
     assert!(

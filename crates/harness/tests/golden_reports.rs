@@ -1,5 +1,6 @@
 //! Golden report digests: every preset and every perf bench, run in quick
-//! shape at one thread, must render exactly the `SweepReport::to_json()`
+//! shape at one thread, and every preset in full shape at the host's
+//! available parallelism, must render exactly the `SweepReport::to_json()`
 //! bytes pinned in `golden_reports.txt`.
 //!
 //! The file holds one FNV-1a-64 line per report plus one per cell:
@@ -8,6 +9,7 @@
 //! preset/delta-n (report) <digest of the whole report>
 //! preset/delta-n cfg.delta_n_ms=1 <digest of that cell's one-cell report>
 //! bench/packet-storm (report) <digest>
+//! preset-full/delta-n (report) <digest of the full-shape report>
 //! ```
 //!
 //! A cell's digest covers a report holding just that cell and its leakage
@@ -40,12 +42,32 @@
 
 mod golden;
 
-use golden::{bench_entry, check, preset_entry, GOLDEN};
+use golden::{bench_entry, check, preset_entry, Entry, GOLDEN};
 use harness::prelude::*;
 
 #[test]
 fn every_preset_report_matches_its_golden_digests() {
     check(PRESETS.iter().map(|p| preset_entry(p.name)).collect());
+}
+
+/// The full-shape entry of preset `name`. It runs at the host's
+/// available parallelism: the thread count does not change a report's
+/// bytes, and the full shapes are the slowest entries.
+fn preset_full_entry(name: &str) -> Entry {
+    let spec = preset(name).expect("preset exists").spec(false);
+    Entry {
+        key: format!("preset-full/{name}"),
+        scenarios: spec.scenarios().expect("preset expands"),
+        name: spec.name,
+        threads: std::thread::available_parallelism().map_or(1, usize::from),
+    }
+}
+
+#[test]
+fn every_full_preset_report_matches_its_golden_digests() {
+    // The full shapes are the ones DESIGN.md's experiment results quote,
+    // so a change meant to be behaviour-neutral is checked on them too.
+    check(PRESETS.iter().map(|p| preset_full_entry(p.name)).collect());
 }
 
 #[test]
@@ -59,7 +81,7 @@ fn golden_file_names_only_registered_entries() {
         let fields: Vec<&str> = line.split(' ').collect();
         assert_eq!(fields.len(), 3, "malformed golden line {line:?}");
         let known = match fields[0].split_once('/') {
-            Some(("preset", name)) => preset(name).is_some(),
+            Some(("preset" | "preset-full", name)) => preset(name).is_some(),
             Some(("bench", name)) => perf_bench(name).is_some(),
             _ => false,
         };

@@ -36,6 +36,7 @@ fn cache_storm_quick_bench_is_byte_identical_batched_vs_scalar() {
 fn timer_channel_quick_sweep_is_byte_identical_batched_vs_scalar() {
     // The timer channel adds the vCPU-scheduler and virtual-timer paths
     // (cancellations, re-targeted hardware events) on top of delta-n's
-    // packet flow — the cases where wheel tombstones could diverge.
+    // packet flow — the cases where a cancelled event's queue entry,
+    // still advancing time after its event is gone, could diverge.
     check(vec![preset_entry("timer-channel")]);
 }

@@ -5,7 +5,8 @@
 //! it to its real destination when the *second* copy arrives — the median
 //! output timing of three replicas. Because deterministic replicas emit
 //! identical packet streams, the egress can also *vote*: a copy whose
-//! content hash disagrees flags a divergent replica. The ingress side,
+//! content hash disagrees flags a divergent replica. An output's state is
+//! dropped when its last replica's copy arrives. The ingress side,
 //! replicating each inbound packet to the hosts of its guest's replicas,
 //! is the cloud's own routing (`stopwatch_core::cloud`).
 
@@ -48,23 +49,32 @@ impl EgressNode {
         EgressNode::default()
     }
 
+    /// Outputs some of whose copies have not arrived yet.
+    pub fn held(&self) -> usize {
+        self.seen.len()
+    }
+
     /// Consumes one tunneled copy of output packet number `out_seq` from
-    /// guest `guest`, received from replica host `from`.
+    /// guest `guest`, which runs `replicas` replicas, received from
+    /// replica host `from`.
     ///
     /// Copies are grouped by content hash (majority voting): the packet is
     /// forwarded the moment any hash group reaches two copies — the median
     /// output timing of the agreeing replicas — so a single divergent
     /// replica can neither corrupt nor block the output, regardless of
-    /// arrival order.
+    /// arrival order. The output's state is dropped when its `replicas`-th
+    /// copy arrives, after that copy has been voted on.
     pub fn on_copy(
         &mut self,
         guest: EndpointId,
         out_seq: u64,
         from: NetNode,
         packet: Packet,
+        replicas: usize,
     ) -> EgressDecision {
         let hash = packet.content_hash();
-        let entry = self.seen.entry((guest, out_seq)).or_insert(CopyState {
+        let key = (guest, out_seq);
+        let entry = self.seen.entry(key).or_insert(CopyState {
             groups: Vec::new(),
             forwarded: false,
         });
@@ -78,14 +88,19 @@ impl EgressNode {
                 1
             }
         };
-        if this_group == 2 && !entry.forwarded {
+        let decision = if this_group == 2 && !entry.forwarded {
             entry.forwarded = true;
-            return EgressDecision::Forward(packet);
+            EgressDecision::Forward(packet)
+        } else if entry.groups.len() > 1 && this_group == 1 {
+            EgressDecision::Divergence { from }
+        } else {
+            EgressDecision::Hold
+        };
+        let copies: usize = entry.groups.iter().map(|&(_, n)| usize::from(n)).sum();
+        if copies >= replicas {
+            self.seen.remove(&key);
         }
-        if entry.groups.len() > 1 && this_group == 1 {
-            return EgressDecision::Divergence { from };
-        }
-        EgressDecision::Hold
+        decision
     }
 }
 
@@ -102,25 +117,39 @@ mod tests {
     fn egress_forwards_second_copy() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        assert_eq!(eg.on_copy(g, 0, NetNode(0), pkt(7)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(0), pkt(7), 3),
+            EgressDecision::Hold
+        );
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(1), pkt(7)),
+            eg.on_copy(g, 0, NetNode(1), pkt(7), 3),
             EgressDecision::Forward(_)
         ));
-        // Third copy is held (already forwarded).
-        assert_eq!(eg.on_copy(g, 0, NetNode(2), pkt(7)), EgressDecision::Hold);
+        // Third copy is held (already forwarded), and the output's state
+        // goes with it.
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(2), pkt(7), 3),
+            EgressDecision::Hold
+        );
+        assert_eq!(eg.held(), 0, "three copies leave nothing held");
     }
 
     #[test]
     fn egress_keeps_streams_separate() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        assert_eq!(eg.on_copy(g, 0, NetNode(0), pkt(7)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(0), pkt(7), 3),
+            EgressDecision::Hold
+        );
         // A different out_seq does not complete seq 0.
-        assert_eq!(eg.on_copy(g, 1, NetNode(1), pkt(8)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 1, NetNode(1), pkt(8), 3),
+            EgressDecision::Hold
+        );
         // Nor does another guest's copy of the same out_seq.
         assert_eq!(
-            eg.on_copy(EndpointId(2), 0, NetNode(1), pkt(7)),
+            eg.on_copy(EndpointId(2), 0, NetNode(1), pkt(7), 3),
             EgressDecision::Hold
         );
     }
@@ -129,12 +158,12 @@ mod tests {
     fn egress_detects_divergence() {
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        eg.on_copy(g, 0, NetNode(0), pkt(7));
-        let d = eg.on_copy(g, 0, NetNode(1), pkt(8));
+        eg.on_copy(g, 0, NetNode(0), pkt(7), 3);
+        let d = eg.on_copy(g, 0, NetNode(1), pkt(8), 3);
         assert_eq!(d, EgressDecision::Divergence { from: NetNode(1) });
         // The two matching replicas still get the packet out.
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(2), pkt(7)),
+            eg.on_copy(g, 0, NetNode(2), pkt(7), 3),
             EgressDecision::Forward(_)
         ));
     }
@@ -145,14 +174,36 @@ mod tests {
         // still form a majority and the packet goes out.
         let mut eg = EgressNode::new();
         let g = EndpointId(1);
-        assert_eq!(eg.on_copy(g, 0, NetNode(2), pkt(666)), EgressDecision::Hold);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(2), pkt(666), 3),
+            EgressDecision::Hold
+        );
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(0), pkt(7)),
+            eg.on_copy(g, 0, NetNode(0), pkt(7), 3),
             EgressDecision::Divergence { .. }
         ));
         assert!(matches!(
-            eg.on_copy(g, 0, NetNode(1), pkt(7)),
+            eg.on_copy(g, 0, NetNode(1), pkt(7), 3),
             EgressDecision::Forward(_)
         ));
+    }
+
+    #[test]
+    fn egress_flags_a_divergent_last_copy_before_dropping_its_output() {
+        let mut eg = EgressNode::new();
+        let g = EndpointId(1);
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(0), pkt(7), 3),
+            EgressDecision::Hold
+        );
+        assert!(matches!(
+            eg.on_copy(g, 0, NetNode(1), pkt(7), 3),
+            EgressDecision::Forward(_)
+        ));
+        assert_eq!(
+            eg.on_copy(g, 0, NetNode(2), pkt(8), 3),
+            EgressDecision::Divergence { from: NetNode(2) }
+        );
+        assert_eq!(eg.held(), 0);
     }
 }

@@ -1,10 +1,10 @@
 //! Link latency/loss models and the cloud's network fabric.
 //!
 //! Machines (hosts, the ingress and egress nodes, external client machines)
-//! are [`NetNode`]s; a [`Fabric`] holds a [`LinkModel`] per directed pair,
-//! with per-pair deterministic RNG streams so packet timing differences
-//! between replica hosts — the thing StopWatch's median machinery absorbs —
-//! are reproducible.
+//! are [`NetNode`]s; a [`Fabric`] keeps one record per directed pair: its
+//! [`LinkModel`], its deterministic RNG stream, and its FIFO transmitter
+//! state, so packet timing differences between replica hosts — the thing
+//! StopWatch's median machinery absorbs — are reproducible.
 
 use simkit::fxhash::FxHashMap;
 use simkit::rng::SimRng;
@@ -73,8 +73,8 @@ impl LinkModel {
     }
 }
 
-/// The network fabric: per-pair link models with a default, and per-pair
-/// RNG streams.
+/// The network fabric: per-pair link models with a default, per-pair RNG
+/// streams, and per-pair FIFO transmit queues.
 ///
 /// # Examples
 ///
@@ -88,13 +88,22 @@ impl LinkModel {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     default: LinkModel,
-    overrides: FxHashMap<(NetNode, NetNode), LinkModel>,
     rng_root: SimRng,
-    streams: FxHashMap<(NetNode, NetNode), SimRng>,
-    /// Per-link FIFO state: when the link's transmitter is next free.
-    /// Cumulative serialization makes bulk sends pace out at wire rate
-    /// instead of departing in parallel.
-    free_at: FxHashMap<(NetNode, NetNode), SimTime>,
+    /// Every pair that has been configured or used so far.
+    links: FxHashMap<(NetNode, NetNode), Link>,
+}
+
+/// One directed link's state.
+#[derive(Debug, Clone)]
+struct Link {
+    model: LinkModel,
+    /// The link's own stream: a pure function of the fabric's root stream
+    /// and the pair, so creating it early or late draws the same numbers.
+    rng: SimRng,
+    /// When the link's transmitter is next free. Cumulative serialization
+    /// makes bulk sends pace out at wire rate instead of departing in
+    /// parallel.
+    free_at: SimTime,
 }
 
 impl Fabric {
@@ -102,38 +111,39 @@ impl Fabric {
     pub fn new(default: LinkModel, rng: SimRng) -> Self {
         Fabric {
             default,
-            overrides: FxHashMap::default(),
             rng_root: rng,
-            streams: FxHashMap::default(),
-            free_at: FxHashMap::default(),
+            links: FxHashMap::default(),
         }
     }
 
     /// Overrides the link model for the directed pair `(from, to)`.
     pub fn set_link(&mut self, from: NetNode, to: NetNode, model: LinkModel) {
-        self.overrides.insert((from, to), model);
+        self.link_mut(from, to).model = model;
     }
 
     /// The model applied to `(from, to)`.
     pub fn link(&self, from: NetNode, to: NetNode) -> LinkModel {
-        self.overrides
+        self.links
             .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default)
+            .map_or(self.default, |link| link.model)
     }
 
-    fn stream(&mut self, from: NetNode, to: NetNode) -> &mut SimRng {
-        let root = &self.rng_root;
-        self.streams
-            .entry((from, to))
-            .or_insert_with(|| root.stream(&format!("link:{}->{}", from.0, to.0)))
+    /// The record of `(from, to)`, created with the default model on
+    /// first use.
+    fn link_mut(&mut self, from: NetNode, to: NetNode) -> &mut Link {
+        let (root, default) = (&self.rng_root, self.default);
+        self.links.entry((from, to)).or_insert_with(|| Link {
+            model: default,
+            rng: root.stream(&format!("link:{}->{}", from.0, to.0)),
+            free_at: SimTime::ZERO,
+        })
     }
 
     /// Draws the one-way delay for a packet of `bytes` from `from` to `to`,
     /// ignoring queueing (stateless draw).
     pub fn delay(&mut self, from: NetNode, to: NetNode, bytes: u32) -> SimDuration {
-        let model = self.link(from, to);
-        model.delay(bytes, self.stream(from, to))
+        let link = self.link_mut(from, to);
+        link.model.delay(bytes, &mut link.rng)
     }
 
     /// Enqueues a packet of `bytes` on `(from, to)` at time `now` and
@@ -146,8 +156,11 @@ impl Fabric {
         to: NetNode,
         bytes: u32,
     ) -> Option<SimTime> {
-        let model = self.link(from, to);
-        let rng = self.stream(from, to);
+        let Link {
+            model,
+            rng,
+            free_at,
+        } = self.link_mut(from, to);
         if model.drops(rng) {
             return None;
         }
@@ -156,15 +169,8 @@ impl Fabric {
         } else {
             rng.uniform_duration(SimDuration::ZERO, model.jitter)
         };
-        let free = self
-            .free_at
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start = now.max(free);
-        let done_serializing = start + model.serialization(bytes);
-        self.free_at.insert((from, to), done_serializing);
-        Some(done_serializing + model.base_latency + jitter)
+        *free_at = now.max(*free_at) + model.serialization(bytes);
+        Some(*free_at + model.base_latency + jitter)
     }
 }
 

@@ -17,43 +17,48 @@
 //! allocation per event, convenient for tests, examples and one-off
 //! drivers.
 //!
-//! The queue structures never hold events themselves: wheel and lane
-//! entries are `(at, seq, slot)` triples pointing into the slab, so
-//! filing, sorting and staging move a few words however large the event
-//! type is. A slot returns to the free list when its event fires, or when
-//! a cancelled event's tombstone is consumed.
+//! The queue structures never hold events themselves: queue entries are
+//! `(at, seq, slot)` triples and lane entries bare slots, pointing into
+//! the slab, so filing, sorting and staging move a few words however
+//! large the event type is. Each slab slot also records the `seq` of the
+//! event posted into it, which is what an [`EventId`] names:
+//! [`Sim::cancel`] takes the event out of its slot only while that `seq`
+//! still matches. A slot returns to the free list when its lane entry is
+//! popped, whether its event then fires or was cancelled.
 //!
-//! # Batched scheduling over a hierarchical time-wheel
+//! # Batched scheduling over a binary heap
 //!
 //! The run loop advances time in **timestamp batches**: when the clock
-//! reaches the next pending timestamp, every event sharing it is drained
-//! from the queue into a FIFO *lane* in one pass, then executed in
+//! reaches the next pending timestamp, every event sharing it is popped
+//! from the queue onto a FIFO *lane* in one pass, then executed in
 //! sequence order. Events scheduled *at the current time* (immediate work,
 //! past times clamped to `now`) are appended straight to the lane and
-//! never touch the queue — the common "N packets land on one tick" case
-//! pays one queue operation per *timestamp*, not per event, and
-//! handler-chained immediate events pay no queue traffic at all. The lane
-//! is a persistent allocation reused across batches and runs.
+//! never touch the queue, so handler-chained immediate events pay no
+//! queue traffic at all. The lane is a persistent allocation reused
+//! across batches and runs.
 //!
-//! The queue itself is a hierarchical time-wheel (`crate::wheel`): O(1)
-//! filing per event, occupancy-bitmap scans to the next timestamp, and
-//! pooled bucket storage so steady-state runs perform no queue
-//! allocations.
+//! The queue itself is a `std` binary heap of `(at, seq, slot)` keys. A
+//! cloud run keeps it shallow (tens to hundreds of pending events), where
+//! a heap's log-depth sift is a handful of comparisons on one small
+//! allocation.
 //!
 //! Batching changes only *where* events wait, never *when* or in what
 //! order they run: events execute in global `(at, seq)` order, exactly as
 //! one-pop-per-event from a binary heap would. The engine's property
 //! tests (`tests/engine_wheel.rs`) check this against a model heap.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-use crate::fxhash::FxHashSet;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::Wheel;
 
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event, usable for cancellation: the event's
+/// scheduling sequence number and the slab slot it was posted into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: Slot,
+}
 
 /// An event the engine can fire: consumed once, at its scheduled time.
 pub trait Event<W>: Sized {
@@ -75,11 +80,11 @@ impl<W> Event<W> for Closure<W> {
 /// Index of an event's slab slot.
 type Slot = u32;
 
-/// A lane entry; its time is always the engine's `now`.
-#[derive(Clone, Copy)]
-struct Staged {
+/// A slab slot: the `seq` of the event last posted into it, and that
+/// event until it fires or is cancelled.
+struct Entry<E> {
     seq: u64,
-    slot: Slot,
+    event: Option<E>,
 }
 
 /// A deterministic discrete-event simulation executor.
@@ -130,19 +135,19 @@ struct Staged {
 pub struct Sim<W, E = Closure<W>> {
     now: SimTime,
     next_seq: u64,
-    /// Future events: a hierarchical time-wheel with pooled buckets,
-    /// holding each event's slab slot.
-    wheel: Wheel<Slot>,
-    /// Same-time FIFO lane: events due exactly at `now`, in `seq` order.
-    /// Invariant: whenever the lane is non-empty, every queued entry is
-    /// strictly later than `now`, so draining the lane first preserves
-    /// global `(at, seq)` order.
-    lane: VecDeque<Staged>,
-    /// The events themselves; `None` marks a free slot.
-    slab: Vec<Option<E>>,
+    /// Future events: a min-heap of `(at nanos, seq, slot)`.
+    queue: BinaryHeap<Reverse<(u64, u64, Slot)>>,
+    /// Same-time FIFO lane: the slots of events due exactly at `now`, in
+    /// `seq` order. Invariant: whenever the lane is non-empty, every
+    /// queued entry is strictly later than `now`, so draining the lane
+    /// first preserves global `(at, seq)` order.
+    lane: VecDeque<Slot>,
+    /// The events themselves. A slot whose event fired or was cancelled
+    /// holds `None`; it joins `free` once no queue or lane entry points
+    /// at it.
+    slab: Vec<Entry<E>>,
     /// Free slab slots, reused before the slab grows.
     free: Vec<Slot>,
-    cancelled: FxHashSet<u64>,
     executed: u64,
     /// `W` appears only through the events' `Event<W>` bound.
     _world: std::marker::PhantomData<fn(&mut W)>,
@@ -181,11 +186,10 @@ impl<W, E: Event<W>> Sim<W, E> {
         Sim {
             now: SimTime::ZERO,
             next_seq: 0,
-            wheel: Wheel::new(),
+            queue: BinaryHeap::new(),
             lane: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            cancelled: FxHashSet::default(),
             executed: 0,
             _world: std::marker::PhantomData,
         }
@@ -201,9 +205,10 @@ impl<W, E: Event<W>> Sim<W, E> {
         self.executed
     }
 
-    /// Number of events still pending (including cancelled tombstones).
+    /// Number of events still pending (including cancelled ones whose
+    /// time has not yet come).
     pub fn pending(&self) -> usize {
-        self.wheel.len() + self.lane.len()
+        self.queue.len() + self.lane.len()
     }
 
     /// Posts `event` to fire at absolute time `at`.
@@ -214,13 +219,17 @@ impl<W, E: Event<W>> Sim<W, E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
+        let entry = Entry {
+            seq,
+            event: Some(event),
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slab[slot as usize] = Some(event);
+                self.slab[slot as usize] = entry;
                 slot
             }
             None => {
-                self.slab.push(Some(event));
+                self.slab.push(entry);
                 Slot::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
@@ -228,11 +237,11 @@ impl<W, E: Event<W>> Sim<W, E> {
             // Same-time fast path: an event due right now joins the FIFO
             // lane (its seq is larger than everything staged there) and
             // skips the queue entirely.
-            self.lane.push_back(Staged { seq, slot });
+            self.lane.push_back(slot);
         } else {
-            self.wheel.insert(at.as_nanos(), seq, slot);
+            self.queue.push(Reverse((at.as_nanos(), seq, slot)));
         }
-        EventId(seq)
+        EventId { seq, slot }
     }
 
     /// Posts `event` to fire `delay` after the current time.
@@ -242,28 +251,24 @@ impl<W, E: Event<W>> Sim<W, E> {
 
     /// Cancels a previously scheduled event.
     ///
-    /// Returns `true` if the event had not yet run (it will be silently
-    /// dropped when its time comes). Cancelling an already-executed event
-    /// returns `false`.
+    /// Returns `true` if the event had not yet run (it is dropped now;
+    /// its slot is freed when its time comes). Cancelling an
+    /// already-executed or already-cancelled event returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
+        match self.slab.get_mut(id.slot as usize) {
+            Some(entry) if entry.seq == id.seq => entry.event.take().is_some(),
+            _ => false,
         }
-        self.cancelled.insert(id.0)
     }
 
-    /// Takes the next live lane event, freeing its slot; cancelled ones
-    /// are dropped (consuming their tombstones) on the way.
+    /// Takes the next live lane event, freeing its slot; the slots of
+    /// cancelled ones are freed on the way.
     fn pop_lane(&mut self) -> Option<E> {
-        while let Some(Staged { seq, slot }) = self.lane.pop_front() {
-            let event = self.slab[slot as usize]
-                .take()
-                .expect("staged slot is live");
+        while let Some(slot) = self.lane.pop_front() {
+            let event = self.slab[slot as usize].event.take();
             self.free.push(slot);
-            // The empty-set check keeps the no-cancellations case a
-            // branch, not a hash probe per event.
-            if self.cancelled.is_empty() || !self.cancelled.remove(&seq) {
-                return Some(event);
+            if event.is_some() {
+                return event;
             }
         }
         None
@@ -285,34 +290,37 @@ impl<W, E: Event<W>> Sim<W, E> {
                 event.fire(self, world);
             }
             // Advance to the next timestamp and stage its whole batch.
-            let Some(t_nanos) = self.wheel.next_at() else {
+            let Some(t) = self.next_at() else {
                 return self.now;
             };
-            let t = SimTime::from_nanos(t_nanos);
             if t > deadline {
                 self.now = deadline;
                 return self.now;
             }
             debug_assert!(t >= self.now, "event queue went backwards");
             self.now = t;
-            self.stage_batch(t_nanos);
+            self.stage_batch();
         }
     }
 
-    /// Moves every wheel event due exactly at `t_nanos` onto the lane,
-    /// dropping cancellation tombstones (and freeing their slots) on the
-    /// way.
-    fn stage_batch(&mut self, t_nanos: u64) {
-        let (wheel, lane, cancelled) = (&mut self.wheel, &mut self.lane, &mut self.cancelled);
-        let (slab, free) = (&mut self.slab, &mut self.free);
-        wheel.drain_at(t_nanos, &mut |seq, slot| {
-            if !cancelled.is_empty() && cancelled.remove(&seq) {
-                slab[slot as usize] = None;
-                free.push(slot);
-                return;
+    /// The earliest queued timestamp, cancelled events included.
+    fn next_at(&self) -> Option<SimTime> {
+        self.queue
+            .peek()
+            .map(|&Reverse((at, _, _))| SimTime::from_nanos(at))
+    }
+
+    /// Moves every queued event due exactly at `now` onto the lane, in
+    /// `seq` order. Cancelled ones go too: `pop_lane` frees their slots.
+    fn stage_batch(&mut self) {
+        let t = self.now.as_nanos();
+        while let Some(&Reverse((at, _, slot))) = self.queue.peek() {
+            if at != t {
+                break;
             }
-            lane.push_back(Staged { seq, slot });
-        });
+            self.queue.pop();
+            self.lane.push_back(slot);
+        }
     }
 
     /// Runs at most `n` (non-cancelled) events; returns how many ran.
@@ -328,12 +336,12 @@ impl<W, E: Event<W>> Sim<W, E> {
             // Lane empty: advance to the next timestamp and stage its
             // whole batch, so later same-time schedules keep FIFO order
             // with the not-yet-run remainder. Time advances even when the
-            // batch was all tombstones, as in `run_until`.
-            let Some(t_nanos) = self.wheel.next_at() else {
+            // batch was all cancelled, as in `run_until`.
+            let Some(t) = self.next_at() else {
                 break;
             };
-            self.now = SimTime::from_nanos(t_nanos);
-            self.stage_batch(t_nanos);
+            self.now = t;
+            self.stage_batch();
         }
         ran
     }
@@ -413,7 +421,7 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_false() {
         let mut sim: Sim<()> = Sim::new();
-        assert!(!sim.cancel(EventId(42)));
+        assert!(!sim.cancel(EventId { seq: 42, slot: 0 }));
     }
 
     #[test]
@@ -479,7 +487,7 @@ mod tests {
     #[test]
     fn cancelled_events_give_their_slots_back() {
         // Each round posts one event that fires and cancels two: one in
-        // the wheel, one on the same-time lane. Every slot comes back, so
+        // the queue, one on the same-time lane. Every slot comes back, so
         // the slab never outgrows the three events of one round.
         let mut sim: Sim<u32> = Sim::new();
         let mut fired = 0;
@@ -487,15 +495,36 @@ mod tests {
             let now = sim.now();
             let lane = sim.schedule(now, |_, n: &mut u32| *n += 100);
             sim.schedule_in(SimDuration::from_nanos(5), |_, n: &mut u32| *n += 1);
-            let wheel = sim.schedule_in(SimDuration::from_nanos(7), |_, n: &mut u32| *n += 100);
-            assert!(sim.cancel(lane) && sim.cancel(wheel));
+            let queued = sim.schedule_in(SimDuration::from_nanos(7), |_, n: &mut u32| *n += 100);
+            assert!(sim.cancel(lane) && sim.cancel(queued));
             sim.run_until(&mut fired, SimTime::from_nanos(round * 10));
         }
         assert_eq!(fired, 1000);
         assert_eq!(sim.pending(), 0);
         assert_eq!(sim.slab.len(), 3, "slots are reused, not appended");
         assert_eq!(sim.free.len(), 3, "an empty queue holds no slot");
-        assert!(sim.cancelled.is_empty(), "every tombstone was consumed");
+        assert!(
+            sim.slab.iter().all(|entry| entry.event.is_none()),
+            "no cancelled event is left in the slab"
+        );
+    }
+
+    #[test]
+    fn cancelling_an_event_that_already_ran_returns_false() {
+        let mut sim: Sim<Vec<u32>> = Sim::new();
+        let mut w = Vec::new();
+        let ran = sim.schedule(SimTime::from_millis(1), |_, w: &mut Vec<u32>| w.push(1));
+        sim.run(&mut w);
+        assert!(!sim.cancel(ran), "the event already ran");
+        // Its slot now carries a later event, which the stale id must
+        // not reach.
+        let live = sim.schedule(SimTime::from_millis(2), |_, w: &mut Vec<u32>| w.push(2));
+        assert!(!sim.cancel(ran), "a stale id cancels nothing");
+        sim.run(&mut w);
+        assert_eq!(w, vec![1, 2]);
+        assert!(!sim.cancel(live));
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.slab.len(), 1, "the one slot was reused");
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! The substrate under the StopWatch reproduction. The original StopWatch
 //! (Li, Gao, Reiter — DSN 2013) is a Xen modification running on physical
 //! hosts; this workspace re-creates the whole platform as a deterministic
-//! discrete-event simulation, and `simkit` provides the three primitives the
-//! rest of the stack builds on:
+//! discrete-event simulation, and `simkit` provides the primitives the rest
+//! of the stack builds on:
 //!
 //! * [`time`] — nanosecond [`time::SimTime`] (simulated real time) and
 //!   [`time::VirtNanos`] (guest virtual time), kept apart by the type system;
-//! * [`engine`] — the event loop ([`engine::Sim`]) with deterministic
-//!   tie-breaking;
+//! * [`engine`] — the event loop ([`engine::Sim`]): typed events in a
+//!   recycled slab, a binary-heap queue and a same-time lane, with
+//!   deterministic tie-breaking;
 //! * [`rng`] — seeded, label-splittable random streams ([`rng::SimRng`]);
 //! * [`metrics`] — summaries, exact-percentile sample sets and counters.
 //!
@@ -39,7 +40,6 @@ pub mod fxhash;
 pub mod metrics;
 pub mod rng;
 pub mod time;
-mod wheel;
 
 /// One-line import for the common types.
 pub mod prelude {

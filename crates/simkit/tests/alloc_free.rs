@@ -2,11 +2,11 @@
 //!
 //! A counting `#[global_allocator]` (per thread, so parallel tests do not
 //! disturb it) wraps the system allocator. A small periodic world warms
-//! the engine up — slab, free list, lane, wheel buckets and the cancel
-//! set reach their working sizes — and then a further stretch of the
-//! same traffic must make no allocator call at all:
-//! events fire from recycled slab slots, and cancelled events give their
-//! slots back when their tombstones are consumed.
+//! the engine up — slab, free list, lane and queue heap reach their
+//! working sizes — and then a further stretch of the same traffic must
+//! make no allocator call at all: events fire from recycled slab slots,
+//! and a cancelled event gives its slot back when its queue entry is
+//! popped.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,9 +74,9 @@ fn allocations(f: impl FnOnce()) -> u64 {
 /// the stream cancels before it can fire.
 const STREAMS: u32 = 12;
 
-/// Stream `s` ticks every 2^(s mod 6) level-0 wheel slots (4.1 µs to
-/// 131 µs): phased, but periodic, so the wheel's per-bucket load repeats
-/// and its pooled bucket vectors settle at their working capacities.
+/// Stream `s` ticks every 2^(s mod 6) × 4,096 ns (4.1 µs to 131 µs):
+/// phased, but periodic, so the number of pending events repeats and the
+/// queue heap settles at its working capacity.
 fn period(stream: u32) -> SimDuration {
     SimDuration::from_nanos(4_096 << (stream % 6))
 }
@@ -134,10 +134,9 @@ fn steady_state_post_fire_and_cancel_allocate_nothing() {
             },
         );
     }
-    // Warm-up: one full turn of the wheel's level 2 (2^30 ns), so every
-    // bucket below the top level has been filled once and kept its
-    // capacity. The measured stretch stays inside the top-level slot the
-    // warm-up already opened.
+    // Warm-up: 1.1 s of simulated time, far longer than any stream's
+    // period, so the slab, the lane and the queue heap have all reached
+    // their working capacities before the measured stretch.
     sim.run_until(&mut world, SimTime::from_millis(1_100));
     let fired = world.fired;
     let calls = allocations(|| {
@@ -150,6 +149,6 @@ fn steady_state_post_fire_and_cancel_allocate_nothing() {
     // The counter is live: one box is one allocator call.
     assert_eq!(allocations(|| drop(std::hint::black_box(Box::new(ran)))), 1);
     // Per stream: its next tick, its live decoy, and at most one
-    // cancelled decoy whose tombstone is not yet due.
+    // cancelled decoy whose queue entry is not yet due.
     assert!(sim.pending() <= 3 * STREAMS as usize);
 }

@@ -1,18 +1,20 @@
-//! Property tests: the engine's run loop (hierarchical time-wheel plus the
-//! same-time lane) executes events in exactly the order of a model binary
+//! Property tests: the engine's run loop (a binary-heap queue staged in
+//! per-timestamp batches onto a same-time lane, with cancellation kept in
+//! the event slab) executes events in exactly the order of a model binary
 //! heap.
 //!
 //! The model below is the textbook one-pop-per-event loop: a `BinaryHeap`
 //! keyed on `(at, seq)` plus a cancel set. Every schedule is replayed into
 //! both, and the logs must match element for element. The schedules are
-//! biased toward the cases where the wheel's bookkeeping could diverge
-//! from a heap's total order:
+//! biased toward the cases where the engine's batching and slab
+//! bookkeeping could diverge from the model's total order:
 //!
-//! * dense same-timestamp bursts (the wheel's bucket sort + FIFO lane);
-//! * timestamps spread across L0 slots, upper wheel levels, and the
-//!   beyond-top-window overflow list (re-homed as the cursor advances);
-//! * cancellations, whose tombstones must still advance time identically,
-//!   including children cancelled by the handler that scheduled them;
+//! * dense same-timestamp bursts (batch staging + FIFO lane);
+//! * timestamps from nanoseconds to minutes ahead, with reused slab slots
+//!   in between;
+//! * cancellations, whose queue entries must still advance time
+//!   identically, including children cancelled by the handler that
+//!   scheduled them, and stale ids of events that already ran;
 //! * handlers that schedule children at `now` (lane fast path) and in the
 //!   near future while the loop is draining;
 //! * `step(n)` stopping mid-batch, with new work scheduled before the run
@@ -118,18 +120,17 @@ fn handler(tag: u32, act: Act) -> impl FnOnce(&mut Sim<World>, &mut World) {
     }
 }
 
-/// Maps one raw draw to a timestamp in a wheel-hostile distribution.
+/// Maps one raw draw to a timestamp: hot, near, mid and far future.
 fn time_for(sel: u64) -> u64 {
     match sel % 4 {
-        // A handful of hot timestamps inside one L0 slot: same-timestamp
-        // bursts plus same-slot different-timestamp ordering.
+        // A handful of hot timestamps a few ns apart: same-timestamp
+        // bursts plus neighbouring-timestamp ordering.
         0 => 4096 + (sel >> 2) % 3,
-        // Near future: spreads across L0 slots.
+        // Near future: up to 65 µs.
         1 => (sel >> 2) % (1 << 16),
-        // Mid future: climbs the upper wheel levels.
+        // Mid future: up to 17 ms.
         2 => (sel >> 2) % (1 << 24),
-        // Beyond the top window: lands on the overflow list and must be
-        // re-homed when the cursor's window crosses it.
+        // Far future: 69 s and beyond.
         _ => (1 << 36) + (sel >> 2) % (1 << 38),
     }
 }

@@ -82,6 +82,18 @@ struct VmRecord {
     replicated: bool,
 }
 
+/// Per-slot bookkeeping, kept densely as `[host][slot]`.
+#[derive(Debug, Clone)]
+struct SlotRecord {
+    /// The VM this slot runs a replica of.
+    vm: usize,
+    /// The replica's index in that VM's replica list.
+    replica: usize,
+    /// The pending wake and the time it fires at (kept so a reschedule
+    /// to the same time can keep the pending event).
+    wake: Option<(EventId, SimTime)>,
+}
+
 struct ClientRecord {
     node: NetNode,
     app: Box<dyn ClientApp>,
@@ -149,9 +161,10 @@ enum CloudEvent {
         sender: usize,
         missing: Vec<u64>,
     },
-    /// One replica's tunneled output copy reaches the egress node.
+    /// One replica's tunneled output copy of VM `vm` reaches the egress
+    /// node.
     EgressCopy {
-        guest: EndpointId,
+        vm: usize,
         out_seq: u64,
         host_node: NetNode,
         packet: Packet,
@@ -199,11 +212,11 @@ impl Event<Cloud> for CloudEvent {
                 missing,
             } => cloud.answer_nak(sim, vm, receiver, sender, &missing),
             CloudEvent::EgressCopy {
-                guest,
+                vm,
                 out_seq,
                 host_node,
                 packet,
-            } => cloud.egress_copy(sim, guest, out_seq, host_node, packet),
+            } => cloud.egress_copy(sim, vm, out_seq, host_node, packet),
             CloudEvent::ClientPacket {
                 ci,
                 packet,
@@ -227,9 +240,9 @@ pub struct Cloud {
     clients: Vec<ClientRecord>,
     client_by_endpoint: FxHashMap<EndpointId, usize>,
     ingress_seq: u64,
-    /// Pending wake per slot: the event and the time it fires at (kept so
-    /// a reschedule to the same time can keep the pending event).
-    wakes: FxHashMap<(usize, usize), (EventId, SimTime)>,
+    /// `[host][slot]`: which replica of which VM each slot runs, and its
+    /// pending wake.
+    slots: Vec<Vec<SlotRecord>>,
     /// Pending virtual-timer hardware events: `(host, slot, fire_seq)` →
     /// (event, scheduled time, programmed deadline). Tracked so activity
     /// changes can re-target the physical fire time at the deadline's
@@ -239,7 +252,8 @@ pub struct Cloud {
     pgm_rx: FxHashMap<(usize, usize, usize), PgmReceiver<ProposalMsg>>,
     /// Scratch output every PGM receive reuses.
     pgm_out: RxOutput<ProposalMsg>,
-    tunnel_last: FxHashMap<usize, SimTime>,
+    /// Per host: when its last tunneled output copy reaches the egress.
+    tunnel_last: Vec<SimTime>,
     /// Background broadcast chatter through the ingress, if configured.
     broadcast: Option<BroadcastSource>,
     /// First structured slot failure, if any: a malformed scenario fails
@@ -254,6 +268,11 @@ impl Cloud {
     /// `proposals_sent`, `client_packets`, `broadcasts`, ...
     pub fn stats(&self) -> &Counters {
         &self.stats
+    }
+
+    /// The egress node (Sec. VI), for inspecting what it still holds.
+    pub fn egress(&self) -> &EgressNode {
+        &self.egress
     }
 
     /// Immutable host access.
@@ -329,26 +348,22 @@ impl Cloud {
     fn reschedule_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
         let now = sim.now();
         let target = self.hosts[h].next_wake(s, now);
-        if let Some(&(_, at)) = self.wakes.get(&(h, s)) {
+        let wake = &mut self.slots[h][s].wake;
+        if let Some((old, at)) = *wake {
             // The pending wake already fires at the right time: keep it
-            // instead of churning a cancel tombstone plus a fresh event
+            // instead of churning a cancelled event plus a fresh one
             // through the engine (the common case when new input does not
             // change what the slot is waiting for).
             if target == Some(at) {
                 return;
             }
-        }
-        if let Some((old, _)) = self.wakes.remove(&(h, s)) {
             sim.cancel(old);
         }
-        if let Some(t) = target {
-            let id = sim.post(t, CloudEvent::SlotWake { h, s });
-            self.wakes.insert((h, s), (id, t));
-        }
+        *wake = target.map(|t| (sim.post(t, CloudEvent::SlotWake { h, s }), t));
     }
 
     fn slot_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        self.wakes.remove(&(h, s));
+        self.slots[h][s].wake = None;
         match self.hosts[h].process_slot(s, sim.now()) {
             Ok(outputs) => {
                 self.handle_outputs(sim, h, s, outputs);
@@ -466,23 +481,15 @@ impl Cloud {
         seq: u64,
         proposal: VirtNanos,
     ) {
-        let vm_idx = self.vm_of_slot(h, s);
-        let replica_idx = self.vms[vm_idx]
-            .replicas
-            .iter()
-            .position(|&r| r == (h, s))
-            .expect("slot is a replica of its vm");
+        let SlotRecord {
+            vm: vm_idx,
+            replica: replica_idx,
+            ..
+        } = self.slots[h][s];
         if self.hosts[h].add_proposals(s, sim.now(), [(kind, seq, proposal)]) > 0 {
             self.reschedule_wake(sim, h, s);
         }
         self.multicast_proposal(sim, vm_idx, replica_idx, kind, seq, proposal);
-    }
-
-    fn vm_of_slot(&self, h: usize, s: usize) -> usize {
-        self.vms
-            .iter()
-            .position(|vm| vm.replicas.contains(&(h, s)))
-            .expect("slot belongs to a vm")
     }
 
     fn route_guest_output(
@@ -493,10 +500,9 @@ impl Cloud {
         out_seq: u64,
         packet: Packet,
     ) {
-        let vm_idx = self.vm_of_slot(h, s);
-        let guest = self.vms[vm_idx].endpoint;
+        let vm = self.slots[h][s].vm;
         let host_node = self.hosts[h].id();
-        if self.vms[vm_idx].replicated {
+        if self.vms[vm].replicated {
             // Tunnel to the egress node over TCP (Sec. VI); it forwards on
             // the second copy.
             let bytes = packet.wire_bytes() + TUNNEL_OVERHEAD;
@@ -506,13 +512,13 @@ impl Cloud {
             {
                 // The tunnel runs over TCP (Sec. VI): per-replica copies
                 // reach the egress in emission order.
-                let last = self.tunnel_last.get(&h).copied().unwrap_or(SimTime::ZERO);
-                let arrive = raw_arrive.max(last + SimDuration::from_nanos(1));
-                self.tunnel_last.insert(h, arrive);
+                let last = &mut self.tunnel_last[h];
+                let arrive = raw_arrive.max(*last + SimDuration::from_nanos(1));
+                *last = arrive;
                 sim.post(
                     arrive,
                     CloudEvent::EgressCopy {
-                        guest,
+                        vm,
                         out_seq,
                         host_node,
                         packet,
@@ -528,12 +534,18 @@ impl Cloud {
     fn egress_copy(
         &mut self,
         sim: &mut Engine,
-        guest: EndpointId,
+        vm: usize,
         out_seq: u64,
         host_node: NetNode,
         packet: Packet,
     ) {
-        match self.egress.on_copy(guest, out_seq, host_node, packet) {
+        let VmRecord {
+            endpoint, replicas, ..
+        } = &self.vms[vm];
+        let decision = self
+            .egress
+            .on_copy(*endpoint, out_seq, host_node, packet, replicas.len());
+        match decision {
             EgressDecision::Forward(pkt) => {
                 self.stats.incr("egress_forwarded");
                 let from = self.egress_node;
@@ -1109,6 +1121,7 @@ impl CloudBuilder {
             .collect();
 
         let mut vms = Vec::new();
+        let mut slots: Vec<Vec<SlotRecord>> = vec![Vec::new(); self.host_count];
         let mut by_endpoint = FxHashMap::default();
         for (vm_idx, (host_list, programs, mode)) in self.vms.into_iter().enumerate() {
             let endpoint = EndpointId(1000 + vm_idx as u64);
@@ -1131,6 +1144,12 @@ impl CloudBuilder {
                     image.clone(), // the replicated disk image
                 );
                 let s = hosts[h].add_slot(slot);
+                debug_assert_eq!(s, slots[h].len(), "slots are numbered densely");
+                slots[h].push(SlotRecord {
+                    vm: vm_idx,
+                    replica: replicas.len(),
+                    wake: None,
+                });
                 replicas.push((h, s));
             }
             by_endpoint.insert(endpoint, vm_idx);
@@ -1173,12 +1192,12 @@ impl CloudBuilder {
             clients,
             client_by_endpoint,
             ingress_seq: 0,
-            wakes: FxHashMap::default(),
+            slots,
             timer_fires: FxHashMap::default(),
             pgm_tx: FxHashMap::default(),
             pgm_rx: FxHashMap::default(),
             pgm_out: RxOutput::default(),
-            tunnel_last: FxHashMap::default(),
+            tunnel_last: vec![SimTime::ZERO; self.host_count],
             broadcast,
             error: None,
             stats: Counters::new(),

@@ -251,6 +251,13 @@ impl HostMachine {
     pub fn refresh_activity(&mut self) -> bool {
         // `is_busy` reads the action queue directly, which only changes
         // inside `process()` — no per-slot clock sync is needed here.
+        //
+        // `set_contention` runs even when the value does not change, and
+        // that is part of the output: its generation bump drops every
+        // slot's `next_wake` memo, whose instant was inverted from the
+        // first probe's `now`. A fresh inversion from a later `now` can
+        // land a few ns away, so skipping an unchanged value moves report
+        // bytes (delta-n, nfs-load and defense-shootout cells among them).
         let before = self.profile.contention();
         let busy = self.slots.iter().filter(|s| s.is_busy()).count();
         self.profile.set_contention((busy as f64 * 0.25).min(0.9));

@@ -522,6 +522,7 @@ fn install(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::install;
     use stopwatch_core::cloud::CloudBuilder;
     use stopwatch_core::config::CloudConfig;
 
@@ -590,5 +591,25 @@ mod tests {
             sw < base * 20.0,
             "overhead should stay bounded: {sw} vs {base}"
         );
+    }
+
+    #[test]
+    fn long_stopwatch_run_keeps_egress_state_bounded() {
+        // Every output copy of a StopWatch run meets the egress; an
+        // output's vote state must go once all three copies are in, not
+        // pile up for the length of the run.
+        let cfg = CloudConfig {
+            seed: 1,
+            ..CloudConfig::default()
+        };
+        let mut b = CloudBuilder::new(cfg, 3);
+        let params = WorkloadParams::from_pairs([("ops", "2000"), ("rate", "200")]);
+        let wl = install("nfs", &mut b, &[0, 1, 2], &params).expect("install");
+        let mut sim = b.build();
+        sim.run_until_clients_done(SimTime::from_secs(60));
+        let completed = (wl.collect)(&mut sim).completed;
+        assert!(completed >= 1_000, "a long run: {completed} ops completed");
+        let held = sim.cloud.egress().held();
+        assert!(held <= 64, "the egress still holds {held} outputs");
     }
 }
