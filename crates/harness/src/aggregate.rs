@@ -514,7 +514,7 @@ mod tests {
                 finished_ms: 100.0,
                 events_executed: 10,
                 replicas: 3,
-                counters: vec![("net_irq".to_string(), 3)],
+                counters: vec![("net_irq", 3)],
             }),
         }
     }

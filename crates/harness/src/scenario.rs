@@ -15,23 +15,6 @@ use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::config::CloudConfig;
 use workloads::registry::{self, Workload, WorkloadParams};
 
-/// Slot counters folded into every result (summed over all replicas).
-const SLOT_COUNTERS: [&str; 13] = [
-    "net_irq",
-    "disk_irq",
-    "cache_irq",
-    "vtimer_irq",
-    "cache_probes",
-    "cache_hits",
-    "cache_misses",
-    "timer_arms",
-    "stalls",
-    "sync_violations",
-    "dd_violations",
-    "dt_violations",
-    "sched_preemptions",
-];
-
 /// One declarative cloud run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
@@ -145,15 +128,8 @@ impl Scenario {
         }
         let replicas = sim.cloud.vm_replicas(wl.vm).len() as u64;
         let outcome = (wl.collect)(&mut sim);
-        let mut counters: Vec<(String, u64)> = sim
-            .cloud
-            .stats()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        for name in SLOT_COUNTERS {
-            counters.push((name.to_string(), sim.cloud.total_counter(name)));
-        }
+        let slot_totals = sim.cloud.slot_totals();
+        let counters = sim.cloud.counts().chain(slot_totals.iter()).collect();
         let defense = entry
             .resolved_config
             .iter()
@@ -349,8 +325,9 @@ pub struct ScenarioResult {
     pub events_executed: u64,
     /// Replica count of the workload VM (1 for single-host arms).
     pub replicas: u64,
-    /// Cloud counters plus summed per-slot counters.
-    pub counters: Vec<(String, u64)>,
+    /// The nonzero cloud counters, then every slot counter summed over
+    /// all replicas, zero or not.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 impl ScenarioResult {
@@ -360,7 +337,7 @@ impl ScenarioResult {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
-            .find(|(k, _)| k == name)
+            .find(|&&(k, _)| k == name)
             .map(|&(_, v)| v)
             .unwrap_or(0)
     }
@@ -395,7 +372,7 @@ mod tests {
             a.samples_ms, c.samples_ms,
             "different seed should perturb measured latencies"
         );
-        assert!(a.counters.iter().any(|(k, v)| k == "net_irq" && *v > 0));
+        assert!(a.counter("net_irq") > 0);
     }
 
     #[test]

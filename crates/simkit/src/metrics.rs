@@ -316,34 +316,7 @@ impl Extend<f64> for Samples {
     }
 }
 
-/// Interns a counter name as a `&'static str`. Counter names are a small
-/// closed set in practice ("disk_irq", "stalls", ...), but sweeps build
-/// thousands of short-lived [`Counters`] instances; interning means the
-/// per-instance miss path stores a shared static key instead of an owned
-/// `String` per counter per instance. Unseen names leak exactly once per
-/// process — bounded by the number of distinct counter names ever used.
-fn intern(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{OnceLock, RwLock};
-    static TABLE: OnceLock<RwLock<BTreeSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| RwLock::new(BTreeSet::new()));
-    if let Some(&interned) = table.read().expect("intern table").get(name) {
-        return interned;
-    }
-    let mut writer = table.write().expect("intern table");
-    if let Some(&interned) = writer.get(name) {
-        return interned; // raced another thread's insert
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    writer.insert(leaked);
-    leaked
-}
-
-/// A set of named monotone counters (packets sent, interrupts injected, ...).
-///
-/// Keys are interned `&'static str`s: the [`Counters::incr`] hot path
-/// (once per simulated event) never allocates, and the first touch of a
-/// name per instance stores a static key interned once per process.
+/// A set of named monotone counters, kept in name order.
 ///
 /// # Examples
 ///
@@ -351,7 +324,7 @@ fn intern(name: &str) -> &'static str {
 /// use simkit::metrics::Counters;
 /// let mut c = Counters::new();
 /// c.add("disk_irq", 2);
-/// c.incr("disk_irq");
+/// c.add("disk_irq", 1);
 /// assert_eq!(c.get("disk_irq"), 3);
 /// assert_eq!(c.get("missing"), 0);
 /// ```
@@ -367,19 +340,8 @@ impl Counters {
     }
 
     /// Adds `n` to counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &str, n: u64) {
-        // Hot path: the existing-key case is a pure lookup, no allocation
-        // and no interning round-trip.
-        if let Some(v) = self.map.get_mut(name) {
-            *v += n;
-        } else {
-            self.map.insert(intern(name), n);
-        }
-    }
-
-    /// Adds one to counter `name`.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
+    pub fn add(&mut self, name: &'static str, n: u64) {
+        *self.map.entry(name).or_insert(0) += n;
     }
 
     /// Current value of `name` (0 if never touched).
@@ -390,30 +352,6 @@ impl Counters {
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
         self.map.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Merges another counter set into this one (values add).
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for (k, v) in self.iter() {
-            if !first {
-                write!(f, " ")?;
-            }
-            write!(f, "{k}={v}")?;
-            first = false;
-        }
-        if first {
-            write!(f, "(empty)")?;
-        }
-        Ok(())
     }
 }
 
@@ -521,34 +459,17 @@ mod tests {
     }
 
     #[test]
-    fn counter_keys_are_interned_and_shared_across_instances() {
-        let mut a = Counters::new();
-        let dynamic = format!("dyn_{}", "counter"); // not a literal
-        a.incr(&dynamic);
-        a.incr(&dynamic);
-        assert_eq!(a.get("dyn_counter"), 2);
-        let mut b = Counters::new();
-        b.add(&format!("dyn_{}", "counter"), 5);
-        // Both instances share the one interned static key.
-        let ka = a.iter().find(|&(k, _)| k == "dyn_counter").unwrap().0;
-        let kb = b.iter().find(|&(k, _)| k == "dyn_counter").unwrap().0;
-        assert_eq!(ka.as_ptr(), kb.as_ptr(), "interned keys are shared");
-        // Report output is unchanged by interning.
-        assert_eq!(format!("{a}"), "dyn_counter=2");
-    }
-
-    #[test]
     fn counters_roundtrip() {
         let mut c = Counters::new();
-        c.incr("a");
+        c.add("c", 1);
         c.add("b", 5);
-        let mut d = Counters::new();
-        d.add("b", 2);
-        d.incr("c");
-        c.merge(&d);
-        assert_eq!(c.get("a"), 1);
+        c.add("a", 0);
+        c.add("b", 2);
+        assert_eq!(c.get("a"), 0);
         assert_eq!(c.get("b"), 7);
         assert_eq!(c.get("c"), 1);
-        assert_eq!(format!("{c}"), "a=1 b=7 c=1");
+        assert_eq!(c.get("d"), 0);
+        let rows: Vec<(&str, u64)> = c.iter().collect();
+        assert_eq!(rows, [("a", 0), ("b", 7), ("c", 1)]);
     }
 }

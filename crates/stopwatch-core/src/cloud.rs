@@ -24,7 +24,6 @@ use netsim::packet::{EndpointId, Packet};
 use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender, RxOutput};
 use simkit::engine::{Event, EventId, Sim};
 use simkit::fxhash::FxHashMap;
-use simkit::metrics::Counters;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime, VirtNanos};
 use storage::block::DiskImage;
@@ -32,6 +31,7 @@ use storage::device::DiskDevice;
 use storage::model::{AccessModel, RotatingDisk, Ssd};
 use vmm::channel::ChannelKind;
 use vmm::clock::VirtualClock;
+use vmm::counter::SlotCounts;
 use vmm::guest::GuestProgram;
 use vmm::host::HostMachine;
 use vmm::sched::VcpuScheduler;
@@ -70,6 +70,48 @@ pub struct ClientHandle {
     pub index: usize,
     /// The client's network endpoint.
     pub endpoint: EndpointId,
+}
+
+/// A cloud counter, declared in name order. DESIGN.md "Counters" says
+/// what increments each row; a report shows a row only when it is nonzero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CloudCounter {
+    Broadcasts,
+    CacheProposalsSent,
+    ClientPackets,
+    DiskProposalsSent,
+    EgressDivergences,
+    EgressForwarded,
+    IngressPackets,
+    PgmNaks,
+    ProposalsSent,
+    TimerProposalsSent,
+}
+
+impl CloudCounter {
+    /// Report names, indexed by `CloudCounter as usize`.
+    pub const NAMES: [&'static str; 10] = [
+        "broadcasts",
+        "cache_proposals_sent",
+        "client_packets",
+        "disk_proposals_sent",
+        "egress_divergences",
+        "egress_forwarded",
+        "ingress_packets",
+        "pgm_naks",
+        "proposals_sent",
+        "timer_proposals_sent",
+    ];
+
+    /// The counter that tallies multicast proposals on `kind`.
+    pub fn proposals(kind: ChannelKind) -> Self {
+        match kind {
+            ChannelKind::Net => CloudCounter::ProposalsSent,
+            ChannelKind::Cache => CloudCounter::CacheProposalsSent,
+            ChannelKind::Disk => CloudCounter::DiskProposalsSent,
+            ChannelKind::Timer => CloudCounter::TimerProposalsSent,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -260,14 +302,21 @@ pub struct Cloud {
     /// its cell (surfaced via [`CloudSim::error`]) instead of panicking
     /// the whole sweep process.
     error: Option<String>,
-    stats: Counters,
+    counts: [u64; CloudCounter::NAMES.len()],
 }
 
 impl Cloud {
-    /// Cloud-level counters: `ingress_packets`, `egress_forwarded`,
-    /// `proposals_sent`, `client_packets`, `broadcasts`, ...
-    pub fn stats(&self) -> &Counters {
-        &self.stats
+    /// The current value of one cloud counter.
+    pub fn count(&self, counter: CloudCounter) -> u64 {
+        self.counts[counter as usize]
+    }
+
+    /// `(name, count)` of every nonzero cloud counter, in name order.
+    pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        CloudCounter::NAMES
+            .into_iter()
+            .zip(self.counts.iter().copied())
+            .filter(|&(_, n)| n > 0)
     }
 
     /// The egress node (Sec. VI), for inspecting what it still holds.
@@ -285,13 +334,13 @@ impl Cloud {
         &self.vms[vm.index].replicas
     }
 
-    /// Sums a slot counter over every replica of every VM.
-    pub fn total_counter(&self, name: &str) -> u64 {
-        self.vms
-            .iter()
-            .flat_map(|vm| vm.replicas.iter())
-            .map(|&(h, s)| self.hosts[h].slot(s).counters().get(name))
-            .sum()
+    /// The slot counters summed over every replica of every VM.
+    pub fn slot_totals(&self) -> SlotCounts {
+        let mut total = SlotCounts::default();
+        for &(h, s) in self.vms.iter().flat_map(|vm| vm.replicas.iter()) {
+            total += self.hosts[h].slot(s).counters();
+        }
+        total
     }
 
     /// The `(ingress seq, virtual delivery)` log of one replica.
@@ -547,13 +596,13 @@ impl Cloud {
             .on_copy(*endpoint, out_seq, host_node, packet, replicas.len());
         match decision {
             EgressDecision::Forward(pkt) => {
-                self.stats.incr("egress_forwarded");
+                self.counts[CloudCounter::EgressForwarded as usize] += 1;
                 let from = self.egress_node;
                 self.deliver_external(sim, from, pkt);
             }
             EgressDecision::Hold => {}
             EgressDecision::Divergence { .. } => {
-                self.stats.incr("egress_divergences");
+                self.counts[CloudCounter::EgressDivergences as usize] += 1;
             }
         }
     }
@@ -591,7 +640,7 @@ impl Cloud {
 
     fn client_packet(&mut self, sim: &mut Engine, ci: usize, packet: Packet, from_cloud: bool) {
         if from_cloud {
-            self.stats.incr("client_packets");
+            self.counts[CloudCounter::ClientPackets as usize] += 1;
         }
         let now = sim.now();
         let out = self.clients[ci].app.on_packet(&packet, now);
@@ -631,7 +680,7 @@ impl Cloud {
     /// The ingress node replicates one inbound packet to every replica host
     /// of the destination guest (or of *all* guests, for broadcasts).
     fn ingress_replicate(&mut self, sim: &mut Engine, packet: Packet) {
-        self.stats.incr("ingress_packets");
+        self.counts[CloudCounter::IngressPackets as usize] += 1;
         let is_broadcast = matches!(packet.body(), netsim::packet::Body::Broadcast { .. });
         let targets = if is_broadcast {
             0..self.vms.len()
@@ -682,7 +731,7 @@ impl Cloud {
         seq: u64,
         proposal: VirtNanos,
     ) {
-        self.stats.incr(kind.proposals_counter());
+        self.counts[CloudCounter::proposals(kind) as usize] += 1;
         let msg = ProposalMsg {
             vm,
             kind,
@@ -769,7 +818,7 @@ impl Cloud {
         sender: usize,
         missing: Vec<u64>,
     ) {
-        self.stats.incr("pgm_naks");
+        self.counts[CloudCounter::PgmNaks as usize] += 1;
         let replicas = &self.vms[vm].replicas;
         let from_node = self.hosts[replicas[receiver].0].id();
         let to_node = self.hosts[replicas[sender].0].id();
@@ -941,7 +990,7 @@ impl Cloud {
     }
 
     fn broadcast(&mut self, sim: &mut Engine, packet: Packet) {
-        self.stats.incr("broadcasts");
+        self.counts[CloudCounter::Broadcasts as usize] += 1;
         self.ingress_replicate(sim, packet);
         self.next_broadcast(sim);
     }
@@ -1200,7 +1249,7 @@ impl CloudBuilder {
             tunnel_last: vec![SimTime::ZERO; self.host_count],
             broadcast,
             error: None,
-            stats: Counters::new(),
+            counts: [0; CloudCounter::NAMES.len()],
         };
 
         let mut sim = Engine::new();
@@ -1276,7 +1325,32 @@ impl CloudSim {
 mod tests {
     use super::*;
     use netsim::packet::Body;
+    use vmm::counter::SlotCounter;
     use vmm::guest::{GuestEnv, IdleGuest};
+
+    #[test]
+    fn counter_names_are_sorted_and_follow_the_variants() {
+        use CloudCounter::*;
+        let all = [
+            Broadcasts,
+            CacheProposalsSent,
+            ClientPackets,
+            DiskProposalsSent,
+            EgressDivergences,
+            EgressForwarded,
+            IngressPackets,
+            PgmNaks,
+            ProposalsSent,
+            TimerProposalsSent,
+        ];
+        assert_eq!(all.len(), CloudCounter::NAMES.len());
+        assert!(CloudCounter::NAMES.windows(2).all(|w| w[0] < w[1]));
+        for (i, c) in all.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+            let name = CloudCounter::NAMES[i];
+            assert_eq!(format!("{c:?}").to_lowercase(), name.replace('_', ""));
+        }
+    }
 
     /// Guest that echoes every Raw packet back to its source.
     struct Echo;
@@ -1364,9 +1438,9 @@ mod tests {
         assert_eq!(logs[0], logs[1]);
         assert_eq!(logs[1], logs[2]);
         // Egress forwarded each reply exactly once (on the second copy).
-        assert_eq!(sim.cloud.stats().get("egress_forwarded"), 3);
-        assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
-        assert_eq!(sim.cloud.total_counter("sync_violations"), 0);
+        assert_eq!(sim.cloud.count(CloudCounter::EgressForwarded), 3);
+        assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
+        assert_eq!(sim.cloud.slot_totals()[SlotCounter::SyncViolations], 0);
     }
 
     #[test]
@@ -1397,7 +1471,7 @@ mod tests {
         sim.run_until_clients_done(SimTime::from_secs(5));
         assert_eq!(sim.cloud.vm_replicas(vm).len(), 3);
         assert!(sim.cloud.client_app::<Pinger>(client).unwrap().is_done());
-        assert_eq!(sim.cloud.stats().get("egress_forwarded"), 1);
+        assert_eq!(sim.cloud.count(CloudCounter::EgressForwarded), 1);
 
         // A single-host arm ignores the surplus hosts and sends directly
         // (no egress voting).
@@ -1416,7 +1490,7 @@ mod tests {
         sim.run_until_clients_done(SimTime::from_secs(5));
         assert_eq!(sim.cloud.vm_replicas(vm).len(), 1);
         assert!(sim.cloud.client_app::<Pinger>(client).unwrap().is_done());
-        assert_eq!(sim.cloud.stats().get("egress_forwarded"), 0);
+        assert_eq!(sim.cloud.count(CloudCounter::EgressForwarded), 0);
     }
 
     #[test]
@@ -1425,8 +1499,8 @@ mod tests {
         b.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
         sim.run_until(SimTime::from_millis(300));
-        assert_eq!(sim.cloud.total_counter("net_irq"), 0);
-        assert_eq!(sim.cloud.stats().get("egress_forwarded"), 0);
+        assert_eq!(sim.cloud.slot_totals()[SlotCounter::NetIrq], 0);
+        assert_eq!(sim.cloud.count(CloudCounter::EgressForwarded), 0);
     }
 
     #[test]
@@ -1437,7 +1511,7 @@ mod tests {
         let vm = b.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
         let mut sim = b.build();
         sim.run_until(SimTime::from_millis(500));
-        let bc = sim.cloud.stats().get("broadcasts");
+        let bc = sim.cloud.count(CloudCounter::Broadcasts);
         assert!(bc >= 20, "broadcasts {bc}");
         // Broadcasts are injected as network interrupts at all replicas,
         // at identical virtual times.
@@ -1496,7 +1570,7 @@ mod tests {
             "fastest-vs-second gap {gap} too large"
         );
         assert!(
-            sim.cloud.total_counter("stalls") > 0,
+            sim.cloud.slot_totals()[SlotCounter::Stalls] > 0,
             "pacing never engaged"
         );
     }

@@ -302,10 +302,10 @@ fn parse_knob<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String>
 }
 
 /// Passes `parsed` through when `ok` holds for it; otherwise names the
-/// knob, its domain and the rejected value. Knobs whose constructors
-/// assert on a value (replica count, timeslice, speed and clock
-/// parameters) check it here, so a bad value fails sweep validation
-/// instead of panicking a scenario.
+/// knob, its domain and the rejected value. Each knob checks here the
+/// values that would trip a constructor's assert (replica count,
+/// timeslice, speed and clock parameters) or stop simulated time, so
+/// they fail sweep validation instead of panicking or hanging a scenario.
 fn in_domain<T>(
     key: &str,
     value: &str,
@@ -470,7 +470,8 @@ static KNOBS: &[KnobSpec] = &[
         get: |c| format!("{}", c.base_ips),
         set: |c, v| {
             let ips: f64 = parse_knob("base_ips", v)?;
-            c.base_ips = in_domain("base_ips", v, "> 0", ips, |&ips| ips > 0.0)?;
+            let ok = |&ips: &f64| ips > 0.0 && ips.is_finite();
+            c.base_ips = in_domain("base_ips", v, "> 0 and finite", ips, ok)?;
             Ok(())
         },
     },
@@ -545,7 +546,14 @@ static KNOBS: &[KnobSpec] = &[
             c.pacing = if v == "off" {
                 None
             } else {
-                let (hb, gap) = parse_knob_pair("pacing", v)?;
+                let pair = parse_knob_pair("pacing", v)?;
+                let domain = "\"off\" or finite hb:gap ms with hb >= 1 ns, gap >= 0";
+                let ok = |&(hb, gap): &(f64, f64)| {
+                    hb.is_finite()
+                        && SimDuration::from_millis_f64(hb).as_nanos() >= 1
+                        && (0.0..f64::INFINITY).contains(&gap)
+                };
+                let (hb, gap) = in_domain("pacing", v, domain, pair, ok)?;
                 Some(PacingConfig {
                     heartbeat: SimDuration::from_millis_f64(hb),
                     max_gap_ns: (gap * 1e6) as u64,
@@ -580,7 +588,9 @@ static KNOBS: &[KnobSpec] = &[
         doc: "client protocol-timer period (RTO / NAK checks), ms",
         get: |c| fmt_ns_as_ms(c.client_tick.as_nanos()),
         set: |c, v| {
-            c.client_tick = SimDuration::from_millis(parse_knob("client_tick_ms", v)?);
+            let ms: u64 = parse_knob("client_tick_ms", v)?;
+            c.client_tick =
+                SimDuration::from_millis(in_domain("client_tick_ms", v, "> 0", ms, |&ms| ms > 0)?);
             Ok(())
         },
     },
@@ -689,14 +699,15 @@ mod tests {
     fn knob_domains_reject_what_the_constructors_assert_on() {
         // (knob, out-of-domain value, in-domain neighbour). Each bad value
         // would trip an assert in `GuestSlot`, `VcpuScheduler`,
-        // `SpeedProfile`, `VirtualClock` or `BroadcastSource` if it
-        // reached a cloud.
+        // `SpeedProfile`, `VirtualClock` or `BroadcastSource`, or re-post
+        // an event at the same instant forever, if it reached a cloud.
         for (key, bad, good) in [
             ("replicas", "2", "3"),
             ("replicas", "4", "5"),
             ("exit_every", "0", "1"),
             ("timeslice_ms", "0", "1"),
             ("base_ips", "0", "1"),
+            ("base_ips", "inf", "1e12"),
             ("ips_jitter", "5", "0.99"),
             ("ips_jitter", "-1", "0"),
             ("speed_epoch_ms", "0", "1"),
@@ -704,6 +715,15 @@ mod tests {
             ("slope", "-1", "1"),
             ("broadcast_band", "0:0", "1:1"),
             ("broadcast_band", "5:1", "1:5"),
+            ("client_tick_ms", "0", "1"),
+            ("pacing", "0:0", "1:0"),
+            ("pacing", "0:5", "1:5"),
+            ("pacing", "-1:5", "1:5"),
+            ("pacing", "nan:5", "1:5"),
+            ("pacing", "0.0000001:5", "0.00001:5"),
+            ("pacing", "1:-5", "1:5"),
+            ("pacing", "1:nan", "1:5"),
+            ("pacing", "inf:5", "1:5"),
         ] {
             let mut c = CloudConfig::default();
             let err = c.apply(key, bad).expect_err(bad);

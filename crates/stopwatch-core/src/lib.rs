@@ -34,7 +34,7 @@
 //! builder.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
 //! let mut sim = builder.build();
 //! sim.run_until(simkit::time::SimTime::from_millis(100));
-//! assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
+//! assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
 //! ```
 
 pub mod cloud;
@@ -43,7 +43,9 @@ pub mod schema;
 
 /// One-line import for the common types.
 pub mod prelude {
-    pub use crate::cloud::{ClientApp, ClientHandle, Cloud, CloudBuilder, CloudSim, VmHandle};
+    pub use crate::cloud::{
+        ClientApp, ClientHandle, Cloud, CloudBuilder, CloudCounter, CloudSim, VmHandle,
+    };
     pub use crate::config::{CloudConfig, DiskKind, KnobSpec, PacingConfig};
     pub use crate::schema::ValueType;
 }

@@ -166,20 +166,6 @@ impl Detector {
         Self::from_cdfs(&null_d, &alt_d, bins)
     }
 
-    /// Builds directly from binned probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or fewer than two bins are supplied.
-    pub fn from_probs(null_probs: Vec<f64>, alt_probs: Vec<f64>) -> Self {
-        assert_eq!(null_probs.len(), alt_probs.len(), "bin count mismatch");
-        assert!(null_probs.len() >= 2, "need at least two bins");
-        Detector {
-            null_probs,
-            alt_probs,
-        }
-    }
-
     /// The binned null probabilities.
     pub fn null_probs(&self) -> &[f64] {
         &self.null_probs

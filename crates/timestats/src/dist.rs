@@ -318,11 +318,6 @@ impl Empirical {
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
-
-    /// A view of the sorted observations.
-    pub fn as_sorted(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 impl Cdf for Empirical {

@@ -38,6 +38,8 @@
 //! stays a pure function of agreed values on every replica. Clamping
 //! those to per-replica "now" would be the divergence, not the cure.
 
+use crate::counter::SlotCounter;
+
 /// A timing channel mediated by the VMM: the kinds of interrupt whose
 /// delivery times replicas agree on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -83,16 +85,6 @@ impl ChannelKind {
         }
     }
 
-    /// The cloud counter that tallies multicast proposals on this channel.
-    pub fn proposals_counter(self) -> &'static str {
-        match self {
-            ChannelKind::Net => "proposals_sent",
-            ChannelKind::Cache => "cache_proposals_sent",
-            ChannelKind::Disk => "disk_proposals_sent",
-            ChannelKind::Timer => "timer_proposals_sent",
-        }
-    }
-
     /// Injection tiebreak rank. Interrupts due at the same exit are
     /// injected ordered by `(delivery virt, rank, id)`; the ranks keep the
     /// pre-unification order (timer 0, disk 1, net 2, cache 3) so event
@@ -112,13 +104,13 @@ impl ChannelKind {
     }
 
     /// When the agreed median already passed in this replica's virtual
-    /// time: `Some(counter)` clamps delivery to "now" and bumps the named
+    /// time: `Some(counter)` clamps delivery to "now" and bumps that
     /// slot counter (network packets — synchrony violation, footnote 4);
     /// `None` keeps the agreed time so delivery fires at the next exit and
     /// the readout stays replica-identical (see the module docs).
-    pub fn clamp_counter(self) -> Option<&'static str> {
+    pub fn clamp_counter(self) -> Option<SlotCounter> {
         match self {
-            ChannelKind::Net => Some("sync_violations"),
+            ChannelKind::Net => Some(SlotCounter::SyncViolations),
             ChannelKind::Cache | ChannelKind::Disk | ChannelKind::Timer => None,
         }
     }
@@ -153,10 +145,10 @@ impl ChannelKind {
     /// release bound `anchor + Δ`: the local device overran an offset
     /// sized too small (paper Sec. V-A). Disk and timer only: a cache
     /// probe's offset is zero by design, and a packet has no anchor.
-    pub fn overrun_counter(self) -> Option<&'static str> {
+    pub fn overrun_counter(self) -> Option<SlotCounter> {
         match self {
-            ChannelKind::Disk => Some("dd_violations"),
-            ChannelKind::Timer => Some("dt_violations"),
+            ChannelKind::Disk => Some(SlotCounter::DdViolations),
+            ChannelKind::Timer => Some(SlotCounter::DtViolations),
             ChannelKind::Net | ChannelKind::Cache => None,
         }
     }
@@ -193,7 +185,10 @@ mod tests {
         for kind in ChannelKind::ALL {
             assert_eq!(DefenseMode::baseline().offset(kind), None);
         }
-        assert_eq!(ChannelKind::Net.clamp_counter(), Some("sync_violations"));
+        assert_eq!(
+            ChannelKind::Net.clamp_counter(),
+            Some(SlotCounter::SyncViolations)
+        );
         assert_eq!(ChannelKind::Cache.clamp_counter(), None);
         assert_eq!(ChannelKind::Disk.clamp_counter(), None);
         assert_eq!(ChannelKind::Timer.clamp_counter(), None);
@@ -214,8 +209,14 @@ mod tests {
         // overrun of their release bound.
         assert_eq!(ChannelKind::Net.overrun_counter(), None);
         assert_eq!(ChannelKind::Cache.overrun_counter(), None);
-        assert_eq!(ChannelKind::Disk.overrun_counter(), Some("dd_violations"));
-        assert_eq!(ChannelKind::Timer.overrun_counter(), Some("dt_violations"));
+        assert_eq!(
+            ChannelKind::Disk.overrun_counter(),
+            Some(SlotCounter::DdViolations)
+        );
+        assert_eq!(
+            ChannelKind::Timer.overrun_counter(),
+            Some(SlotCounter::DtViolations)
+        );
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   named by a [`channel::ChannelKind`], whose methods carry the
 //!   per-channel constants (synchrony clamp, early buffering, majority
 //!   fix, overrun counter);
+//! * [`counter`] — the slot counter table: one [`counter::SlotCounter`]
+//!   row per count a slot keeps, held in a fixed array;
 //! * [`defense`] — the pluggable defense arms, one [`defense::ARMS`] row
 //!   each: StopWatch's replica median (with its Δn/Δd/Δt offsets),
 //!   Deterland epoch-boundary release, Tizpaz-Niari bucketed
@@ -40,6 +42,7 @@ pub mod actions;
 pub mod cache;
 pub mod channel;
 pub mod clock;
+pub mod counter;
 pub mod defense;
 pub mod devices;
 pub mod guest;
@@ -55,6 +58,7 @@ pub mod prelude {
     pub use crate::cache::CacheModel;
     pub use crate::channel::ChannelKind;
     pub use crate::clock::VirtualClock;
+    pub use crate::counter::SlotCounter;
     pub use crate::defense::{DefenseArm, DefenseKnobs, ReleaseRule};
     pub use crate::devices::{PlatformClocks, TimePolicy};
     pub use crate::guest::{GuestAction, GuestEnv, GuestProgram, IdleGuest};

@@ -52,6 +52,7 @@ use crate::actions::ActionQueue;
 use crate::cache::CacheModel;
 use crate::channel::ChannelKind;
 use crate::clock::VirtualClock;
+use crate::counter::{SlotCounter, SlotCounts};
 pub use crate::defense::{DefenseMode, ReleaseRule};
 use crate::devices::PlatformClocks;
 use crate::guest::{GuestAction, GuestEnv, GuestProgram};
@@ -59,7 +60,6 @@ use crate::pending::{ChannelPayload, Due, PendingTable, Row};
 use crate::speed::SpeedProfile;
 use netsim::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
-use simkit::metrics::Counters;
 use simkit::time::{SimTime, VirtNanos, VirtOffset};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -306,7 +306,7 @@ pub struct GuestSlot {
     out_seq: u64,
     ticks_delivered: u64,
     // Telemetry.
-    counters: Counters,
+    counters: SlotCounts,
     delivered_log: Vec<(u64, VirtNanos)>,
 }
 
@@ -367,7 +367,7 @@ impl GuestSlot {
             hw_fires: FxHashMap::default(),
             out_seq: 0,
             ticks_delivered: 0,
-            counters: Counters::new(),
+            counters: SlotCounts::default(),
             delivered_log: Vec::new(),
         }
     }
@@ -377,11 +377,8 @@ impl GuestSlot {
         self.cfg.endpoint
     }
 
-    /// Slot telemetry: `net_irq`, `disk_irq`, `timer_irq`, `cache_irq`,
-    /// `vtimer_irq`, `timer_arms`, `packets_out`, `cache_refs`,
-    /// `cache_probes`, `cache_hits`, `cache_misses`, `dd_violations`,
-    /// `dt_violations`, `sched_preemptions`, `sync_violations`, `stalls`.
-    pub fn counters(&self) -> &Counters {
+    /// Slot telemetry, one count per [`SlotCounter`].
+    pub fn counters(&self) -> &SlotCounts {
         &self.counters
     }
 
@@ -390,11 +387,6 @@ impl GuestSlot {
     /// observable.
     pub fn delivered_log(&self) -> &[(u64, VirtNanos)] {
         &self.delivered_log
-    }
-
-    /// Fingerprint of the guest's disk state (replica divergence checks).
-    pub fn disk_fingerprint(&self) -> u64 {
-        self.image.content_fingerprint()
     }
 
     /// A mutable handle to the guest program (for extracting recorded
@@ -447,7 +439,7 @@ impl GuestSlot {
     pub fn stall_until(&mut self, profile: &SpeedProfile, now: SimTime, t: SimTime) {
         self.sync(profile, now);
         self.resume_at = self.resume_at.max(t);
-        self.counters.incr("stalls");
+        self.counters[SlotCounter::Stalls] += 1;
     }
 
     fn sync(&mut self, profile: &SpeedProfile, now: SimTime) {
@@ -637,7 +629,6 @@ impl GuestSlot {
                 let virt = self.clock.virt(self.pc);
                 let seq = self.out_seq;
                 self.out_seq += 1;
-                self.counters.incr("packets_out");
                 out.push(SlotOutput::Packet {
                     out_seq: seq,
                     packet,
@@ -650,16 +641,15 @@ impl GuestSlot {
             }
             GuestAction::CacheTouch { set, tag } => {
                 cache.touch(self.cfg.endpoint.0, set, tag);
-                self.counters.incr("cache_refs");
             }
             GuestAction::CacheProbe { set, tag } => {
                 let latency = cache.probe(self.cfg.endpoint.0, set, tag);
-                self.counters.incr("cache_probes");
-                self.counters.incr(if latency == CacheModel::HIT_NS {
-                    "cache_hits"
+                self.counters[SlotCounter::CacheProbes] += 1;
+                self.counters[if latency == CacheModel::HIT_NS {
+                    SlotCounter::CacheHits
                 } else {
-                    "cache_misses"
-                });
+                    SlotCounter::CacheMisses
+                }] += 1;
                 let issue_virt = self.clock.virt(self.pc);
                 let probe_id = self.next_probe_id;
                 self.next_probe_id += 1;
@@ -732,7 +722,7 @@ impl GuestSlot {
         self.next_fire_seq += 1;
         self.armed.insert(timer_id, fire_seq);
         self.hw_fires.insert(fire_seq, Some(deadline));
-        self.counters.incr("timer_arms");
+        self.counters[SlotCounter::TimerArms] += 1;
         let payload = ChannelPayload::Timer {
             timer_id,
             deadline,
@@ -824,7 +814,7 @@ impl GuestSlot {
             return bound;
         }
         if let Some(counter) = kind.overrun_counter() {
-            self.counters.incr(counter);
+            self.counters[counter] += 1;
         }
         observed
     }
@@ -839,7 +829,6 @@ impl GuestSlot {
         let Some(kind) = kind else {
             let tick = self.cfg.clocks.pit_tick_time(self.ticks_delivered + 1);
             self.ticks_delivered += 1;
-            self.counters.incr("timer_irq");
             self.run_handler(at_pc, Some(tick), |prog, env| prog.on_timer(env));
             return Ok(());
         };
@@ -848,9 +837,9 @@ impl GuestSlot {
             .remove(kind, id)
             .ok_or(SlotError::MissingDelivery { kind, id })?;
         let deliver = deliver.ok_or(SlotError::MissingDelivery { kind, id })?;
+        self.counters[SlotCounter::irq(kind)] += 1;
         match payload {
             ChannelPayload::Net { packet } => {
-                self.counters.incr("net_irq");
                 self.delivered_log.push((id, deliver));
                 self.run_handler(at_pc, Some(deliver), |prog, env| {
                     prog.on_packet(&packet, env)
@@ -861,7 +850,6 @@ impl GuestSlot {
                 tag,
                 issue_virt,
             } => {
-                self.counters.incr("cache_irq");
                 // The readout the guest sees: agreed completion minus the
                 // (replica-identical) issue instant — a pure function of
                 // agreed values, so all replicas observe the same latency.
@@ -873,7 +861,6 @@ impl GuestSlot {
             ChannelPayload::Disk {
                 op, range, data, ..
             } => {
-                self.counters.incr("disk_irq");
                 // Data is copied into the guest address space only now (no
                 // early polling, Sec. V-A).
                 let data = data.ok_or(SlotError::MissingDiskData { op_id: id })?;
@@ -886,7 +873,6 @@ impl GuestSlot {
                 deadline,
                 period,
             } => {
-                self.counters.incr("vtimer_irq");
                 if self.armed.get(&timer_id) == Some(&id) {
                     self.armed.remove(&timer_id);
                 }
@@ -1061,7 +1047,7 @@ impl GuestSlot {
             None => return Err(SlotError::UnknownTimerFire { fire_seq }),
         };
         if sched_delay.as_nanos() > 0 {
-            self.counters.incr("sched_preemptions");
+            self.counters[SlotCounter::SchedPreemptions] += 1;
         }
         // The locally observed fire: the programmed deadline plus however
         // long the run queue held this vCPU (plus any lag of the hardware
@@ -1208,7 +1194,7 @@ impl GuestSlot {
                 // The agreed time already passed in this replica's virtual
                 // time: the synchrony assumption was violated (paper
                 // footnote 4); deliver now and count it.
-                self.counters.incr(counter);
+                self.counters[counter] += 1;
                 cur_virt
             }
             None => median,
@@ -1446,7 +1432,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(slot.counters().get("net_irq"), 1);
+        assert_eq!(slot.counters()[SlotCounter::NetIrq], 1);
         assert_eq!(slot.delivered_log().len(), 1);
         assert_eq!(slot.delivered_log()[0].1.as_nanos(), 11_500_000);
     }
@@ -1482,7 +1468,7 @@ mod tests {
         slot.add_proposals(&p, late, [(ChannelKind::Net, 0, two_ms)]);
         slot.add_proposals(&p, late, [(ChannelKind::Net, 0, two_ms)]);
         assert!(slot.add_proposals(&p, late, [(ChannelKind::Net, 0, two_ms)]) > 0);
-        assert_eq!(slot.counters().get("sync_violations"), 1);
+        assert_eq!(slot.counters()[SlotCounter::SyncViolations], 1);
         // Still delivered (recovery), at current virt.
         let wake = slot.next_wake(&p, late).unwrap();
         let out = slot.process(&p, &mut cache, wake).expect("process");
@@ -1518,7 +1504,7 @@ mod tests {
             panic!("stopwatch disk completion proposes")
         };
         assert_eq!(own.as_nanos(), 10_000_000, "proposal = issue + Δd");
-        assert_eq!(slot.counters().get("dd_violations"), 0);
+        assert_eq!(slot.counters()[SlotCounter::DdViolations], 0);
         // No injection until the replicas agree.
         assert_eq!(slot.next_wake(&p, t_ready), None);
         agree_disk(&mut slot, &p, t_ready, *op_id, own);
@@ -1538,7 +1524,7 @@ mod tests {
         let out3 = slot.process(&p, &mut cache, wake2).expect("process");
         assert_eq!(out3.len(), 1);
         assert!(matches!(out3[0], SlotOutput::DiskSubmit { .. }));
-        assert_eq!(slot.counters().get("disk_irq"), 1);
+        assert_eq!(slot.counters()[SlotCounter::DiskIrq], 1);
     }
 
     #[test]
@@ -1558,7 +1544,7 @@ mod tests {
             panic!("proposal expected")
         };
         assert_eq!(own.as_nanos(), 25_000_000);
-        assert_eq!(slot.counters().get("dd_violations"), 1);
+        assert_eq!(slot.counters()[SlotCounter::DdViolations], 1);
         // ...but the two peers met Δd, so the agreed median is the Δd
         // release point — in this replica's past. No clamp for disk: the
         // interrupt fires at the next exit while the *agreed* timestamp
@@ -1570,7 +1556,7 @@ mod tests {
         let wake = slot.next_wake(&p, t_ready).unwrap();
         assert_eq!(wake, SimTime::from_millis(25), "fires at the next exit");
         slot.process(&p, &mut cache, wake).expect("process");
-        assert_eq!(slot.counters().get("disk_irq"), 1);
+        assert_eq!(slot.counters()[SlotCounter::DiskIrq], 1);
     }
 
     #[test]
@@ -1596,7 +1582,7 @@ mod tests {
         assert!(slot.add_proposals(&p, t_ready, [(ChannelKind::Disk, *op_id, own)]) > 0);
         let wake = slot.next_wake(&p, t_ready).expect("agreed");
         slot.process(&p, &mut cache, wake).expect("process");
-        assert_eq!(slot.counters().get("disk_irq"), 1);
+        assert_eq!(slot.counters()[SlotCounter::DiskIrq], 1);
     }
 
     #[test]
@@ -1615,12 +1601,12 @@ mod tests {
             ArrivalOutcome::Scheduled,
             "baseline never proposes"
         );
-        assert_eq!(slot.counters().get("dd_violations"), 0);
+        assert_eq!(slot.counters()[SlotCounter::DdViolations], 0);
         let wake = slot.next_wake(&p, t_ready).unwrap();
         let ns = wake.as_nanos();
         assert!((3_000_000..3_050_050).contains(&ns), "ready-time wake {ns}");
         slot.process(&p, &mut cache, wake).expect("process");
-        assert_eq!(slot.counters().get("disk_irq"), 1);
+        assert_eq!(slot.counters()[SlotCounter::DiskIrq], 1);
     }
 
     #[test]
@@ -1696,7 +1682,7 @@ mod tests {
         assert_eq!(v_mid.as_nanos(), 1_000_000, "no progress while stalled");
         let v_after = slot.virt_at(&p, SimTime::from_millis(7));
         assert_eq!(v_after.as_nanos(), 3_000_000, "resumes after the stall");
-        assert_eq!(slot.counters().get("stalls"), 1);
+        assert_eq!(slot.counters()[SlotCounter::Stalls], 1);
     }
 
     #[test]
@@ -1721,7 +1707,7 @@ mod tests {
         let wake = slot.next_wake(&p, SimTime::ZERO).unwrap();
         assert!((4_000_000..4_000_050).contains(&wake.as_nanos()));
         slot.process(&p, &mut cache, wake).expect("process");
-        assert_eq!(slot.counters().get("timer_irq"), 1);
+        assert_eq!(slot.ticks_delivered, 1);
         let wake2 = slot.next_wake(&p, wake).unwrap();
         assert!((8_000_000..8_000_050).contains(&wake2.as_nanos()));
     }
@@ -1829,10 +1815,10 @@ mod tests {
             vec![(3, CacheModel::HIT_NS), (4, CacheModel::MISS_NS)],
             "baseline readout is the local latency"
         );
-        assert_eq!(slot.counters().get("cache_irq"), 2);
-        assert_eq!(slot.counters().get("cache_probes"), 2);
-        assert_eq!(slot.counters().get("cache_hits"), 1);
-        assert_eq!(slot.counters().get("cache_misses"), 1);
+        assert_eq!(slot.counters()[SlotCounter::CacheIrq], 2);
+        assert_eq!(slot.counters()[SlotCounter::CacheProbes], 2);
+        assert_eq!(slot.counters()[SlotCounter::CacheHits], 1);
+        assert_eq!(slot.counters()[SlotCounter::CacheMisses], 1);
         assert_eq!(cache.occupancy(7), 2, "primed line + cold probe resident");
     }
 
@@ -2004,15 +1990,15 @@ mod tests {
             .timer_elapsed(&p, t, fire_seq, VirtOffset::from_millis(2))
             .expect("live fire");
         assert_eq!(outcome, Some(ArrivalOutcome::Scheduled));
-        assert_eq!(slot.counters().get("sched_preemptions"), 1);
+        assert_eq!(slot.counters()[SlotCounter::SchedPreemptions], 1);
         let wake = slot.next_wake(&p, t).expect("delivery scheduled");
         slot.process(&p, &mut cache, wake).expect("process");
         let fires = vtimer_fires(&mut slot);
         assert_eq!(fires.len(), 1);
         // The guest-visible fire carries the dispatch delay: the leak.
         assert_eq!(fires[0].0.as_nanos(), 7_000_000);
-        assert_eq!(slot.counters().get("vtimer_irq"), 1);
-        assert_eq!(slot.counters().get("timer_arms"), 1);
+        assert_eq!(slot.counters()[SlotCounter::VtimerIrq], 1);
+        assert_eq!(slot.counters()[SlotCounter::TimerArms], 1);
     }
 
     #[test]
@@ -2030,7 +2016,7 @@ mod tests {
             panic!("{outcome:?}");
         };
         assert_eq!(own.as_nanos(), 15_000_000, "deadline 5ms + Δt 10ms");
-        assert_eq!(slot.counters().get("dt_violations"), 0);
+        assert_eq!(slot.counters()[SlotCounter::DtViolations], 0);
         assert_eq!(slot.next_wake(&p, t), None, "no delivery before agreement");
         for _ in 0..2 {
             slot.add_proposals(&p, t, [(ChannelKind::Timer, fire_seq, own)]);
@@ -2061,7 +2047,7 @@ mod tests {
             panic!("{outcome:?}");
         };
         assert_eq!(own.as_nanos(), 17_000_000, "local fire 5ms + 12ms");
-        assert_eq!(slot.counters().get("dt_violations"), 1);
+        assert_eq!(slot.counters()[SlotCounter::DtViolations], 1);
     }
 
     #[test]
@@ -2092,7 +2078,7 @@ mod tests {
             0
         );
         assert_eq!(slot.early_buffered(), 0);
-        assert_eq!(slot.counters().get("vtimer_irq"), 1);
+        assert_eq!(slot.counters()[SlotCounter::VtimerIrq], 1);
         // The hardware event is consumed: a second elapse is unknown.
         assert_eq!(
             slot.timer_elapsed(&p, wake, fire_seq, VirtOffset::from_nanos(0)),
@@ -2125,7 +2111,7 @@ mod tests {
         slot.process(&p, &mut cache, wake2).expect("process");
         assert_eq!(vtimer_fires(&mut slot).len(), 2);
         // Boot arm plus one re-arm per injected fire.
-        assert_eq!(slot.counters().get("timer_arms"), 3);
+        assert_eq!(slot.counters()[SlotCounter::TimerArms], 3);
     }
 
     #[test]
@@ -2173,7 +2159,7 @@ mod tests {
             .expect("cancelled fire is not an error");
         assert_eq!(elapsed, None);
         assert_eq!(slot.next_wake(&p, SimTime::from_millis(20)), None);
-        assert_eq!(slot.counters().get("vtimer_irq"), 0);
+        assert_eq!(slot.counters()[SlotCounter::VtimerIrq], 0);
     }
 
     #[test]
@@ -2382,20 +2368,15 @@ mod tests {
     ) -> (
         Vec<(ChannelKind, u64, usize, usize, Option<(VirtNanos, u64)>)>,
         Vec<((u8, u64), Vec<VirtNanos>)>,
-        Vec<(String, u64)>,
+        SlotCounts,
         Option<SimTime>,
     ) {
         let mut early: Vec<_> = slot.early.iter().map(|(k, v)| (*k, v.clone())).collect();
         early.sort();
-        let counters = slot
-            .counters()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
         (
             slot.pending.snapshot(),
             early,
-            counters,
+            *slot.counters(),
             slot.next_wake(p, now),
         )
     }
@@ -2476,9 +2457,9 @@ mod tests {
         let fixed: Vec<_> = rows.iter().map(|r| (r.0, r.1, r.4.is_some())).collect();
         assert_eq!(fixed, [(Disk, 0, true), (Timer, 0, true)], "{rows:?}");
         assert_eq!(burst_slot.early_buffered(), 1, "only probe 5 awaits");
-        assert_eq!(burst_slot.counters().get("net_irq"), 2);
-        assert_eq!(burst_slot.counters().get("cache_irq"), 2);
-        assert_eq!(burst_slot.counters().get("sync_violations"), 1);
+        assert_eq!(burst_slot.counters()[SlotCounter::NetIrq], 2);
+        assert_eq!(burst_slot.counters()[SlotCounter::CacheIrq], 2);
+        assert_eq!(burst_slot.counters()[SlotCounter::SyncViolations], 1);
     }
 
     #[test]

@@ -255,6 +255,7 @@ mod tests {
     use super::*;
     use stopwatch_core::cloud::CloudBuilder;
     use stopwatch_core::config::{CloudConfig, DiskKind};
+    use vmm::counter::SlotCounter;
 
     /// Runs one PARSEC app; returns (runtime ms, disk interrupts at one
     /// replica).
@@ -281,7 +282,7 @@ mod tests {
         assert_eq!(w.arrivals().len(), 1, "{name} must complete");
         let runtime_ms = w.arrivals()[0].as_millis_f64();
         let (h, s) = sim.cloud.vm_replicas(vm)[0];
-        let disk_irqs = sim.cloud.host(h).slot(s).counters().get("disk_irq");
+        let disk_irqs = sim.cloud.host(h).slot(s).counters()[SlotCounter::DiskIrq];
         (runtime_ms, disk_irqs)
     }
 

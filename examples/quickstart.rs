@@ -70,7 +70,9 @@ fn main() {
         .and_then(|c| c.reply_at)
         .expect("echo reply received");
     println!("echo round trip through the full defense: {reply_at}");
-    println!("cloud stats: {}", sim.cloud.stats());
+    print!("cloud stats:");
+    sim.cloud.counts().for_each(|(k, v)| print!(" {k}={v}"));
+    println!();
     for replica in 0..3 {
         let log = sim.cloud.delivered_log(vm, replica);
         println!(

@@ -42,7 +42,7 @@
 //! builder.add_defended_vm(&[0, 1, 2], || Box::new(IdleGuest));
 //! let mut sim = builder.build();
 //! sim.run_until(SimTime::from_millis(200));
-//! assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
+//! assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
 //! ```
 
 pub use harness;

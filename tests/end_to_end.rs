@@ -107,8 +107,8 @@ fn full_pipeline_delivers_exactly_once() {
     assert_eq!(tags, vec![1, 101, 201, 301, 401]);
     // Exactly one egress forward per reply; no divergence; no replica left
     // behind on deliveries.
-    assert_eq!(sim.cloud.stats().get("egress_forwarded"), 5);
-    assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
+    assert_eq!(sim.cloud.count(CloudCounter::EgressForwarded), 5);
+    assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
     for r in 0..3 {
         assert_eq!(sim.cloud.delivered_log(vm, r).len(), 5, "replica {r}");
     }
@@ -152,7 +152,7 @@ fn egress_voting_detects_divergent_replica() {
     let (mut sim, _vm, client) = build_ping_cloud(5, 3, true);
     sim.run_until_clients_done(SimTime::from_secs(10));
     assert!(
-        sim.cloud.stats().get("egress_divergences") > 0,
+        sim.cloud.count(CloudCounter::EgressDivergences) > 0,
         "divergence must be detected"
     );
     let replies = &sim.cloud.client_app::<PingClient>(client).unwrap().replies;
@@ -189,7 +189,7 @@ fn five_replica_configuration_works() {
     for l in &logs[1..] {
         assert_eq!(&logs[0], l);
     }
-    assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
+    assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
 }
 
 #[test]
@@ -233,7 +233,7 @@ fn multiple_vms_share_the_cloud() {
             .len(),
         4
     );
-    assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
+    assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
 }
 
 #[test]

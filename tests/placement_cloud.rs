@@ -77,7 +77,7 @@ fn planner_placements_run_as_a_cloud() {
             "VM {i} never answered"
         );
     }
-    assert_eq!(sim.cloud.stats().get("egress_divergences"), 0);
+    assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
     // Every VM's replicas delivered identically.
     for vm in handles {
         let l0 = sim.cloud.delivered_log(vm, 0);

@@ -283,9 +283,9 @@ proptest! {
             t = t.max(wake);
             slot.process(&p, &mut cache, t).expect("process");
         }
-        prop_assert_eq!(slot.counters().get("cache_irq"), 1);
-        prop_assert_eq!(slot.counters().get("disk_irq"), 1);
-        prop_assert_eq!(slot.counters().get("vtimer_irq"), 1);
+        prop_assert_eq!(slot.counters()[SlotCounter::CacheIrq], 1);
+        prop_assert_eq!(slot.counters()[SlotCounter::DiskIrq], 1);
+        prop_assert_eq!(slot.counters()[SlotCounter::VtimerIrq], 1);
         prop_assert_eq!(slot.early_buffered(), 0, "consumed, not leaked");
 
         // Strays for the already-retired event 0 of every kind (an id
