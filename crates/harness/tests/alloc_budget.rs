@@ -149,10 +149,12 @@ fn delta_n_quick_sweep_stays_under_its_allocation_budget() {
 
 #[test]
 fn cache_storm_quick_bench_peak_heap_stays_under_its_budget() {
-    // The engine queue is the largest structure of a cache-storm run:
-    // 128 probe proposals per round, each multicast to every peer.
-    // Measured: 835,248 bytes.
+    // The PGM send histories are the largest structures of a cache-storm
+    // run: 128 probe proposals per round, each multicast to every peer,
+    // and each replica's sender keeps its last 4,096 proposals (16 bytes
+    // each) for retransmission. Next is the engine's event slab (64-byte
+    // entries). Measured: 562,460 bytes.
     let (outcomes, _, peak) = measured_run(&cache_storm_quick());
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "scenarios run");
-    assert!(peak < 1 << 20, "cache-storm: peak heap {peak} bytes");
+    assert!(peak < 640 << 10, "cache-storm: peak heap {peak} bytes");
 }

@@ -8,9 +8,10 @@
 //! * each host's network device model buffers the packet and multicasts a
 //!   **proposed virtual delivery time** (`virt at last exit + Δn`) to its
 //!   peers over **PGM**; every replica adopts the **median** (Sec. V-B);
-//! * guest outputs are tunneled to the **egress node**, which forwards the
-//!   **second copy** of each packet — the median output timing — and votes
-//!   on content (Sec. VI);
+//! * guest outputs are tunneled to the **egress node**, which votes on
+//!   content (Sec. VI): it forwards an output once one content group holds
+//!   two matching copies — the median output timing of the agreeing
+//!   replicas;
 //! * a pacing heartbeat slows the fastest replica so the virtual-time gap
 //!   between the two fastest stays bounded (Sec. V-A);
 //! * external **clients** (not replicated, real-time observers) drive
@@ -144,13 +145,77 @@ struct ClientRecord {
 /// One replica's delivery-time proposal for one timing-channel event —
 /// network packet, cache probe, disk completion, or virtual-timer fire,
 /// told apart by the [`ChannelKind`] wire id. Every kind rides the same
-/// PGM streams and the same demux.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// PGM streams and the same demux. The VM is not on the wire: each stream
+/// belongs to one VM. 16 bytes, so a sender's 4,096-entry history is
+/// 64 KiB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ProposalMsg {
-    vm: usize,
-    kind: ChannelKind,
-    seq: u64,
+    /// `seq << 2 | kind.id()`.
+    word: u64,
     proposal: VirtNanos,
+}
+
+impl ProposalMsg {
+    /// Packs `kind` into the two low bits of the word that carries `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq >= 2^62`: the shifted seq would overwrite the kind.
+    fn new(kind: ChannelKind, seq: u64, proposal: VirtNanos) -> Self {
+        assert!(
+            seq < 1 << 62,
+            "proposal seq {seq} does not fit the wire word"
+        );
+        ProposalMsg {
+            word: seq << 2 | u64::from(kind.id()),
+            proposal,
+        }
+    }
+
+    /// `(kind, seq, proposal)`.
+    fn parts(self) -> (ChannelKind, u64, VirtNanos) {
+        let kind = ChannelKind::ALL[(self.word & 3) as usize];
+        (kind, self.word >> 2, self.proposal)
+    }
+}
+
+/// A packet parked in [`ParkedPackets`] while the event that carries it
+/// is queued.
+struct PacketRef(u32);
+
+/// Packets of queued events, kept out of the events themselves: five
+/// [`CloudEvent`] variants carry a packet, and inline it would size every
+/// event (and every engine slab entry) by its 88 bytes. `CloudEvent::fire`
+/// takes the packet out before its handler runs; no packet event is ever
+/// cancelled, so none is left behind.
+#[derive(Default)]
+struct ParkedPackets {
+    packets: Vec<Option<Packet>>,
+    /// Places whose packet was taken, reused before `packets` grows.
+    free: Vec<u32>,
+}
+
+impl ParkedPackets {
+    fn park(&mut self, packet: Packet) -> PacketRef {
+        match self.free.pop() {
+            Some(i) => {
+                self.packets[i as usize] = Some(packet);
+                PacketRef(i)
+            }
+            None => {
+                self.packets.push(Some(packet));
+                let i = u32::try_from(self.packets.len() - 1).expect("fewer than 2^32 parked");
+                PacketRef(i)
+            }
+        }
+    }
+
+    fn take(&mut self, at: PacketRef) -> Packet {
+        self.free.push(at.0);
+        self.packets[at.0 as usize]
+            .take()
+            .expect("a parked packet is taken once")
+    }
 }
 
 /// Static sizes for control-plane messages on the wire.
@@ -159,7 +224,8 @@ const TUNNEL_OVERHEAD: u32 = 40;
 
 /// Every event the cloud schedules. `fire` sends each variant to the
 /// `Cloud` method that handles it; the engine keeps posted events in a
-/// recycled slab, so none of them is a heap allocation.
+/// recycled slab, so none of them is a heap allocation. Packets wait in
+/// [`ParkedPackets`], which keeps an event at 56 bytes.
 enum CloudEvent {
     /// Boot replica slot `s` of host `h`.
     Boot { h: usize, s: usize },
@@ -174,7 +240,7 @@ enum CloudEvent {
     /// Draw the first background broadcast.
     BroadcastStart,
     /// A background broadcast reaches the ingress.
-    Broadcast { packet: Packet },
+    Broadcast { packet: PacketRef },
     /// Slot `(h, s)`'s scheduled wake.
     SlotWake { h: usize, s: usize },
     /// Host `h`'s disk finished slot `s`'s operation `op_id`.
@@ -186,7 +252,7 @@ enum CloudEvent {
         h: usize,
         s: usize,
         seq: u64,
-        packet: Packet,
+        packet: PacketRef,
     },
     /// A PGM data packet from replica `sender` reaches replica `receiver`
     /// of VM `vm`.
@@ -209,17 +275,17 @@ enum CloudEvent {
         vm: usize,
         out_seq: u64,
         host_node: NetNode,
-        packet: Packet,
+        packet: PacketRef,
     },
     /// A packet reaches client `ci`; `from_cloud` marks the ones counted
     /// in `client_packets` (client-to-client traffic is not).
     ClientPacket {
         ci: usize,
-        packet: Packet,
+        packet: PacketRef,
         from_cloud: bool,
     },
     /// A packet bound for a guest reaches the ingress node.
-    Ingress { packet: Packet },
+    Ingress { packet: PacketRef },
 }
 
 /// The cloud's event loop.
@@ -234,11 +300,15 @@ impl Event<Cloud> for CloudEvent {
             CloudEvent::Pace => cloud.pace(sim),
             CloudEvent::PgmRetry => cloud.pgm_retry(sim),
             CloudEvent::BroadcastStart => cloud.next_broadcast(sim),
-            CloudEvent::Broadcast { packet } => cloud.broadcast(sim, packet),
+            CloudEvent::Broadcast { packet } => {
+                let packet = cloud.parked.take(packet);
+                cloud.broadcast(sim, packet)
+            }
             CloudEvent::SlotWake { h, s } => cloud.slot_wake(sim, h, s),
             CloudEvent::DiskDone { h, s, op_id } => cloud.disk_done(sim, h, s, op_id),
             CloudEvent::TimerFire { h, s, fire_seq } => cloud.timer_fire(sim, h, s, fire_seq),
             CloudEvent::HostPacket { h, s, seq, packet } => {
+                let packet = cloud.parked.take(packet);
                 cloud.host_packet_arrival(sim, h, s, seq, packet)
             }
             CloudEvent::PgmData {
@@ -258,13 +328,22 @@ impl Event<Cloud> for CloudEvent {
                 out_seq,
                 host_node,
                 packet,
-            } => cloud.egress_copy(sim, vm, out_seq, host_node, packet),
+            } => {
+                let packet = cloud.parked.take(packet);
+                cloud.egress_copy(sim, vm, out_seq, host_node, packet)
+            }
             CloudEvent::ClientPacket {
                 ci,
                 packet,
                 from_cloud,
-            } => cloud.client_packet(sim, ci, packet, from_cloud),
-            CloudEvent::Ingress { packet } => cloud.ingress_replicate(sim, packet),
+            } => {
+                let packet = cloud.parked.take(packet);
+                cloud.client_packet(sim, ci, packet, from_cloud)
+            }
+            CloudEvent::Ingress { packet } => {
+                let packet = cloud.parked.take(packet);
+                cloud.ingress_replicate(sim, packet)
+            }
         }
     }
 }
@@ -290,10 +369,17 @@ pub struct Cloud {
     /// changes can re-target the physical fire time at the deadline's
     /// virtual instant, the way `reschedule_wake` re-targets slot wakes.
     timer_fires: FxHashMap<(usize, usize, u64), (EventId, SimTime, VirtNanos)>,
-    pgm_tx: FxHashMap<(usize, usize), PgmSender<ProposalMsg>>,
-    pgm_rx: FxHashMap<(usize, usize, usize), PgmReceiver<ProposalMsg>>,
+    /// `[vm][sender]`: each replica's PGM proposal stream to its peers.
+    /// Empty for a VM that is not replicated.
+    pgm_tx: Vec<Vec<PgmSender<ProposalMsg>>>,
+    /// `[vm][receiver * n + sender]`, for a VM of `n` replicas: what
+    /// replica `receiver` has of replica `sender`'s stream. Empty for a VM
+    /// that is not replicated.
+    pgm_rx: Vec<Vec<PgmReceiver<ProposalMsg>>>,
     /// Scratch output every PGM receive reuses.
     pgm_out: RxOutput<ProposalMsg>,
+    /// The packets of queued packet events.
+    parked: ParkedPackets,
     /// Per host: when its last tunneled output copy reaches the egress.
     tunnel_last: Vec<SimTime>,
     /// Background broadcast chatter through the ingress, if configured.
@@ -564,6 +650,7 @@ impl Cloud {
                 let last = &mut self.tunnel_last[h];
                 let arrive = raw_arrive.max(*last + SimDuration::from_nanos(1));
                 *last = arrive;
+                let packet = self.parked.park(packet);
                 sim.post(
                     arrive,
                     CloudEvent::EgressCopy {
@@ -616,6 +703,7 @@ impl Cloud {
                 self.fabric
                     .transmit(sim.now(), from_node, node, packet.wire_bytes())
             {
+                let packet = self.parked.park(packet);
                 sim.post(
                     arrive,
                     CloudEvent::ClientPacket {
@@ -631,6 +719,7 @@ impl Cloud {
                 self.fabric
                     .transmit(sim.now(), from_node, self.ingress_node, packet.wire_bytes())
             {
+                let packet = self.parked.park(packet);
                 sim.post(arrive, CloudEvent::Ingress { packet });
             }
         }
@@ -656,6 +745,7 @@ impl Cloud {
                     self.fabric
                         .transmit(sim.now(), node, self.ingress_node, packet.wire_bytes())
                 {
+                    let packet = self.parked.park(packet);
                     sim.post(arrive, CloudEvent::Ingress { packet });
                 }
             } else if let Some(&target) = self.client_by_endpoint.get(&packet.dst()) {
@@ -664,6 +754,7 @@ impl Cloud {
                     self.fabric
                         .transmit(sim.now(), node, tnode, packet.wire_bytes())
                 {
+                    let packet = self.parked.park(packet);
                     sim.post(
                         arrive,
                         CloudEvent::ClientPacket {
@@ -703,7 +794,7 @@ impl Cloud {
                     self.fabric
                         .transmit(sim.now(), self.ingress_node, node, packet.wire_bytes())
                 {
-                    let packet = packet.clone();
+                    let packet = self.parked.park(packet.clone());
                     sim.post(arrive, CloudEvent::HostPacket { h, s, seq, packet });
                 }
             }
@@ -732,17 +823,8 @@ impl Cloud {
         proposal: VirtNanos,
     ) {
         self.counts[CloudCounter::proposals(kind) as usize] += 1;
-        let msg = ProposalMsg {
-            vm,
-            kind,
-            seq,
-            proposal,
-        };
-        let tx = self
-            .pgm_tx
-            .entry((vm, sender))
-            .or_insert_with(|| PgmSender::new(4096));
-        let mut pgm_pkt = Some(tx.send(msg));
+        let msg = ProposalMsg::new(kind, seq, proposal);
+        let mut pgm_pkt = Some(self.pgm_tx[vm][sender].send(msg));
         let from_node = self.hosts[self.vms[vm].replicas[sender].0].id();
         let mut peers = (0..self.vms[vm].replicas.len())
             .filter(|&peer| peer != sender)
@@ -781,11 +863,8 @@ impl Cloud {
         sender: usize,
         packet: PgmPacket<ProposalMsg>,
     ) {
-        let rx = self
-            .pgm_rx
-            .entry((vm, receiver, sender))
-            .or_insert_with(PgmReceiver::new);
-        rx.on_packet(packet, &mut self.pgm_out);
+        let n = self.vms[vm].replicas.len();
+        self.pgm_rx[vm][receiver * n + sender].on_packet(packet, &mut self.pgm_out);
         let now = sim.now();
         let (h, s) = self.vms[vm].replicas[receiver];
         if !self.pgm_out.delivered.is_empty() {
@@ -795,11 +874,7 @@ impl Cloud {
             // streamed, no per-message allocation — and the slot's wake
             // is recomputed once at the end if any delivery time got
             // fixed.
-            let batch = self
-                .pgm_out
-                .delivered
-                .iter()
-                .map(|msg| (msg.kind, msg.seq, msg.proposal));
+            let batch = self.pgm_out.delivered.iter().map(|msg| msg.parts());
             if self.hosts[h].add_proposals(s, now, batch) > 0 {
                 self.reschedule_wake(sim, h, s);
             }
@@ -848,9 +923,7 @@ impl Cloud {
         sender: usize,
         missing: &[u64],
     ) {
-        let Some(tx) = self.pgm_tx.get(&(vm, sender)) else {
-            return;
-        };
+        let tx = &self.pgm_tx[vm][sender];
         let replicas = &self.vms[vm].replicas;
         let from_node = self.hosts[replicas[sender].0].id();
         let to_node = self.hosts[replicas[receiver].0].id();
@@ -875,17 +948,17 @@ impl Cloud {
         }
     }
 
-    /// Periodic PGM NAK retry (tail-loss recovery).
+    /// Periodic PGM NAK retry (tail-loss recovery): every stream with a
+    /// gap re-NAKs it, in `(vm, receiver, sender)` order.
     fn pgm_retry(&mut self, sim: &mut Engine) {
-        let mut pending: Vec<(usize, usize, usize, Vec<u64>)> = Vec::new();
-        for (&(vm, rx_rep, tx_rep), rx) in &self.pgm_rx {
-            let naks = rx.pending_naks();
-            if !naks.is_empty() {
-                pending.push((vm, rx_rep, tx_rep, naks));
+        for vm in 0..self.pgm_rx.len() {
+            let n = self.vms[vm].replicas.len();
+            for i in 0..self.pgm_rx[vm].len() {
+                let naks = self.pgm_rx[vm][i].pending_naks();
+                if !naks.is_empty() {
+                    self.send_nak(sim, vm, i / n, i % n, naks);
+                }
             }
-        }
-        for (vm, rx_rep, tx_rep, naks) in pending {
-            self.send_nak(sim, vm, rx_rep, tx_rep, naks);
         }
         sim.post_in(SimDuration::from_millis(50), CloudEvent::PgmRetry);
     }
@@ -986,6 +1059,7 @@ impl Cloud {
             .as_mut()
             .expect("broadcast events need a broadcast source");
         let (gap, packet) = src.next_broadcast();
+        let packet = self.parked.park(packet);
         sim.post_in(gap, CloudEvent::Broadcast { packet });
     }
 
@@ -1220,6 +1294,17 @@ impl CloudBuilder {
             client_by_endpoint.insert(endpoint, ci);
         }
 
+        // One PGM stream per ordered pair of a replicated VM's replicas.
+        let (pgm_tx, pgm_rx) = vms
+            .iter()
+            .map(|vm| {
+                let n = if vm.replicated { vm.replicas.len() } else { 0 };
+                let tx = (0..n).map(|_| PgmSender::new(4096)).collect();
+                let rx = (0..n * n).map(|_| PgmReceiver::new()).collect();
+                (tx, rx)
+            })
+            .unzip();
+
         // Background broadcast chatter through the ingress.
         let broadcast = cfg.broadcast_band.map(|(lo, hi)| {
             BroadcastSource::new(
@@ -1243,9 +1328,10 @@ impl CloudBuilder {
             ingress_seq: 0,
             slots,
             timer_fires: FxHashMap::default(),
-            pgm_tx: FxHashMap::default(),
-            pgm_rx: FxHashMap::default(),
+            pgm_tx,
+            pgm_rx,
             pgm_out: RxOutput::default(),
+            parked: ParkedPackets::default(),
             tunnel_last: vec![SimTime::ZERO; self.host_count],
             broadcast,
             error: None,
@@ -1352,6 +1438,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn proposal_messages_round_trip_every_kind() {
+        let proposal = VirtNanos::from_nanos(123_456_789);
+        for kind in ChannelKind::ALL {
+            for seq in [0, (1 << 62) - 1] {
+                let msg = ProposalMsg::new(kind, seq, proposal);
+                assert_eq!(msg.parts(), (kind, seq, proposal));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the wire word")]
+    fn a_proposal_seq_past_62_bits_is_refused() {
+        ProposalMsg::new(ChannelKind::Net, 1 << 62, VirtNanos::ZERO);
+    }
+
+    #[test]
+    fn agreement_messages_and_queued_events_stay_small() {
+        // A PGM history entry and an engine slab entry each cost this
+        // much per in-flight proposal or event.
+        assert_eq!(std::mem::size_of::<ProposalMsg>(), 16);
+        assert!(std::mem::size_of::<CloudEvent>() <= 56);
+    }
+
     /// Guest that echoes every Raw packet back to its source.
     struct Echo;
     impl GuestProgram for Echo {
@@ -1441,6 +1552,21 @@ mod tests {
         assert_eq!(sim.cloud.count(CloudCounter::EgressForwarded), 3);
         assert_eq!(sim.cloud.count(CloudCounter::EgressDivergences), 0);
         assert_eq!(sim.cloud.slot_totals()[SlotCounter::SyncViolations], 0);
+    }
+
+    #[test]
+    fn a_finished_stopwatch_run_leaves_no_parked_packet() {
+        let (mut sim, _, client) = ping_cloud(true, 3);
+        sim.run_until_clients_done(SimTime::from_secs(5));
+        assert!(sim.cloud.client_app::<Pinger>(client).unwrap().is_done());
+        // Every packet still in flight lands within a second; after that
+        // the queue holds only periodic events, which carry no packet.
+        let drained = sim.now() + SimDuration::from_secs(1);
+        sim.run_until(drained);
+        let parked = &sim.cloud.parked;
+        assert!(!parked.packets.is_empty(), "the run parked packets");
+        assert!(parked.packets.iter().all(Option::is_none));
+        assert_eq!(parked.free.len(), parked.packets.len());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   issue time `V`;
 //! * all guest-readable clocks are virtual (a function of the guest's own
 //!   branch count);
-//! * outputs are released by an egress node at the **second copy**'s
-//!   arrival — the median output timing — with content voting.
+//! * outputs are released by an egress node once one content group holds
+//!   two matching copies — the median output timing of the agreeing
+//!   replicas.
 //!
 //! This crate wires the [`vmm`], [`netsim`] and [`storage`] substrates into
 //! a runnable [`cloud::CloudSim`], configured by [`config::CloudConfig`].
