@@ -14,9 +14,10 @@
 //! so a report is byte-identical for a given spec regardless of how many
 //! runner threads produced the outcomes.
 
-use crate::json::Json;
+use crate::json::JsonWriter;
 use crate::runner::RunOutcome;
 use simkit::metrics::{Counters, Percentiles, Samples};
+use std::sync::Arc;
 use timestats::detect::Detector;
 use timestats::dist::Empirical;
 use timestats::ks::ks_distance;
@@ -40,12 +41,14 @@ pub struct CellAggregate {
     pub seeds: Vec<u64>,
     /// The cell's fully-resolved [`CloudConfig`] knobs (`seed` omitted —
     /// see `seeds`). With `resolved_params` this makes every cell
-    /// reproducible from the report alone.
+    /// reproducible from the report alone. The listing of the cell's
+    /// first shard, shared with its [`ScenarioResult`], not copied.
     ///
     /// [`CloudConfig`]: stopwatch_core::config::CloudConfig
-    pub resolved_config: Vec<(String, String)>,
-    /// The cell's fully-resolved workload parameters.
-    pub resolved_params: Vec<(String, String)>,
+    /// [`ScenarioResult`]: crate::scenario::ScenarioResult
+    pub resolved_config: Arc<[(String, String)]>,
+    /// The cell's fully-resolved workload parameters, shared likewise.
+    pub resolved_params: Arc<[(String, String)]>,
     /// Seed-shard runs merged into this cell.
     pub runs: u64,
     /// Runs whose clients did not finish inside the budget.
@@ -90,6 +93,65 @@ impl CellAggregate {
             .find(|(k, _)| k == name)
             .map(|&(_, v)| v)
             .unwrap_or(0.0)
+    }
+
+    /// Writes this cell's report object.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_obj();
+        w.key("cell").str(&self.cell);
+        w.key("params").str_pairs(&self.params);
+        // The cell's fully-resolved construction inputs: workload, arm,
+        // seeds, parameters, and every config knob — enough to re-run
+        // the cell from the report alone.
+        w.key("resolved").begin_obj();
+        w.key("workload").str(&self.workload);
+        w.key("defense").str(&self.defense);
+        w.key("seeds").begin_arr();
+        for &seed in &self.seeds {
+            w.u64(seed);
+        }
+        w.end_arr();
+        w.key("params").str_pairs(&self.resolved_params);
+        w.key("config").str_pairs(&self.resolved_config);
+        if let Some(o) = &self.overhead {
+            w.key("overhead").begin_obj();
+            w.key("vs_cell").str(&o.vs_cell);
+            w.key("throughput_ratio").f64(o.throughput_ratio);
+            w.key("latency_p50_delta_ms").f64(o.latency_p50_delta_ms);
+            w.key("latency_p95_delta_ms").f64(o.latency_p95_delta_ms);
+            w.end_obj();
+        }
+        w.end_obj();
+        w.key("runs").u64(self.runs);
+        w.key("timeouts").u64(self.timeouts);
+        w.key("completed").u64(self.completed);
+        w.key("events_executed").u64(self.events_executed);
+        let p = &self.latency_ms;
+        w.key("latency_ms").begin_obj();
+        w.key("count").u64(p.count);
+        for (name, x) in [
+            ("mean", p.mean),
+            ("min", p.min),
+            ("p50", p.p50),
+            ("p90", p.p90),
+            ("p95", p.p95),
+            ("p99", p.p99),
+            ("max", p.max),
+        ] {
+            w.key(name).f64(x);
+        }
+        w.end_obj();
+        w.key("counters").begin_obj();
+        for (k, v) in self.counters.iter() {
+            w.key(k).u64(v);
+        }
+        w.end_obj();
+        w.key("extra").begin_obj();
+        for (k, v) in &self.extra {
+            w.key(k).f64(*v);
+        }
+        w.end_obj();
+        w.end_obj();
     }
 }
 
@@ -158,8 +220,8 @@ impl SweepReport {
                         workload: result.workload.clone(),
                         defense: result.defense.clone(),
                         seeds: Vec::new(),
-                        resolved_config: result.resolved_config.clone(),
-                        resolved_params: result.resolved_params.clone(),
+                        resolved_config: Arc::clone(&result.resolved_config),
+                        resolved_params: Arc::clone(&result.resolved_params),
                         runs: 0,
                         timeouts: 0,
                         completed: 0,
@@ -221,114 +283,45 @@ impl SweepReport {
         }
     }
 
-    /// Renders the machine-readable report (pretty JSON, deterministic).
+    /// Renders the machine-readable report (pretty JSON, deterministic),
+    /// streamed straight into the output string.
     pub fn to_json(&self) -> String {
-        let mut cells = Vec::new();
+        let mut w = JsonWriter::pretty();
+        w.begin_obj();
+        w.key("sweep").str(&self.name);
+        w.key("schema_version").u64(REPORT_SCHEMA_VERSION);
+        w.key("scenarios").u64(self.scenarios);
+        w.key("cells").begin_arr();
         for c in &self.cells {
-            let params = c
-                .params
-                .iter()
-                .fold(Json::obj(), |acc, (k, v)| acc.with(k, Json::str(v)));
-            let p = &c.latency_ms;
-            let latency = Json::obj()
-                .with("count", Json::U64(p.count))
-                .with("mean", Json::F64(p.mean))
-                .with("min", Json::F64(p.min))
-                .with("p50", Json::F64(p.p50))
-                .with("p90", Json::F64(p.p90))
-                .with("p95", Json::F64(p.p95))
-                .with("p99", Json::F64(p.p99))
-                .with("max", Json::F64(p.max));
-            let counters = c
-                .counters
-                .iter()
-                .fold(Json::obj(), |acc, (k, v)| acc.with(k, Json::U64(v)));
-            let extra = c
-                .extra
-                .iter()
-                .fold(Json::obj(), |acc, (k, v)| acc.with(k, Json::F64(*v)));
-            // The cell's fully-resolved construction inputs: workload,
-            // arm, seeds, parameters, and every config knob — enough to
-            // re-run the cell from the report alone.
-            let mut resolved = Json::obj()
-                .with("workload", Json::str(&c.workload))
-                .with("defense", Json::str(&c.defense))
-                .with(
-                    "seeds",
-                    Json::Arr(c.seeds.iter().map(|&s| Json::U64(s)).collect()),
-                )
-                .with(
-                    "params",
-                    c.resolved_params
-                        .iter()
-                        .fold(Json::obj(), |acc, (k, v)| acc.with(k, Json::str(v))),
-                )
-                .with(
-                    "config",
-                    c.resolved_config
-                        .iter()
-                        .fold(Json::obj(), |acc, (k, v)| acc.with(k, Json::str(v))),
-                );
-            if let Some(o) = &c.overhead {
-                resolved = resolved.with(
-                    "overhead",
-                    Json::obj()
-                        .with("vs_cell", Json::str(&o.vs_cell))
-                        .with("throughput_ratio", Json::F64(o.throughput_ratio))
-                        .with("latency_p50_delta_ms", Json::F64(o.latency_p50_delta_ms))
-                        .with("latency_p95_delta_ms", Json::F64(o.latency_p95_delta_ms)),
-                );
-            }
-            cells.push(
-                Json::obj()
-                    .with("cell", Json::str(&c.cell))
-                    .with("params", params)
-                    .with("resolved", resolved)
-                    .with("runs", Json::U64(c.runs))
-                    .with("timeouts", Json::U64(c.timeouts))
-                    .with("completed", Json::U64(c.completed))
-                    .with("events_executed", Json::U64(c.events_executed))
-                    .with("latency_ms", latency)
-                    .with("counters", counters)
-                    .with("extra", extra),
-            );
+            c.write_json(&mut w);
         }
-        let leakage = self
-            .leakage
-            .iter()
-            .map(|v| {
-                Json::obj()
-                    .with("cell", Json::str(&v.cell))
-                    .with("baseline", Json::str(&v.baseline))
-                    .with("ks_distance", Json::F64(v.ks_distance))
-                    .with(
-                        "observations_needed_95",
-                        if v.observations_needed_95 == u64::MAX {
-                            Json::Null
-                        } else {
-                            Json::U64(v.observations_needed_95)
-                        },
-                    )
-                    .with("distinguishable_at_95", Json::Bool(v.distinguishable_at_95))
-            })
-            .collect();
-        let failures = self
-            .failures
-            .iter()
-            .map(|(label, error)| {
-                Json::obj()
-                    .with("label", Json::str(label))
-                    .with("error", Json::str(error))
-            })
-            .collect();
-        Json::obj()
-            .with("sweep", Json::str(&self.name))
-            .with("schema_version", Json::U64(REPORT_SCHEMA_VERSION))
-            .with("scenarios", Json::U64(self.scenarios))
-            .with("cells", Json::Arr(cells))
-            .with("leakage", Json::Arr(leakage))
-            .with("failures", Json::Arr(failures))
-            .render_pretty()
+        w.end_arr();
+        w.key("leakage").begin_arr();
+        for v in &self.leakage {
+            w.begin_obj();
+            w.key("cell").str(&v.cell);
+            w.key("baseline").str(&v.baseline);
+            w.key("ks_distance").f64(v.ks_distance);
+            w.key("observations_needed_95");
+            if v.observations_needed_95 == u64::MAX {
+                w.null();
+            } else {
+                w.u64(v.observations_needed_95);
+            }
+            w.key("distinguishable_at_95").bool(v.distinguishable_at_95);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.key("failures").begin_arr();
+        for (label, error) in &self.failures {
+            w.begin_obj();
+            w.key("label").str(label);
+            w.key("error").str(error);
+            w.end_obj();
+        }
+        w.end_arr();
+        w.end_obj();
+        w.finish()
     }
 
     /// A human-readable per-cell table for the console.
@@ -504,8 +497,8 @@ mod tests {
                 cell_params: vec![("k".to_string(), cell.to_string())],
                 workload: "test-workload".to_string(),
                 defense: "stopwatch".to_string(),
-                resolved_config: vec![("delta_n_ms".to_string(), "10".to_string())],
-                resolved_params: vec![("bytes".to_string(), "100".to_string())],
+                resolved_config: Arc::new([("delta_n_ms".to_string(), "10".to_string())]),
+                resolved_params: Arc::new([("bytes".to_string(), "100".to_string())]),
                 seed,
                 completed: samples.len() as u64,
                 samples_ms: samples,

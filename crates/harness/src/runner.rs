@@ -152,8 +152,10 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::SweepReport;
     use crate::sweep::SweepSpec;
     use simkit::time::SimDuration;
+    use std::sync::Arc;
 
     fn tiny_sweep() -> Vec<Scenario> {
         let mut spec = SweepSpec::new("t", "idle").seed_shards(5, 6);
@@ -203,6 +205,29 @@ mod tests {
             .iter()
             .enumerate()
             .all(|(i, o)| i == 2 || o.result.is_ok()));
+    }
+
+    #[test]
+    fn seed_shards_of_one_cell_share_one_resolved_record() {
+        let scenarios = tiny_sweep();
+        let one = RunnerOptions {
+            threads: 1,
+            progress: false,
+        };
+        let outcomes = run_scenarios(&scenarios[..2], &one);
+        let [a, b] = [0, 1].map(|i| outcomes[i].result.as_ref().expect("idle runs"));
+        assert_eq!(a.cell, b.cell, "two seed shards of one cell");
+        assert!(Arc::ptr_eq(&a.resolved_config, &b.resolved_config));
+        assert!(Arc::ptr_eq(&a.resolved_params, &b.resolved_params));
+        let report = SweepReport::from_outcomes("t", &outcomes, None);
+        assert!(Arc::ptr_eq(
+            &report.cells[0].resolved_config,
+            &a.resolved_config
+        ));
+        assert!(Arc::ptr_eq(
+            &report.cells[0].resolved_params,
+            &a.resolved_params
+        ));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::profile::Phases;
 use simkit::time::{SimDuration, SimTime};
+use std::sync::Arc;
 use std::time::Instant;
 use stopwatch_core::cloud::CloudBuilder;
 use stopwatch_core::config::CloudConfig;
@@ -130,20 +131,14 @@ impl Scenario {
         let outcome = (wl.collect)(&mut sim);
         let slot_totals = sim.cloud.slot_totals();
         let counters = sim.cloud.counts().chain(slot_totals.iter()).collect();
-        let defense = entry
-            .resolved_config
-            .iter()
-            .find(|(k, _)| k == "defense")
-            .map(|(_, v)| v.clone())
-            .expect("defense is a schema knob");
         let result = ScenarioResult {
             label: self.label.clone(),
             cell: self.cell.clone(),
             cell_params: self.cell_params.clone(),
             workload: self.workload.clone(),
-            defense,
-            resolved_config: entry.resolved_config.clone(),
-            resolved_params: entry.resolved_params.clone(),
+            defense: entry.cfg.defense.clone(),
+            resolved_config: Arc::clone(&entry.resolved_config),
+            resolved_params: Arc::clone(&entry.resolved_params),
             seed: self.seed,
             samples_ms: outcome.samples_ms,
             completed: outcome.completed,
@@ -168,7 +163,8 @@ impl Scenario {
 /// placement — and caches the expensive-to-derive parts of setup: the
 /// parsed [`CloudConfig`], the workload lookup, the validated parameter
 /// set, and both resolved key/value listings. A hit replaces all of that
-/// with a config clone and a seed patch.
+/// with a config clone and a seed patch, and its result shares the
+/// shape's resolved listings instead of copying them.
 ///
 /// The arena never caches simulation state; only resolution. One arena
 /// per worker thread — it is deliberately not shared.
@@ -197,8 +193,8 @@ struct ArenaEntry {
     seed_overridden: bool,
     replica_hosts: Vec<usize>,
     hosts: usize,
-    resolved_config: Vec<(String, String)>,
-    resolved_params: Vec<(String, String)>,
+    resolved_config: Arc<[(String, String)]>,
+    resolved_params: Arc<[(String, String)]>,
     params: WorkloadParams,
     workload: &'static Workload,
 }
@@ -259,7 +255,7 @@ impl ScenarioArena {
         if replica_hosts.is_empty() {
             return Err("workload needs at least one replica host".to_string());
         }
-        let resolved_params = params.resolved(workload.params);
+        let resolved_params = params.resolved(workload.params).into();
         let resolved_config = cfg
             .resolved()
             .into_iter()
@@ -304,11 +300,12 @@ pub struct ScenarioResult {
     /// Every [`CloudConfig`] knob with its effective value (schema order,
     /// `seed` omitted — see [`ScenarioResult::seed`]). With
     /// `resolved_params` this makes the run reproducible from its report
-    /// alone.
-    pub resolved_config: Vec<(String, String)>,
+    /// alone. Rendered once per config shape: every run of the shape
+    /// through one [`ScenarioArena`] shares it.
+    pub resolved_config: Arc<[(String, String)]>,
     /// Every declared workload parameter with its effective value
-    /// (schema order).
-    pub resolved_params: Vec<(String, String)>,
+    /// (schema order), shared like `resolved_config`.
+    pub resolved_params: Arc<[(String, String)]>,
     /// The seed that produced this run.
     pub seed: u64,
     /// The workload's latency-like samples, ms.
@@ -399,7 +396,7 @@ mod tests {
         assert_eq!(cfg.get("delta_n_ms"), Some(&"10"), "default recorded");
         assert!(!cfg.contains_key("seed"), "seed reported per shard instead");
         assert_eq!(
-            r.resolved_params,
+            r.resolved_params.to_vec(),
             vec![
                 ("bytes".to_string(), "20000".to_string()),
                 ("downloads".to_string(), "2".to_string()),

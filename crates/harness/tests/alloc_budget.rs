@@ -1,5 +1,5 @@
 //! Heap allocations per executed engine event, and the peak heap of a
-//! run, stay under a budget.
+//! run or of a whole sweep pass, stay under a budget.
 //!
 //! The cloud posts typed events into the engine's recycled slab, reuses
 //! its PGM receive buffers, and refreshes host activity in place, so a
@@ -80,15 +80,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// One run of `scenarios` at one thread (the runner then stays on the
-/// calling thread, which is the one counted), after a warm-up run: its
-/// outcomes, its allocator calls and its peak live bytes.
-fn measured_run(scenarios: &[Scenario]) -> (Vec<RunOutcome>, u64, u64) {
-    let opts = RunnerOptions {
-        threads: 1,
-        progress: false,
-    };
-    run_scenarios(scenarios, &opts);
+const ONE_THREAD: RunnerOptions = RunnerOptions {
+    threads: 1,
+    progress: false,
+};
+
+/// One call of `f` on this thread, after an untimed warm-up call: its
+/// output, its allocator calls and its peak live bytes.
+fn measured<T>(f: impl Fn() -> T) -> (T, u64, u64) {
+    f();
     STATE.with(|cell| {
         cell.set(State {
             on: true,
@@ -97,13 +97,19 @@ fn measured_run(scenarios: &[Scenario]) -> (Vec<RunOutcome>, u64, u64) {
             calls: 0,
         })
     });
-    let outcomes = run_scenarios(scenarios, &opts);
+    let out = f();
     let s = STATE.with(|cell| {
         let s = cell.get();
         cell.set(State { on: false, ..s });
         s
     });
-    (outcomes, s.calls, s.peak.max(0) as u64)
+    (out, s.calls, s.peak.max(0) as u64)
+}
+
+/// One run of `scenarios` at one thread (the runner then stays on the
+/// calling thread, which is the one counted), after a warm-up run.
+fn measured_run(scenarios: &[Scenario]) -> (Vec<RunOutcome>, u64, u64) {
+    measured(|| run_scenarios(scenarios, &ONE_THREAD))
 }
 
 /// Allocator calls per executed event of one warmed-up run.
@@ -157,4 +163,29 @@ fn cache_storm_quick_bench_peak_heap_stays_under_its_budget() {
     let (outcomes, _, peak) = measured_run(&cache_storm_quick());
     assert!(outcomes.iter().all(|o| o.result.is_ok()), "scenarios run");
     assert!(peak < 640 << 10, "cache-storm: peak heap {peak} bytes");
+}
+
+#[test]
+fn defense_shootout_quick_pass_peak_heap_stays_under_its_budget() {
+    // One pass as the repository benchmark measures it: expand the
+    // sweep, run it at one thread, fold the report and render its JSON.
+    // The report's cells share each config shape's resolved listings
+    // with the scenario results, and `to_json` streams into the output
+    // string without building a tree. Measured: 243,379
+    // bytes (441,192 when every result and cell copied its listings and
+    // the report rendered through a `Json` tree).
+    let spec = preset("defense-shootout")
+        .expect("preset exists")
+        .spec(true)
+        .seed_shards(42, 1);
+    let ((report, json), _, peak) = measured(|| {
+        let scenarios = spec.scenarios().expect("preset expands");
+        let outcomes = run_scenarios(&scenarios, &ONE_THREAD);
+        let report = SweepReport::from_outcomes(&spec.name, &outcomes, None);
+        let json = report.to_json();
+        (report, json)
+    });
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert!(json.ends_with("}\n"));
+    assert!(peak < 320 << 10, "defense-shootout: peak heap {peak} bytes");
 }

@@ -306,6 +306,9 @@ fn parse_knob<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String>
 /// values that would trip a constructor's assert (replica count,
 /// timeslice, speed and clock parameters) or stop simulated time, so
 /// they fail sweep validation instead of panicking or hanging a scenario.
+/// The arm knobs (`epoch_ms`, `bucket_ns`, `buckets`) reject the zero a
+/// release rule would otherwise run as a 1 ns epoch or bucket or as one
+/// level.
 fn in_domain<T>(
     key: &str,
     value: &str,
@@ -423,7 +426,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "deterland arm: deterministic release-epoch length, ms",
         get: |c| fmt_ns_as_ms(c.epoch.as_nanos()),
         set: |c, v| {
-            c.epoch = VirtOffset::from_millis(parse_knob("epoch_ms", v)?);
+            let ms: u64 = parse_knob("epoch_ms", v)?;
+            c.epoch = VirtOffset::from_millis(in_domain("epoch_ms", v, "> 0", ms, |&ms| ms > 0)?);
             Ok(())
         },
     },
@@ -433,7 +437,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "bucketed arm: quantization level width, virtual ns",
         get: |c| c.bucket.as_nanos().to_string(),
         set: |c, v| {
-            c.bucket = VirtOffset::from_nanos(parse_knob("bucket_ns", v)?);
+            let ns: u64 = parse_knob("bucket_ns", v)?;
+            c.bucket = VirtOffset::from_nanos(in_domain("bucket_ns", v, "> 0", ns, |&ns| ns > 0)?);
             Ok(())
         },
     },
@@ -443,7 +448,8 @@ static KNOBS: &[KnobSpec] = &[
         doc: "bucketed arm: distinguishable levels before the lag cap",
         get: |c| c.buckets.to_string(),
         set: |c, v| {
-            c.buckets = parse_knob("buckets", v)?;
+            let n: u64 = parse_knob("buckets", v)?;
+            c.buckets = in_domain("buckets", v, "> 0", n, |&n| n > 0)?;
             Ok(())
         },
     },
@@ -707,8 +713,9 @@ mod tests {
     fn knob_domains_reject_what_the_constructors_assert_on() {
         // (knob, out-of-domain value, in-domain neighbour). Each bad value
         // would trip an assert in `GuestSlot`, `VcpuScheduler`,
-        // `SpeedProfile`, `VirtualClock` or `BroadcastSource`, or re-post
-        // an event at the same instant forever, if it reached a cloud.
+        // `SpeedProfile`, `VirtualClock` or `BroadcastSource`, re-post an
+        // event at the same instant forever, or (the arm knobs) run as a
+        // 1 ns epoch or bucket or as one level, if it reached a cloud.
         for (key, bad, good) in [
             ("replicas", "2", "3"),
             ("replicas", "4", "5"),
@@ -721,6 +728,9 @@ mod tests {
             ("ips_jitter", "5", "0.99"),
             ("ips_jitter", "-1", "0"),
             ("speed_epoch_ms", "0", "1"),
+            ("epoch_ms", "0", "1"),
+            ("bucket_ns", "0", "1"),
+            ("buckets", "0", "1"),
             ("slope", "0", "0.5"),
             ("slope", "-1", "1"),
             ("broadcast_band", "0:0", "1:1"),

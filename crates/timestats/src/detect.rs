@@ -15,6 +15,7 @@
 
 use crate::dist::Cdf;
 use crate::special::{chi2_cdf, chi2_quantile};
+use std::cell::Cell;
 
 /// Interior bin edges giving `k` equal-probability bins under `null`.
 ///
@@ -199,8 +200,7 @@ impl Detector {
             return u64::MAX;
         }
         let df = (self.null_probs.len() - 1).max(1) as u32;
-        let crit = chi2_quantile(confidence, df);
-        (crit / delta).ceil() as u64
+        (critical_value(confidence, df) / delta).ceil() as u64
     }
 
     /// Sweeps [`Self::observations_needed`] over several confidences,
@@ -211,6 +211,26 @@ impl Detector {
             .map(|&c| (c, self.observations_needed(c)))
             .collect()
     }
+}
+
+/// `chi2_quantile(confidence, df)`, remembered per thread for the last
+/// `(confidence, df)` asked: a sweep report's verdicts all ask for the
+/// same critical value, and each fresh one is a 200-step bisection. The
+/// quantile is a pure function, so a remembered value is bit-identical
+/// to a fresh one.
+fn critical_value(confidence: f64, df: u32) -> f64 {
+    thread_local! {
+        static LAST: Cell<Option<(u64, u32, f64)>> = const { Cell::new(None) };
+    }
+    let key = (confidence.to_bits(), df);
+    LAST.with(|last| match last.get() {
+        Some((bits, k, crit)) if (bits, k) == key => crit,
+        _ => {
+            let crit = chi2_quantile(confidence, df);
+            last.set(Some((key.0, key.1, crit)));
+            crit
+        }
+    })
 }
 
 /// The confidence grid the paper uses on its x-axes (Figs. 1b, 1c, 4b, 8).
@@ -329,6 +349,22 @@ mod tests {
     fn uniform_vs_uniform_shifted() {
         let d = Detector::from_cdfs(&Uniform::new(0.0, 1.0), &Uniform::new(0.1, 1.1), 5);
         assert!(d.observations_needed(0.9) < 1000);
+    }
+
+    #[test]
+    fn remembered_critical_values_are_bit_identical_to_fresh_ones() {
+        // Repeats hit the memo; every change of confidence or df misses.
+        for (confidence, df) in [(0.95, 9), (0.95, 9), (0.70, 9), (0.95, 4), (0.95, 9)] {
+            assert_eq!(
+                critical_value(confidence, df).to_bits(),
+                chi2_quantile(confidence, df).to_bits(),
+                "confidence {confidence}, df {df}"
+            );
+        }
+        let d = Detector::from_cdfs(&Exponential::new(1.0), &Exponential::new(0.5), 10);
+        let fresh = (chi2_quantile(0.95, 9) / d.divergence()).ceil() as u64;
+        assert_eq!(d.observations_needed(0.95), fresh);
+        assert_eq!(d.observations_needed(0.95), fresh, "served from the memo");
     }
 
     #[test]

@@ -203,8 +203,7 @@ impl HostMachine {
         now: SimTime,
         fire_seq: u64,
     ) -> Result<Option<ArrivalOutcome>, SlotError> {
-        let busy = self.busy_slots();
-        let delay = self.sched.dispatch_delay(idx, &busy);
+        let delay = self.sched.dispatch_delay(idx, busy_slots(&self.slots));
         let (profile, slot) = (&self.profile, &mut self.slots[idx]);
         slot.timer_elapsed(profile, now, fire_seq, delay)
     }
@@ -218,17 +217,7 @@ impl HostMachine {
     /// The periodic host scheduling tick (driven by the cloud's pacing
     /// heartbeat): pure run-queue accounting, no guest-visible effect.
     pub fn sched_tick(&mut self) {
-        let busy = self.busy_slots();
-        self.sched.tick(&busy);
-    }
-
-    fn busy_slots(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_busy())
-            .map(|(i, _)| i)
-            .collect()
+        self.sched.tick(busy_slots(&self.slots));
     }
 
     /// Current virtual time of slot `idx`.
@@ -263,6 +252,16 @@ impl HostMachine {
         self.profile.set_contention((busy as f64 * 0.25).min(0.9));
         (self.profile.contention() - before).abs() > 1e-12
     }
+}
+
+/// Indices of the busy slots, ascending: the scheduler's run queue,
+/// read in place on every tick and wake-up, never collected.
+fn busy_slots(slots: &[GuestSlot]) -> impl Iterator<Item = usize> + '_ {
+    slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.is_busy())
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

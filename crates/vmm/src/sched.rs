@@ -64,13 +64,18 @@ impl VcpuScheduler {
 
     /// A vCPU of `slot` became runnable (its guest's virtual timer
     /// elapsed). It joins the tail of the run queue behind every busy
-    /// co-resident vCPU in `busy` (its own entry is ignored: the waking
+    /// co-resident vCPU in `busy` (slot indices in ascending order; its
+    /// own entry is ignored: the waking
     /// vCPU cannot queue behind itself), each of which runs one slice
     /// before the waker is dispatched — so the returned dispatch delay is
     /// `slice x busy co-residents`. The delay is charged to the slot's
     /// [`VcpuScheduler::htimedelta`].
-    pub fn dispatch_delay(&mut self, slot: usize, busy: &[usize]) -> VirtOffset {
-        let ahead = busy.iter().filter(|&&b| b != slot).count() as u64;
+    pub fn dispatch_delay(
+        &mut self,
+        slot: usize,
+        busy: impl IntoIterator<Item = usize>,
+    ) -> VirtOffset {
+        let ahead = busy.into_iter().filter(|&b| b != slot).count() as u64;
         self.slices_granted += 1 + ahead;
         self.context_switches += ahead;
         if ahead > 0 {
@@ -84,16 +89,19 @@ impl VcpuScheduler {
 
     /// The periodic host scheduling tick (driven by the cloud's pacing
     /// heartbeat): rotates the run-queue cursor past the next busy slot
-    /// and accounts the slice it consumed. Pure bookkeeping — delivery
-    /// times are agreed elsewhere — but it keeps `slices_granted` /
-    /// `context_switches` honest between wake-ups.
-    pub fn tick(&mut self, busy: &[usize]) {
-        let Some(&next) = busy
-            .iter()
-            .find(|&&b| b >= self.cursor)
-            .or_else(|| busy.first())
-        else {
+    /// (`busy` in ascending order; past the last one it wraps to the
+    /// first) and accounts the slice it consumed. Pure bookkeeping —
+    /// delivery times are agreed elsewhere — but it keeps
+    /// `slices_granted` / `context_switches` honest between wake-ups.
+    pub fn tick(&mut self, busy: impl IntoIterator<Item = usize>) {
+        let mut busy = busy.into_iter();
+        let Some(first) = busy.next() else {
             return;
+        };
+        let next = if first >= self.cursor {
+            first
+        } else {
+            busy.find(|&b| b >= self.cursor).unwrap_or(first)
         };
         if next != self.cursor {
             self.context_switches += 1;
@@ -136,7 +144,7 @@ mod tests {
     #[test]
     fn idle_host_dispatches_immediately() {
         let mut s = sched();
-        assert_eq!(s.dispatch_delay(0, &[]).as_nanos(), 0);
+        assert_eq!(s.dispatch_delay(0, []).as_nanos(), 0);
         assert_eq!(s.preemptions(), 0);
         assert_eq!(s.slices_granted(), 1);
         assert_eq!(s.htimedelta(0), 0);
@@ -145,7 +153,7 @@ mod tests {
     #[test]
     fn each_busy_coresident_costs_one_slice() {
         let mut s = sched();
-        let d = s.dispatch_delay(0, &[1, 2]);
+        let d = s.dispatch_delay(0, [1, 2]);
         assert_eq!(d.as_nanos(), 2 * 2_000_000);
         assert_eq!(s.preemptions(), 1);
         assert_eq!(s.context_switches(), 2);
@@ -156,7 +164,7 @@ mod tests {
     #[test]
     fn waker_never_queues_behind_itself() {
         let mut s = sched();
-        let d = s.dispatch_delay(1, &[1]);
+        let d = s.dispatch_delay(1, [1]);
         assert_eq!(d.as_nanos(), 0);
         assert_eq!(s.preemptions(), 0);
     }
@@ -164,9 +172,9 @@ mod tests {
     #[test]
     fn htimedelta_accumulates_per_slot() {
         let mut s = sched();
-        s.dispatch_delay(0, &[1]);
-        s.dispatch_delay(0, &[1, 2]);
-        s.dispatch_delay(2, &[0]);
+        s.dispatch_delay(0, [1]);
+        s.dispatch_delay(0, [1, 2]);
+        s.dispatch_delay(2, [0]);
         assert_eq!(s.htimedelta(0), 3 * 2_000_000);
         assert_eq!(s.htimedelta(2), 2_000_000);
         assert_eq!(s.htimedelta(1), 0);
@@ -176,10 +184,10 @@ mod tests {
     fn accounting_is_a_pure_function_of_the_call_sequence() {
         let run = || {
             let mut s = sched();
-            s.tick(&[0, 2]);
-            s.dispatch_delay(1, &[0, 2]);
-            s.tick(&[2]);
-            s.tick(&[]);
+            s.tick([0, 2]);
+            s.dispatch_delay(1, [0, 2]);
+            s.tick([2]);
+            s.tick([]);
             (
                 s.slices_granted(),
                 s.preemptions(),
@@ -193,12 +201,23 @@ mod tests {
     #[test]
     fn tick_rotates_past_busy_slots_only() {
         let mut s = sched();
-        s.tick(&[]);
+        s.tick([]);
         assert_eq!(s.slices_granted(), 0, "idle tick grants nothing");
-        s.tick(&[1, 3]);
-        s.tick(&[1, 3]);
+        s.tick([1, 3]);
+        s.tick([1, 3]);
         assert_eq!(s.slices_granted(), 2);
         assert!(s.context_switches() >= 1);
+    }
+
+    #[test]
+    fn tick_wraps_to_the_first_busy_slot() {
+        let mut s = sched();
+        s.tick([1, 3]); // cursor 0 -> slot 1
+        s.tick([1, 3]); // cursor 2 -> slot 3
+        s.tick([1, 3]); // cursor 4: none at or past it, wraps to slot 1
+        assert_eq!((s.slices_granted(), s.context_switches()), (3, 3));
+        s.tick([2]); // cursor 2 is slot 2 itself: no switch
+        assert_eq!((s.slices_granted(), s.context_switches()), (4, 3));
     }
 
     #[test]
