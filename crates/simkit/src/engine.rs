@@ -17,38 +17,26 @@
 //! allocation per event, convenient for tests, examples and one-off
 //! drivers.
 //!
-//! The queue structures never hold events themselves: queue entries are
-//! `(at, seq, slot)` triples and lane entries bare slots, pointing into
-//! the slab, so filing, sorting and staging move a few words however
-//! large the event type is. Each slab slot also records the `seq` of the
-//! event posted into it, which is what an [`EventId`] names:
+//! The queue never holds events themselves: its entries are `(at, seq,
+//! slot)` triples pointing into the slab, so a sift moves a few words
+//! however large the event type is. Each slab slot also records the `seq`
+//! of the event posted into it, which is what an [`EventId`] names:
 //! [`Sim::cancel`] takes the event out of its slot only while that `seq`
-//! still matches. A slot returns to the free list when its lane entry is
+//! still matches. A slot returns to the free list when its queue entry is
 //! popped, whether its event then fires or was cancelled.
 //!
-//! # Batched scheduling over a binary heap
+//! # One binary heap
 //!
-//! The run loop advances time in **timestamp batches**: when the clock
-//! reaches the next pending timestamp, every event sharing it is popped
-//! from the queue onto a FIFO *lane* in one pass, then executed in
-//! sequence order. Events scheduled *at the current time* (immediate work,
-//! past times clamped to `now`) are appended straight to the lane and
-//! never touch the queue, so handler-chained immediate events pay no
-//! queue traffic at all. The lane is a persistent allocation reused
-//! across batches and runs.
-//!
-//! The queue itself is a `std` binary heap of `(at, seq, slot)` keys. A
-//! cloud run keeps it shallow (tens to hundreds of pending events), where
-//! a heap's log-depth sift is a handful of comparisons on one small
-//! allocation.
-//!
-//! Batching changes only *where* events wait, never *when* or in what
-//! order they run: events execute in global `(at, seq)` order, exactly as
-//! one-pop-per-event from a binary heap would. The engine's property
-//! tests (`tests/engine_wheel.rs`) check this against a model heap.
+//! The queue is a `std` binary heap of `(at, seq, slot)` keys, and the
+//! run loop pops one entry per event, so events execute in global `(at,
+//! seq)` order — past times clamped to `now` included. A cloud run keeps
+//! the heap shallow (tens to hundreds of pending events), where a
+//! log-depth sift is a handful of comparisons on one small allocation.
+//! The engine's property tests (`tests/engine_wheel.rs`) check the order
+//! against a model heap.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -135,16 +123,10 @@ struct Entry<E> {
 pub struct Sim<W, E = Closure<W>> {
     now: SimTime,
     next_seq: u64,
-    /// Future events: a min-heap of `(at nanos, seq, slot)`.
+    /// Pending events: a min-heap of `(at nanos, seq, slot)`.
     queue: BinaryHeap<Reverse<(u64, u64, Slot)>>,
-    /// Same-time FIFO lane: the slots of events due exactly at `now`, in
-    /// `seq` order. Invariant: whenever the lane is non-empty, every
-    /// queued entry is strictly later than `now`, so draining the lane
-    /// first preserves global `(at, seq)` order.
-    lane: VecDeque<Slot>,
     /// The events themselves. A slot whose event fired or was cancelled
-    /// holds `None`; it joins `free` once no queue or lane entry points
-    /// at it.
+    /// holds `None`; it joins `free` once its queue entry is popped.
     slab: Vec<Entry<E>>,
     /// Free slab slots, reused before the slab grows.
     free: Vec<Slot>,
@@ -187,7 +169,6 @@ impl<W, E: Event<W>> Sim<W, E> {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            lane: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             executed: 0,
@@ -208,7 +189,7 @@ impl<W, E: Event<W>> Sim<W, E> {
     /// Number of events still pending (including cancelled ones whose
     /// time has not yet come).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.lane.len()
+        self.queue.len()
     }
 
     /// Posts `event` to fire at absolute time `at`.
@@ -233,14 +214,7 @@ impl<W, E: Event<W>> Sim<W, E> {
                 Slot::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
             }
         };
-        if at == self.now {
-            // Same-time fast path: an event due right now joins the FIFO
-            // lane (its seq is larger than everything staged there) and
-            // skips the queue entirely.
-            self.lane.push_back(slot);
-        } else {
-            self.queue.push(Reverse((at.as_nanos(), seq, slot)));
-        }
+        self.queue.push(Reverse((at.as_nanos(), seq, slot)));
         EventId { seq, slot }
     }
 
@@ -261,19 +235,6 @@ impl<W, E: Event<W>> Sim<W, E> {
         }
     }
 
-    /// Takes the next live lane event, freeing its slot; the slots of
-    /// cancelled ones are freed on the way.
-    fn pop_lane(&mut self) -> Option<E> {
-        while let Some(slot) = self.lane.pop_front() {
-            let event = self.slab[slot as usize].event.take();
-            self.free.push(slot);
-            if event.is_some() {
-                return event;
-            }
-        }
-        None
-    }
-
     /// Runs events until the queue is empty; returns the final time.
     pub fn run(&mut self, world: &mut W) -> SimTime {
         self.run_until(world, SimTime::MAX)
@@ -282,68 +243,50 @@ impl<W, E: Event<W>> Sim<W, E> {
     /// Runs events with timestamps `<= deadline`; time stops at the deadline
     /// (or at the last event, whichever is earlier). Returns the final time.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) -> SimTime {
-        loop {
-            // Drain the same-time lane: everything staged at `now`, plus
-            // whatever handlers append to it while it drains.
-            while let Some(event) = self.pop_lane() {
-                self.executed += 1;
-                event.fire(self, world);
-            }
-            // Advance to the next timestamp and stage its whole batch.
-            let Some(t) = self.next_at() else {
-                return self.now;
-            };
-            if t > deadline {
-                self.now = deadline;
-                return self.now;
-            }
-            debug_assert!(t >= self.now, "event queue went backwards");
-            self.now = t;
-            self.stage_batch();
+        while let Some(event) = self.pop_due(deadline) {
+            self.executed += 1;
+            event.fire(self, world);
         }
-    }
-
-    /// The earliest queued timestamp, cancelled events included.
-    fn next_at(&self) -> Option<SimTime> {
-        self.queue
-            .peek()
-            .map(|&Reverse((at, _, _))| SimTime::from_nanos(at))
-    }
-
-    /// Moves every queued event due exactly at `now` onto the lane, in
-    /// `seq` order. Cancelled ones go too: `pop_lane` frees their slots.
-    fn stage_batch(&mut self) {
-        let t = self.now.as_nanos();
-        while let Some(&Reverse((at, _, slot))) = self.queue.peek() {
-            if at != t {
-                break;
-            }
-            self.queue.pop();
-            self.lane.push_back(slot);
+        if !self.queue.is_empty() {
+            self.now = deadline;
         }
+        self.now
     }
 
     /// Runs at most `n` (non-cancelled) events; returns how many ran.
     pub fn step(&mut self, world: &mut W, n: u64) -> u64 {
         let mut ran = 0;
         while ran < n {
-            if let Some(event) = self.pop_lane() {
-                self.executed += 1;
-                ran += 1;
-                event.fire(self, world);
-                continue;
-            }
-            // Lane empty: advance to the next timestamp and stage its
-            // whole batch, so later same-time schedules keep FIFO order
-            // with the not-yet-run remainder. Time advances even when the
-            // batch was all cancelled, as in `run_until`.
-            let Some(t) = self.next_at() else {
+            let Some(event) = self.pop_due(SimTime::MAX) else {
                 break;
             };
-            self.now = t;
-            self.stage_batch();
+            self.executed += 1;
+            ran += 1;
+            event.fire(self, world);
         }
         ran
+    }
+
+    /// Pops queue entries due by `deadline`, advancing `now` to each, until
+    /// one holds a live event; the slots of cancelled ones are freed on the
+    /// way. `None` once the queue is empty or its head lies past
+    /// `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<E> {
+        while let Some(&Reverse((at, _, slot))) = self.queue.peek() {
+            let at = SimTime::from_nanos(at);
+            if at > deadline {
+                return None;
+            }
+            self.queue.pop();
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
+            let event = self.slab[slot as usize].event.take();
+            self.free.push(slot);
+            if event.is_some() {
+                return event;
+            }
+        }
+        None
     }
 }
 
@@ -407,8 +350,8 @@ mod tests {
 
     #[test]
     fn cancel_works_on_staged_same_time_events() {
-        // An event already staged in the same-time lane (scheduled at
-        // `now`) must still honour cancellation.
+        // An event posted at `now`, due before anything else can run,
+        // must still honour cancellation.
         let mut sim: Sim<Vec<u32>> = Sim::new();
         let mut w = Vec::new();
         let id = sim.schedule(SimTime::ZERO, |_, w: &mut Vec<u32>| w.push(1));
@@ -469,8 +412,8 @@ mod tests {
 
     #[test]
     fn step_interrupting_a_same_time_batch_keeps_fifo_order() {
-        // step() stops mid-batch; a fresh same-time schedule must still run
-        // after the staged remainder of the batch.
+        // step() stops among events sharing a timestamp; a fresh schedule
+        // at that time must still run after the not-yet-run remainder.
         let mut sim: Sim<Vec<u32>> = Sim::new();
         let mut w = Vec::new();
         let t = SimTime::from_millis(1);
@@ -486,9 +429,9 @@ mod tests {
 
     #[test]
     fn cancelled_events_give_their_slots_back() {
-        // Each round posts one event that fires and cancels two: one in
-        // the queue, one on the same-time lane. Every slot comes back, so
-        // the slab never outgrows the three events of one round.
+        // Each round posts one event that fires and cancels two: one due
+        // at `now`, one later. Every slot comes back, so the slab never
+        // outgrows the three events of one round.
         let mut sim: Sim<u32> = Sim::new();
         let mut fired = 0;
         for round in 1..=1000u64 {
@@ -548,9 +491,10 @@ mod tests {
 
     #[test]
     fn same_time_chains_skip_the_heap() {
-        // A handler that schedules at `now` repeatedly: the chain lives
-        // entirely in the FIFO lane (this asserts behaviour, the lane is
-        // the mechanism).
+        // A handler that schedules at `now` repeatedly: the whole chain
+        // runs at one instant. The name is from a same-time lane that once
+        // kept such chains out of the heap; the engine now queues every
+        // event in the heap, and the test pins the behaviour.
         fn chain(sim: &mut Sim<Vec<u64>>, w: &mut Vec<u64>) {
             w.push(sim.now().as_nanos());
             if w.len() < 5 {

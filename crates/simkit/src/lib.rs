@@ -9,8 +9,7 @@
 //! * [`time`] — nanosecond [`time::SimTime`] (simulated real time) and
 //!   [`time::VirtNanos`] (guest virtual time), kept apart by the type system;
 //! * [`engine`] — the event loop ([`engine::Sim`]): typed events in a
-//!   recycled slab, a binary-heap queue and a same-time lane, with
-//!   deterministic tie-breaking;
+//!   recycled slab, one binary-heap queue, deterministic tie-breaking;
 //! * [`rng`] — seeded, label-splittable random streams ([`rng::SimRng`]);
 //! * [`metrics`] — summaries, exact-percentile sample sets and counters.
 //!

@@ -309,7 +309,11 @@ impl FromIterator<f64> for Samples {
 }
 
 impl Extend<f64> for Samples {
+    /// Records every value of `iter`, reserving its lower size hint first
+    /// as `Vec::extend` does.
     fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        self.xs.reserve(iter.size_hint().0);
         for x in iter {
             self.record(x);
         }
@@ -427,6 +431,21 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn samples_reject_nan() {
         Samples::new().record(f64::NAN);
+    }
+
+    #[test]
+    fn samples_extend_reserves_an_exact_size_hint() {
+        let values: Vec<f64> = (0..1000).map(f64::from).collect();
+        let mut s = Samples::new();
+        s.extend(values.iter().copied());
+        assert_eq!(s.len(), 1000);
+        assert_eq!(s.xs.capacity(), 1000, "one exact reservation");
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn samples_extend_rejects_nan() {
+        Samples::new().extend([1.0, f64::NAN]);
     }
 
     #[test]

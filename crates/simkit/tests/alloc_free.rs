@@ -2,7 +2,7 @@
 //!
 //! A counting `#[global_allocator]` (per thread, so parallel tests do not
 //! disturb it) wraps the system allocator. A small periodic world warms
-//! the engine up — slab, free list, lane and queue heap reach their
+//! the engine up — slab, free list and queue heap reach their
 //! working sizes — and then a further stretch of the same traffic must
 //! make no allocator call at all: events fire from recycled slab slots,
 //! and a cancelled event gives its slot back when its queue entry is
@@ -135,7 +135,7 @@ fn steady_state_post_fire_and_cancel_allocate_nothing() {
         );
     }
     // Warm-up: 1.1 s of simulated time, far longer than any stream's
-    // period, so the slab, the lane and the queue heap have all reached
+    // period, so the slab, the free list and the queue heap have all reached
     // their working capacities before the measured stretch.
     sim.run_until(&mut world, SimTime::from_millis(1_100));
     let fired = world.fired;

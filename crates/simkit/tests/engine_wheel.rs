@@ -1,24 +1,23 @@
-//! Property tests: the engine's run loop (a binary-heap queue staged in
-//! per-timestamp batches onto a same-time lane, with cancellation kept in
-//! the event slab) executes events in exactly the order of a model binary
-//! heap.
+//! Property tests: the engine's run loop (one binary-heap queue of slab
+//! slots, with cancellation kept in the event slab) executes events in
+//! exactly the order of a model binary heap.
 //!
 //! The model below is the textbook one-pop-per-event loop: a `BinaryHeap`
 //! keyed on `(at, seq)` plus a cancel set. Every schedule is replayed into
 //! both, and the logs must match element for element. The schedules are
-//! biased toward the cases where the engine's batching and slab
-//! bookkeeping could diverge from the model's total order:
+//! biased toward the cases where the engine's slab bookkeeping could
+//! diverge from the model's total order:
 //!
-//! * dense same-timestamp bursts (batch staging + FIFO lane);
+//! * dense same-timestamp bursts;
 //! * timestamps from nanoseconds to minutes ahead, with reused slab slots
 //!   in between;
 //! * cancellations, whose queue entries must still advance time
 //!   identically, including children cancelled by the handler that
 //!   scheduled them, and stale ids of events that already ran;
-//! * handlers that schedule children at `now` (lane fast path) and in the
-//!   near future while the loop is draining;
-//! * `step(n)` stopping mid-batch, with new work scheduled before the run
-//!   resumes.
+//! * handlers that schedule children at `now` and in the near future
+//!   while the loop is draining;
+//! * `step(n)` stopping among events that share a timestamp, with new
+//!   work scheduled before the run resumes.
 //!
 //! Each observation is `(now at execution, tag)`.
 
@@ -37,7 +36,8 @@ struct World {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Act {
     Log,
-    /// Schedules a child at `now`: it joins the in-flight batch.
+    /// Schedules a child at `now`: it runs after every event already due
+    /// then.
     SameTimeChild,
     /// Schedules a child this many ns later.
     NearChild(u64),

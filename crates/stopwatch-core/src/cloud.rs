@@ -135,6 +135,22 @@ struct SlotRecord {
     /// The pending wake and the time it fires at (kept so a reschedule
     /// to the same time can keep the pending event).
     wake: Option<(EventId, SimTime)>,
+    /// The slot's pending virtual-timer hardware events, in `fire_seq`
+    /// order. Kept so activity changes can re-target each physical fire
+    /// time at its deadline's virtual instant, the way `reschedule_wake`
+    /// re-targets the wake.
+    timers: Vec<TimerRecord>,
+}
+
+/// One pending virtual-timer hardware event of a slot: the fire it
+/// elapses, its queued [`CloudEvent::TimerFire`], when that fires, and the
+/// programmed deadline the time was projected from.
+#[derive(Debug, Clone, Copy)]
+struct TimerRecord {
+    fire_seq: u64,
+    event: EventId,
+    at: SimTime,
+    deadline: VirtNanos,
 }
 
 struct ClientRecord {
@@ -361,14 +377,9 @@ pub struct Cloud {
     clients: Vec<ClientRecord>,
     client_by_endpoint: FxHashMap<EndpointId, usize>,
     ingress_seq: u64,
-    /// `[host][slot]`: which replica of which VM each slot runs, and its
-    /// pending wake.
+    /// `[host][slot]`: which replica of which VM each slot runs, its
+    /// pending wake and its pending timer events.
     slots: Vec<Vec<SlotRecord>>,
-    /// Pending virtual-timer hardware events: `(host, slot, fire_seq)` →
-    /// (event, scheduled time, programmed deadline). Tracked so activity
-    /// changes can re-target the physical fire time at the deadline's
-    /// virtual instant, the way `reschedule_wake` re-targets slot wakes.
-    timer_fires: FxHashMap<(usize, usize, u64), (EventId, SimTime, VirtNanos)>,
     /// `[vm][sender]`: each replica's PGM proposal stream to its peers.
     /// Empty for a VM that is not replicated.
     pgm_tx: Vec<Vec<PgmSender<ProposalMsg>>>,
@@ -587,19 +598,31 @@ impl Cloud {
     ) {
         let now = sim.now();
         let at = self.hosts[h].timer_event_time(s, now, deadline).max(now);
-        if let Some(&(old_id, old_at, _)) = self.timer_fires.get(&(h, s, fire_seq)) {
-            if old_at == at {
+        let timers = &mut self.slots[h][s].timers;
+        let place = timers.binary_search_by_key(&fire_seq, |t| t.fire_seq);
+        if let Ok(i) = place {
+            if timers[i].at == at {
                 return;
             }
-            sim.cancel(old_id);
+            sim.cancel(timers[i].event);
         }
-        let id = sim.post(at, CloudEvent::TimerFire { h, s, fire_seq });
-        self.timer_fires
-            .insert((h, s, fire_seq), (id, at, deadline));
+        let record = TimerRecord {
+            fire_seq,
+            event: sim.post(at, CloudEvent::TimerFire { h, s, fire_seq }),
+            at,
+            deadline,
+        };
+        match place {
+            Ok(i) => timers[i] = record,
+            Err(i) => timers.insert(i, record),
+        }
     }
 
     fn timer_fire(&mut self, sim: &mut Engine, h: usize, s: usize, fire_seq: u64) {
-        self.timer_fires.remove(&(h, s, fire_seq));
+        let timers = &mut self.slots[h][s].timers;
+        if let Ok(i) = timers.binary_search_by_key(&fire_seq, |t| t.fire_seq) {
+            timers.remove(i);
+        }
         let outcome = self.hosts[h].timer_elapsed(s, sim.now(), fire_seq);
         self.settled(sim, h, s, ChannelKind::Timer, fire_seq, outcome);
     }
@@ -663,7 +686,7 @@ impl Cloud {
             }
         } else {
             // Baseline: straight to the destination.
-            self.deliver_external(sim, host_node, packet);
+            self.send_packet(sim, host_node, packet, true);
         }
     }
 
@@ -685,7 +708,7 @@ impl Cloud {
             EgressDecision::Forward(pkt) => {
                 self.counts[CloudCounter::EgressForwarded as usize] += 1;
                 let from = self.egress_node;
-                self.deliver_external(sim, from, pkt);
+                self.send_packet(sim, from, pkt, true);
             }
             EgressDecision::Hold => {}
             EgressDecision::Divergence { .. } => {
@@ -694,37 +717,43 @@ impl Cloud {
         }
     }
 
-    /// Sends a packet from `from_node` toward its destination endpoint
-    /// (client or guest).
-    fn deliver_external(&mut self, sim: &mut Engine, from_node: NetNode, packet: Packet) {
-        if let Some(&ci) = self.client_by_endpoint.get(&packet.dst()) {
-            let node = self.clients[ci].node;
-            if let Some(arrive) =
-                self.fabric
-                    .transmit(sim.now(), from_node, node, packet.wire_bytes())
-            {
-                let packet = self.parked.park(packet);
-                sim.post(
-                    arrive,
-                    CloudEvent::ClientPacket {
-                        ci,
-                        packet,
-                        from_cloud: true,
-                    },
-                );
-            }
-        } else if self.by_endpoint.contains_key(&packet.dst()) {
-            // Guest-to-guest traffic flows back through the ingress.
-            if let Some(arrive) =
-                self.fabric
-                    .transmit(sim.now(), from_node, self.ingress_node, packet.wire_bytes())
-            {
-                let packet = self.parked.park(packet);
-                sim.post(arrive, CloudEvent::Ingress { packet });
-            }
-        }
-        // Unknown destinations (e.g. the broadcast pseudo-endpoint on
-        // baseline paths) are dropped silently.
+    /// Sends a packet from `from_node` toward its destination endpoint: a
+    /// guest-bound packet to the ingress node, a client-bound one to that
+    /// client's node. `from_cloud` marks the client-bound packets counted
+    /// in `client_packets` (client-to-client traffic is not). Unknown
+    /// destinations (e.g. the broadcast pseudo-endpoint on baseline paths)
+    /// are dropped silently.
+    fn send_packet(
+        &mut self,
+        sim: &mut Engine,
+        from_node: NetNode,
+        packet: Packet,
+        from_cloud: bool,
+    ) {
+        let dst = packet.dst();
+        let (to_node, ci) = if self.by_endpoint.contains_key(&dst) {
+            (self.ingress_node, None)
+        } else if let Some(&ci) = self.client_by_endpoint.get(&dst) {
+            (self.clients[ci].node, Some(ci))
+        } else {
+            return;
+        };
+        let Some(arrive) = self
+            .fabric
+            .transmit(sim.now(), from_node, to_node, packet.wire_bytes())
+        else {
+            return;
+        };
+        let packet = self.parked.park(packet);
+        let event = match ci {
+            None => CloudEvent::Ingress { packet },
+            Some(ci) => CloudEvent::ClientPacket {
+                ci,
+                packet,
+                from_cloud,
+            },
+        };
+        sim.post(arrive, event);
     }
 
     fn client_packet(&mut self, sim: &mut Engine, ci: usize, packet: Packet, from_cloud: bool) {
@@ -737,34 +766,9 @@ impl Cloud {
     }
 
     fn client_send(&mut self, sim: &mut Engine, ci: usize, pkts: Vec<Packet>) {
+        let node = self.clients[ci].node;
         for packet in pkts {
-            let node = self.clients[ci].node;
-            if self.by_endpoint.contains_key(&packet.dst()) {
-                // To a guest: via the ingress node.
-                if let Some(arrive) =
-                    self.fabric
-                        .transmit(sim.now(), node, self.ingress_node, packet.wire_bytes())
-                {
-                    let packet = self.parked.park(packet);
-                    sim.post(arrive, CloudEvent::Ingress { packet });
-                }
-            } else if let Some(&target) = self.client_by_endpoint.get(&packet.dst()) {
-                let tnode = self.clients[target].node;
-                if let Some(arrive) =
-                    self.fabric
-                        .transmit(sim.now(), node, tnode, packet.wire_bytes())
-                {
-                    let packet = self.parked.park(packet);
-                    sim.post(
-                        arrive,
-                        CloudEvent::ClientPacket {
-                            ci: target,
-                            packet,
-                            from_cloud: false,
-                        },
-                    );
-                }
-            }
+            self.send_packet(sim, node, packet, false);
         }
     }
 
@@ -987,16 +991,15 @@ impl Cloud {
                     self.reschedule_wake(sim, h, s);
                 }
                 // The phys↔virt mapping of this host just changed:
-                // re-target its pending virtual-timer hardware events.
-                let mut pending: Vec<(usize, u64, VirtNanos)> = self
-                    .timer_fires
-                    .iter()
-                    .filter(|&(&(hh, _, _), _)| hh == h)
-                    .map(|(&(_, s, f), &(_, _, d))| (s, f, d))
-                    .collect();
-                pending.sort_unstable();
-                for (s, f, d) in pending {
-                    self.schedule_timer_fire(sim, h, s, f, d);
+                // re-target its pending virtual-timer hardware events,
+                // cancelled fires included, in `(slot, fire_seq)` order.
+                for s in 0..self.slots[h].len() {
+                    for i in 0..self.slots[h][s].timers.len() {
+                        let TimerRecord {
+                            fire_seq, deadline, ..
+                        } = self.slots[h][s].timers[i];
+                        self.schedule_timer_fire(sim, h, s, fire_seq, deadline);
+                    }
                 }
             }
         }
@@ -1272,6 +1275,7 @@ impl CloudBuilder {
                     vm: vm_idx,
                     replica: replicas.len(),
                     wake: None,
+                    timers: Vec::new(),
                 });
                 replicas.push((h, s));
             }
@@ -1327,7 +1331,6 @@ impl CloudBuilder {
             client_by_endpoint,
             ingress_seq: 0,
             slots,
-            timer_fires: FxHashMap::default(),
             pgm_tx,
             pgm_rx,
             pgm_out: RxOutput::default(),
@@ -1411,6 +1414,7 @@ impl CloudSim {
 mod tests {
     use super::*;
     use netsim::packet::Body;
+    use simkit::time::VirtOffset;
     use vmm::counter::SlotCounter;
     use vmm::guest::{GuestEnv, IdleGuest};
 
@@ -1670,6 +1674,67 @@ mod tests {
         // Early-exit: the clients-done loop stops on the error.
         let t = sim.run_until_clients_done(SimTime::from_secs(30));
         assert!(t < SimTime::from_secs(30));
+    }
+
+    /// Guest that arms four one-shot timers 20 ms apart at boot, cancels
+    /// the second, and then computes for 50 ms, so its host's contention
+    /// changes while the fires are pending.
+    struct TimerBurst;
+    impl GuestProgram for TimerBurst {
+        fn on_boot(&mut self, env: &mut GuestEnv) {
+            for id in 0..4 {
+                env.set_timer(id, env.now + VirtOffset::from_millis(20 * (id + 1)));
+            }
+            env.cancel_timer(1);
+            env.compute(50_000_000);
+        }
+    }
+
+    /// `(fire_seq, at, deadline)` of slot `(h, s)`'s timer records.
+    fn timer_records(cloud: &Cloud, h: usize, s: usize) -> Vec<(u64, SimTime, VirtNanos)> {
+        let timers = &cloud.slots[h][s].timers;
+        timers
+            .iter()
+            .map(|t| (t.fire_seq, t.at, t.deadline))
+            .collect()
+    }
+
+    #[test]
+    fn timer_records_follow_contention_and_leave_with_their_fires() {
+        // No heartbeat: the test makes the one contention change itself.
+        let mut cfg = CloudConfig::fast_test();
+        cfg.pacing = None;
+        let mut b = CloudBuilder::new(cfg, 1);
+        let vm = b.add_baseline_vm(0, Box::new(TimerBurst));
+        let mut sim = b.build();
+        sim.run_until(SimTime::from_millis(1));
+        let (h, s) = sim.cloud.vm_replicas(vm)[0];
+        let armed = timer_records(&sim.cloud, h, s);
+        // The cancelled fire keeps its record: its hardware event still
+        // elapses.
+        assert_eq!(armed.len(), 4);
+        assert!(armed.windows(2).all(|w| w[0].0 < w[1].0), "fire_seq order");
+
+        // The busy guest raises the host's contention: every record moves
+        // to the new projection of its deadline.
+        sim.cloud.pacing_tick(&mut sim.sim);
+        let now = sim.now();
+        let retargeted = timer_records(&sim.cloud, h, s);
+        assert_eq!(retargeted.len(), 4);
+        for (&(fire_seq, at, deadline), &(_, before, _)) in retargeted.iter().zip(&armed) {
+            assert_eq!(at, sim.cloud.host(h).timer_event_time(s, now, deadline));
+            assert!(at > before, "fire {fire_seq} slowed by contention");
+        }
+
+        sim.run_until(SimTime::from_millis(500));
+        assert!(timer_records(&sim.cloud, h, s).is_empty());
+        let counts = sim.cloud.host(h).slot(s).counters();
+        assert_eq!(counts[SlotCounter::TimerArms], 4);
+        assert_eq!(
+            counts[SlotCounter::VtimerIrq],
+            3,
+            "the cancelled fire is not delivered"
+        );
     }
 
     #[test]

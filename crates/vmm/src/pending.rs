@@ -4,9 +4,10 @@
 //! [`crate::channel`]). The agreement hot path touches it in two very
 //! different ways:
 //!
-//! * **Due queries** — `next_wake` / `next_due_injection` ask for the
-//!   earliest injectable entry after nearly every guest action. An
-//!   ordered **due-index** answers them: a `BTreeSet` of
+//! * **Due queries** — the slot's one step query (which both `process`
+//!   and `next_wake` go through) asks for the earliest injectable entry
+//!   after nearly every guest action. An ordered **due-index** answers
+//!   it: a `BTreeSet` of
 //!   `(injection branch, delivery virt, class rank, id, kind)` holding
 //!   exactly the rows whose delivery is fixed and whose data is ready,
 //!   so the query reads the set's first element instead of scanning
@@ -299,26 +300,19 @@ impl PendingTable {
         )
     }
 
-    /// The earliest injectable row's injection branch (`None` when no row
-    /// is injectable).
-    pub fn first_due_branch(&self) -> Option<u64> {
-        self.due.first().map(|&(branch, ..)| branch)
-    }
-
-    /// The earliest injection due by branch `phys`: the first indexed row
-    /// or `pit`, the periodic tick's `(virtual time, injection branch)`,
-    /// compared on the full [`Due`] key.
-    pub fn next_due(&self, pit: Option<(VirtNanos, u64)>, phys: u64) -> Option<Due> {
+    /// The earliest injection: the first indexed row or `pit`, the
+    /// periodic tick's `(virtual time, injection branch)`, compared on the
+    /// full [`Due`] key.
+    pub fn next_due(&self, pit: Option<(VirtNanos, u64)>) -> Option<Due> {
         let row = self
             .due
             .first()
             .map(|&(branch, deliver, rank, id, kind)| (branch, deliver, rank, id, Some(kind)));
         let pit = pit.map(|(tick, branch)| (branch, tick, 0, 0, None));
-        let best = match (row, pit) {
-            (Some(row), Some(pit)) => row.min(pit),
-            (row, pit) => row.or(pit)?,
-        };
-        (best.0 <= phys).then_some(best)
+        match (row, pit) {
+            (Some(row), Some(pit)) => Some(row.min(pit)),
+            (row, pit) => row.or(pit),
+        }
     }
 }
 
@@ -414,10 +408,8 @@ mod tests {
         t.set_deliver(row, VirtNanos::from_nanos(20), 1234);
         let key = (1234, VirtNanos::from_nanos(20), 2, 7, ChannelKind::Net);
         assert_eq!(indexed(&t), vec![key]);
-        assert_eq!(t.first_due_branch(), Some(1234));
         t.remove(ChannelKind::Net, 7);
         assert!(indexed(&t).is_empty(), "removal unindexes the row");
-        assert_eq!(t.first_due_branch(), None);
     }
 
     #[test]
@@ -426,7 +418,7 @@ mod tests {
         let row = t.insert_agreeing(ChannelKind::Disk, 0, disk_in_flight(), 3);
         t.set_deliver(row, VirtNanos::from_nanos(9), 99);
         assert!(indexed(&t).is_empty(), "no data yet");
-        assert_eq!(t.next_due(None, u64::MAX), None);
+        assert_eq!(t.next_due(None), None);
         t.set_ready(row);
         assert_eq!(indexed(&t), scan_due(&t));
         assert_eq!(indexed(&t).len(), 1);
@@ -438,7 +430,8 @@ mod tests {
     fn next_due_injection_puts_the_pit_tick_before_a_tied_timer_row() {
         // A timer row at rank 0, id 0 ties the periodic tick on branch,
         // delivery, rank and id; the full key still orders them, and the
-        // tick (kind `None`) goes first.
+        // tick (kind `None`) goes first. (The name is from the slot's
+        // former injection query; `next_due` now answers it.)
         let mut t = PendingTable::default();
         let timer = ChannelPayload::Timer {
             timer_id: 4,
@@ -449,19 +442,23 @@ mod tests {
         let timer_row = t.insert_agreeing(ChannelKind::Timer, 0, timer, 1);
         t.set_deliver(timer_row, tick, 10);
         let pit = Some((tick, 10));
-        assert_eq!(t.next_due(pit, 10), Some((10, tick, 0, 0, None)));
-        assert_eq!(t.next_due(pit, 10), scan_next_due(&t, pit, 10));
-        assert_eq!(t.next_due(pit, 9), None, "nothing is due before branch 10");
+        assert_eq!(t.next_due(pit), Some((10, tick, 0, 0, None)));
+        assert_eq!(t.next_due(pit), scan_next_due(&t, pit, 10));
+        assert_eq!(
+            t.next_due(pit).map(|d| d.0),
+            Some(10),
+            "nothing is due before branch 10"
+        );
         // With the tick delivered, the timer row is next.
         let row = Some((10, tick, 0, 0, Some(ChannelKind::Timer)));
-        assert_eq!(t.next_due(None, 10), row);
+        assert_eq!(t.next_due(None), row);
         // A later tick loses to the row; an earlier delivery beats it.
         let later = Some((VirtNanos::from_nanos(501), 10));
-        assert_eq!(t.next_due(later, 10), row);
-        assert_eq!(t.next_due(later, 10), scan_next_due(&t, later, 10));
+        assert_eq!(t.next_due(later), row);
+        assert_eq!(t.next_due(later), scan_next_due(&t, later, 10));
         let earlier = Some((VirtNanos::from_nanos(499), 10));
         assert_eq!(
-            t.next_due(earlier, 10),
+            t.next_due(earlier),
             Some((10, VirtNanos::from_nanos(499), 0, 0, None))
         );
     }
@@ -549,8 +546,7 @@ mod tests {
             for &(op, a, b, c) in &ops {
                 apply(&mut t, op, a, b, c);
                 let scan = scan_due(&t);
-                prop_assert_eq!(indexed(&t), scan.clone());
-                prop_assert_eq!(t.first_due_branch(), scan.first().map(|k| k.0));
+                prop_assert_eq!(indexed(&t), scan);
                 // The periodic tick absent, or on a grid of the
                 // branches and deliveries the rows draw from (ties
                 // included), probed at several cut-off branches.
@@ -559,7 +555,8 @@ mod tests {
                 });
                 for pit in std::iter::once(None).chain(ticks) {
                     for phys in [0, 3, u64::MAX] {
-                        prop_assert_eq!(t.next_due(pit, phys), scan_next_due(&t, pit, phys));
+                        let due = t.next_due(pit).filter(|d| d.0 <= phys);
+                        prop_assert_eq!(due, scan_next_due(&t, pit, phys));
                     }
                 }
             }

@@ -56,11 +56,11 @@ use crate::counter::{SlotCounter, SlotCounts};
 pub use crate::defense::{DefenseMode, ReleaseRule};
 use crate::devices::PlatformClocks;
 use crate::guest::{GuestAction, GuestEnv, GuestProgram};
-use crate::pending::{ChannelPayload, Due, PendingTable, Row};
+use crate::pending::{ChannelPayload, PendingTable, Row};
 use crate::speed::SpeedProfile;
 use netsim::packet::{EndpointId, Packet};
 use simkit::fxhash::FxHashMap;
-use simkit::time::{SimTime, VirtNanos, VirtOffset};
+use simkit::time::{SimDuration, SimTime, VirtNanos, VirtOffset};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use storage::block::{BlockRange, DiskImage};
@@ -245,6 +245,21 @@ fn median_if_determined(received: &[VirtNanos], needed: usize) -> Option<VirtNan
     (sorted[m - missing] == sorted[m]).then(|| sorted[m])
 }
 
+/// A slot's next scheduling step (see [`GuestSlot::next_step`]), in rank
+/// order: at equal branch positions, a compute completes before an
+/// interrupt is injected, and an injection runs before a zero-branch
+/// action.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// The head compute action completes.
+    Complete,
+    /// The earliest due interrupt is injected: channel `kind`'s event
+    /// `id`, or the periodic tick when the kind is `None`.
+    Inject(Option<ChannelKind>, u64),
+    /// The zero-branch head action runs.
+    Act,
+}
+
 /// Memo key for [`GuestSlot::next_wake`]: `(target branch, synced
 /// branches, synced_at nanos, resume_at nanos, profile generation)`.
 type WakeKey = (u64, u64, u64, u64, u64);
@@ -266,9 +281,9 @@ pub struct GuestSlot {
     booted: bool,
     // The unified timing-channel core: one pending table and one
     // early-proposal buffer for every channel kind. The table is
-    // struct-of-arrays (see [`crate::pending`]): the injection scans walk
-    // dense columns of cached branch positions instead of a tree of
-    // payload-sized nodes.
+    // struct-of-arrays (see [`crate::pending`]) with an ordered index of
+    // its injectable rows, so the step query reads one first element
+    // instead of scanning payload-sized nodes.
     pending: PendingTable,
     /// Peer proposals that arrived before this replica opened the matching
     /// pending entry (replicas run at different physical speeds); drained
@@ -277,7 +292,7 @@ pub struct GuestSlot {
     /// map is hashed, not ordered.
     early: FxHashMap<(u8, u64), Vec<VirtNanos>>,
     /// Whether the guest program takes PIT ticks — a constant of the
-    /// program, cached off the hot scheduling scans.
+    /// program, cached off the hot step query.
     wants_timer: bool,
     /// Memoized next PIT-tick injection point: `(tick number, tick virt
     /// nanos, injection branch)`. The tick schedule and the clock are
@@ -462,9 +477,9 @@ impl GuestSlot {
 
     /// The next PIT tick's `(virtual time, injection branch)`, memoized.
     /// The tick schedule and the clock never change after construction,
-    /// so the pair is a pure function of `ticks_delivered` — the two
-    /// scheduling scans share one float inversion per delivered tick
-    /// instead of redoing it per call.
+    /// so the pair is a pure function of `ticks_delivered` — step queries
+    /// share one float inversion per delivered tick instead of redoing it
+    /// per call.
     fn pit_candidate(&self) -> (VirtNanos, u64) {
         let n = self.ticks_delivered + 1;
         let (memo_n, tick_ns, branch) = self.pit_memo.get();
@@ -522,13 +537,36 @@ impl GuestSlot {
         self.process(profile, cache, now)
     }
 
-    /// The earliest due interrupt at physical position `phys`, ordered by
-    /// `(injection branch, delivery virt, class rank, id)` —
-    /// replica-identical. The rank keeps the legacy timer/disk/net/cache
-    /// order (see [`ChannelKind::injection_rank`]).
-    fn next_due_injection(&self, phys: u64) -> Option<Due> {
+    /// The slot's next step and the branch position it runs at. The
+    /// lowest position wins; ties go by [`Step`] rank (compute completion,
+    /// injection, zero-branch action), so replicas choose identically.
+    /// Due interrupts are ordered among themselves by `(injection branch,
+    /// delivery virt, class rank, id)` (see
+    /// [`ChannelKind::injection_rank`]), and one whose branch `pc` already
+    /// passed is injected at `pc`. [`GuestSlot::process`] runs the step
+    /// once the physical branch count reaches its position, and
+    /// [`GuestSlot::next_wake`] wakes the slot then.
+    fn next_step(&self) -> Option<(u64, Step)> {
+        let head = self.actions.front();
+        let mut next = match head {
+            Some(GuestAction::Compute { branches }) => Some((
+                self.compute_end.unwrap_or(self.pc + branches),
+                Step::Complete,
+            )),
+            _ => None,
+        };
         let pit = self.wants_timer.then(|| self.pit_candidate());
-        self.pending.next_due(pit, phys)
+        if let Some((branch, _, _, id, kind)) = self.pending.next_due(pit) {
+            let pos = branch.max(self.pc);
+            if next.is_none_or(|(at, _)| pos < at) {
+                next = Some((pos, Step::Inject(kind, id)));
+            }
+        }
+        let zero_branch_head = head.is_some_and(|a| !matches!(a, GuestAction::Compute { .. }));
+        if zero_branch_head && next.is_none_or(|(at, _)| self.pc < at) {
+            next = Some((self.pc, Step::Act));
+        }
+        next
     }
 
     /// Processes everything due at `now`: completes actions, injects due
@@ -559,50 +597,17 @@ impl GuestSlot {
                     self.actions.pin_front();
                 }
             }
-            // Candidates, ordered by (branch position, rank): compute
-            // completion (0), interrupt injection (1), zero-branch head
-            // action (2). Lowest position wins; the fixed rank order keeps
-            // replicas identical.
-            let mut best: Option<(u64, u8)> = None;
-            if let Some(end) = self.compute_end {
-                if end <= phys {
-                    best = Some((end, 0));
-                }
-            }
-            let inj = self.next_due_injection(phys);
-            if let Some((ib, _, _, _, _)) = inj {
-                let pos = ib.max(self.pc);
-                if best.is_none_or(|b| (pos, 1) < b) {
-                    best = Some((pos, 1));
-                }
-            }
-            let head_is_zero_branch = matches!(
-                self.actions.front(),
-                Some(GuestAction::DiskRead { .. })
-                    | Some(GuestAction::DiskWrite { .. })
-                    | Some(GuestAction::Send { .. })
-                    | Some(GuestAction::Call { .. })
-                    | Some(GuestAction::CacheTouch { .. })
-                    | Some(GuestAction::CacheProbe { .. })
-                    | Some(GuestAction::SetTimer { .. })
-                    | Some(GuestAction::CancelTimer { .. })
-            );
-            if head_is_zero_branch && best.is_none_or(|b| (self.pc, 2) < b) {
-                best = Some((self.pc, 2));
-            }
-            let Some((pos, rank)) = best else { break };
-            debug_assert!(pos <= phys, "processing beyond physical progress");
-            match rank {
-                0 => {
-                    self.pc = self.compute_end.take().expect("compute end set");
+            let Some((pos, step)) = self.next_step().filter(|&(pos, _)| pos <= phys) else {
+                break;
+            };
+            self.pc = pos;
+            match step {
+                Step::Complete => {
+                    self.compute_end = None;
                     self.actions.pop_front();
                 }
-                1 => {
-                    let (ib, _deliver, _rank, id, kind) = inj.expect("injection candidate");
-                    self.pc = self.pc.max(ib);
-                    self.inject(kind, id, &mut out)?;
-                }
-                _ => {
+                Step::Inject(kind, id) => self.inject(kind, id, &mut out)?,
+                Step::Act => {
                     let action = self.actions.pop_front().expect("zero-branch head");
                     self.execute_zero_branch(action, cache, &mut out)?;
                 }
@@ -1066,22 +1071,29 @@ impl GuestSlot {
     /// Physical time at which this slot's virtual clock first reaches `v`
     /// — how the host schedules a virtual timer's hardware event.
     pub fn phys_at_virt(&self, profile: &SpeedProfile, now: SimTime, v: VirtNanos) -> SimTime {
-        let target = self.clock.instr_for(v);
-        let start = now.max(self.resume_at);
+        self.reach_time(profile, now, self.clock.instr_for(v))
+            .unwrap_or(now.max(self.resume_at))
+    }
+
+    /// The instant, from `now` on, at which the slot's branch trajectory
+    /// reaches `target`; `None` when it already has. The profile's float
+    /// inversion can land a branch or two short, so the instant is nudged
+    /// forward until the projection reaches the target: a wake then finds
+    /// its step due, and a timer's hardware event reads virt >= its
+    /// deadline.
+    fn reach_time(&self, profile: &SpeedProfile, now: SimTime, target: u64) -> Option<SimTime> {
         let phys = self.branches_at(profile, now);
         if target <= phys {
-            return start;
+            return None;
         }
-        // Same float-inversion nudge as `next_wake`: land at or past the
-        // target branch so the elapse callback reads virt >= v.
-        let mut t = profile.time_for_branches(start, target - phys);
+        let mut t = profile.time_for_branches(now.max(self.resume_at), target - phys);
         for _ in 0..16 {
             if self.branches_at(profile, t) >= target {
-                return t;
+                break;
             }
-            t += simkit::time::SimDuration::from_nanos(2);
+            t += SimDuration::from_nanos(2);
         }
-        t
+        Some(t)
     }
 
     /// Records a burst of delivery-time proposals that reached this
@@ -1200,7 +1212,7 @@ impl GuestSlot {
             None => median,
         };
         // The injection branch is fixed here, once, alongside the
-        // delivery time; the scheduling scans reuse the cached value.
+        // delivery time; step queries reuse the cached value.
         let branch = self.injection_branch(fixed);
         self.pending.set_deliver(row, fixed, branch);
         true
@@ -1213,29 +1225,11 @@ impl GuestSlot {
         self.early.values().map(Vec::len).sum()
     }
 
-    /// The next absolute time at which this slot needs to run, given its
-    /// pending work (`None` = fully idle until new input).
+    /// The next absolute time at which this slot needs to run: when the
+    /// physical branch count reaches its next step's position (`None` =
+    /// fully idle until new input).
     pub fn next_wake(&self, profile: &SpeedProfile, now: SimTime) -> Option<SimTime> {
-        let mut target: Option<u64> = None;
-        let mut consider = |b: u64| match target {
-            Some(t) if t <= b => {}
-            _ => target = Some(b),
-        };
-        match self.actions.front() {
-            Some(GuestAction::Compute { branches }) => {
-                consider(self.compute_end.unwrap_or(self.pc + branches));
-            }
-            Some(_) => consider(self.pc), // zero-branch: due immediately
-            None => {}
-        }
-        if self.wants_timer {
-            let (_, branch) = self.pit_candidate();
-            consider(branch);
-        }
-        if let Some(branch) = self.pending.first_due_branch() {
-            consider(branch);
-        }
-        let target = target?;
+        let (target, _) = self.next_step()?;
         let start = now.max(self.resume_at);
         // The wake instant is the earliest time the slot's branch
         // trajectory reaches `target` — a function of the slot's synced
@@ -1256,21 +1250,9 @@ impl GuestSlot {
                 return Some(t.max(start));
             }
         }
-        let phys = self.branches_at(profile, now);
-        if target <= phys {
+        let Some(t) = self.reach_time(profile, now, target) else {
             return Some(start);
-        }
-        // time_for_branches inverts a float integration and can land a
-        // branch or two short; nudge forward until the projection actually
-        // reaches the target so process() at the wake finds the work due.
-        let mut t = profile.time_for_branches(start, target - phys);
-        for _ in 0..16 {
-            if self.branches_at(profile, t) >= target {
-                self.wake_memo.set(Some((key, t.as_nanos())));
-                return Some(t);
-            }
-            t += simkit::time::SimDuration::from_nanos(2);
-        }
+        };
         self.wake_memo.set(Some((key, t.as_nanos())));
         Some(t)
     }
@@ -1607,6 +1589,77 @@ mod tests {
         assert!((3_000_000..3_050_050).contains(&ns), "ready-time wake {ns}");
         slot.process(&p, &mut cache, wake).expect("process");
         assert_eq!(slot.counters()[SlotCounter::DiskIrq], 1);
+    }
+
+    /// A guest that reads a block at boot and logs the interrupt classes
+    /// it services, in order.
+    #[derive(Default)]
+    struct IrqLogGuest {
+        log: Vec<&'static str>,
+    }
+    impl GuestProgram for IrqLogGuest {
+        fn on_boot(&mut self, env: &mut GuestEnv) {
+            env.disk_read(BlockRange::new(0, 1));
+        }
+        fn on_disk_done(&mut self, _op: DiskOp, _r: BlockRange, _d: &[u64], _env: &mut GuestEnv) {
+            self.log.push("disk");
+        }
+        fn on_packet(&mut self, _packet: &Packet, _env: &mut GuestEnv) {
+            self.log.push("net");
+        }
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    #[test]
+    fn tied_disk_and_net_injections_run_in_rank_order() {
+        // A disk completion and a packet observed at the same instant fix
+        // the same delivery time and injection branch; `process` injects
+        // them in class-rank order (disk before net) whichever of the two
+        // was settled first.
+        let p = profile();
+        for disk_first in [true, false] {
+            let mut cache = CacheModel::new(8, 2);
+            let mut slot = slot_with(Box::<IrqLogGuest>::default(), DefenseMode::baseline());
+            let out = slot.boot(&p, &mut cache, SimTime::ZERO).expect("boot");
+            let [SlotOutput::DiskSubmit { op_id, .. }] = &out[..] else {
+                panic!("one disk submit at boot: {out:?}");
+            };
+            let op_id = *op_id;
+            let now = SimTime::from_millis(3);
+            let pkt = Packet::new(EndpointId(1), EndpointId(7), Body::Raw { tag: 0, len: 100 });
+            if disk_first {
+                slot.disk_ready(&p, now, op_id).expect("known op");
+                slot.on_packet_arrival(&p, now, 0, pkt);
+            } else {
+                slot.on_packet_arrival(&p, now, 0, pkt);
+                slot.disk_ready(&p, now, op_id).expect("known op");
+            }
+            let fixed: Vec<_> = slot
+                .pending
+                .snapshot()
+                .into_iter()
+                .map(|(.., fixed)| fixed)
+                .collect();
+            assert_eq!(fixed.len(), 2);
+            assert!(
+                fixed[0].is_some() && fixed[0] == fixed[1],
+                "one delivery time and injection branch: {fixed:?}"
+            );
+            let wake = slot.next_wake(&p, now).expect("two due interrupts");
+            slot.process(&p, &mut cache, wake).expect("process");
+            let guest = slot
+                .program_mut()
+                .as_any_mut()
+                .and_then(|g| g.downcast_mut::<IrqLogGuest>())
+                .expect("irq logger");
+            assert_eq!(
+                guest.log,
+                ["disk", "net"],
+                "disk settled first: {disk_first}"
+            );
+        }
     }
 
     #[test]
