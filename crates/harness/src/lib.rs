@@ -6,8 +6,8 @@
 //! into a sweep engine that saturates every core:
 //!
 //! * [`scenario`] — a declarative [`Scenario`](scenario::Scenario): one
-//!   isolated, deterministic cloud run (workload, placement, config
-//!   overrides, seed, duration);
+//!   isolated, deterministic cloud run (workload, config overrides,
+//!   seed, duration), its VM replicated on hosts `0..replicas`;
 //! * [`sweep`] — [`SweepSpec`](sweep::SweepSpec): cartesian axis grids ×
 //!   seed shards expanding to a flat scenario list, validated against the
 //!   typed knob/parameter schemas (`CloudConfig::knobs`,

@@ -1,8 +1,9 @@
 //! The declarative unit of work: one isolated, deterministic cloud run.
 //!
-//! A [`Scenario`] names a workload, a defense arm, a replica placement,
-//! [`CloudConfig`] overrides, a seed, and a duration. [`Scenario::run`]
-//! builds a fresh [`CloudSim`](stopwatch_core::cloud::CloudSim) from it,
+//! A [`Scenario`] names a workload, a defense arm, [`CloudConfig`]
+//! overrides, a seed, and a duration. [`Scenario::run`] builds a fresh
+//! [`CloudSim`](stopwatch_core::cloud::CloudSim) of `cfg.replicas` hosts
+//! from it, with the workload's VM replicated on hosts `0..replicas`,
 //! drives the event loop to completion, and extracts a
 //! [`ScenarioResult`] — plain data, safe to aggregate across threads.
 //! Two runs of the same scenario produce identical results on any
@@ -29,10 +30,6 @@ pub struct Scenario {
     pub workload: String,
     /// Workload parameters handed to the registry.
     pub workload_params: Vec<(String, String)>,
-    /// Host machine count; 0 means "as many as the placement needs".
-    pub hosts: usize,
-    /// Replica hosts of the workload VM; empty means hosts `0..replicas`.
-    pub replica_hosts: Vec<usize>,
     /// Master seed for this run.
     pub seed: u64,
     /// Simulated-time budget; the run stops here even if clients are not
@@ -57,8 +54,6 @@ impl Scenario {
             cell_params: Vec::new(),
             workload: workload.to_string(),
             workload_params: Vec::new(),
-            hosts: 0,
-            replica_hosts: Vec::new(),
             seed,
             duration: SimDuration::from_secs(60),
             drain: SimDuration::from_millis(500),
@@ -111,8 +106,9 @@ impl Scenario {
         }
         lap(&mut phases.resolve_ns);
         // Workload-side randomness follows the post-override cloud seed.
-        let mut b = CloudBuilder::new(cfg, entry.hosts);
-        let wl = (entry.workload.install)(&mut b, &entry.replica_hosts, &entry.params)?;
+        let replica_hosts: Vec<usize> = (0..cfg.replicas).collect();
+        let mut b = CloudBuilder::new(cfg, replica_hosts.len());
+        let wl = (entry.workload.install)(&mut b, &replica_hosts, &entry.params)?;
         let mut sim = b.build();
         lap(&mut phases.build_ns);
         let deadline = SimTime::ZERO + self.duration;
@@ -159,8 +155,8 @@ impl Scenario {
 /// A sweep shards each grid cell across seeds and the benchmark replays
 /// the same scenario list pass after pass, so most scenarios a worker
 /// sees differ from the previous one only in `seed` and `label`. The
-/// arena keys on everything else — workload, parameters, overrides,
-/// placement — and caches the expensive-to-derive parts of setup: the
+/// arena keys on everything else — workload, parameters and overrides —
+/// and caches the expensive-to-derive parts of setup: the
 /// parsed [`CloudConfig`], the workload lookup, the validated parameter
 /// set, and both resolved key/value listings. A hit replaces all of that
 /// with a config clone and a seed patch, and its result shares the
@@ -180,8 +176,6 @@ struct ArenaKey {
     workload: String,
     workload_params: Vec<(String, String)>,
     overrides: Vec<(String, String)>,
-    replica_hosts: Vec<usize>,
-    hosts: usize,
 }
 
 struct ArenaEntry {
@@ -191,8 +185,6 @@ struct ArenaEntry {
     /// Whether the overrides pin `seed` explicitly (then it must *not* be
     /// re-patched — an explicit override wins over sharding).
     seed_overridden: bool,
-    replica_hosts: Vec<usize>,
-    hosts: usize,
     resolved_config: Arc<[(String, String)]>,
     resolved_params: Arc<[(String, String)]>,
     params: WorkloadParams,
@@ -215,17 +207,15 @@ impl ScenarioArena {
         self.misses
     }
 
-    /// Resolves `s` through the cache: its effective config, placement,
-    /// workload and parameters. The only resolver a scenario has.
+    /// Resolves `s` through the cache: its effective config, workload
+    /// and parameters. The only resolver a scenario has.
     fn prepare(&mut self, s: &Scenario) -> Result<&ArenaEntry, String> {
         let hit = self.entries.iter().position(|(k, _)| {
             // Linear scan: a worker sees a handful of shapes, and the
             // common case (benchmark passes) has exactly one.
-            k.hosts == s.hosts
-                && k.workload == s.workload
+            k.workload == s.workload
                 && k.workload_params == s.workload_params
                 && k.overrides == s.overrides
-                && k.replica_hosts == s.replica_hosts
         });
         if let Some(i) = hit {
             self.hits += 1;
@@ -238,13 +228,6 @@ impl ScenarioArena {
             ..CloudConfig::default()
         };
         cfg.apply_all(s.overrides.iter().map(|(k, v)| (k.as_str(), v.as_str())))?;
-        let replica_hosts: Vec<usize> = if s.replica_hosts.is_empty() {
-            (0..cfg.replicas).collect()
-        } else {
-            s.replica_hosts.clone()
-        };
-        let min_hosts = replica_hosts.iter().copied().max().unwrap_or(0) + 1;
-        let hosts = s.hosts.max(min_hosts);
         let workload = registry::require(&s.workload)?;
         let params = WorkloadParams::from_pairs(
             s.workload_params
@@ -252,9 +235,6 @@ impl ScenarioArena {
                 .map(|(k, v)| (k.as_str(), v.as_str())),
         );
         params.validate(workload)?;
-        if replica_hosts.is_empty() {
-            return Err("workload needs at least one replica host".to_string());
-        }
         let resolved_params = params.resolved(workload.params).into();
         let resolved_config = cfg
             .resolved()
@@ -265,14 +245,10 @@ impl ScenarioArena {
             workload: s.workload.clone(),
             workload_params: s.workload_params.clone(),
             overrides: s.overrides.clone(),
-            replica_hosts: s.replica_hosts.clone(),
-            hosts: s.hosts,
         };
         let entry = ArenaEntry {
             cfg,
             seed_overridden: s.overrides.iter().any(|(k, _)| k == "seed"),
-            replica_hosts,
-            hosts,
             resolved_config,
             resolved_params,
             params,
@@ -404,15 +380,6 @@ mod tests {
             ],
             "explicit values overlaid on schema defaults, schema order"
         );
-    }
-
-    #[test]
-    fn hosts_grow_to_fit_placement() {
-        let mut s = Scenario::new("idle", 1);
-        s.replica_hosts = vec![0, 2, 4];
-        s.duration = SimDuration::from_millis(50);
-        let r = s.run().unwrap();
-        assert!(r.clients_done, "no clients means trivially done");
     }
 
     #[test]

@@ -50,10 +50,6 @@ pub struct SweepSpec {
     pub name: String,
     /// Base workload (an axis named `workload` overrides per cell).
     pub workload: String,
-    /// Host count (0 = sized from the placement).
-    pub hosts: usize,
-    /// Replica placement (empty = hosts `0..replicas`).
-    pub replica_hosts: Vec<usize>,
     /// Overrides applied to every cell (axes win on conflicts).
     pub base_overrides: Vec<(String, String)>,
     /// Workload parameters applied to every cell (axes win on conflicts).
@@ -75,8 +71,6 @@ impl SweepSpec {
         SweepSpec {
             name: name.to_string(),
             workload: workload.to_string(),
-            hosts: 0,
-            replica_hosts: Vec::new(),
             base_overrides: Vec::new(),
             base_params: Vec::new(),
             axes: Vec::new(),
@@ -282,8 +276,6 @@ impl SweepSpec {
                 .collect(),
             workload,
             workload_params: params,
-            hosts: self.hosts,
-            replica_hosts: self.replica_hosts.clone(),
             seed,
             duration: self.duration,
             drain: self.drain,

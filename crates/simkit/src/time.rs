@@ -163,12 +163,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional milliseconds (clamped like
-    /// [`SimDuration::from_secs_f64`]).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1.0e3)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0

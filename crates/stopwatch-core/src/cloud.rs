@@ -30,6 +30,7 @@ use simkit::time::{SimDuration, SimTime, VirtNanos};
 use storage::block::DiskImage;
 use storage::device::DiskDevice;
 use storage::model::{AccessModel, RotatingDisk, Ssd};
+use vmm::cache::CacheModel;
 use vmm::channel::ChannelKind;
 use vmm::clock::VirtualClock;
 use vmm::counter::SlotCounts;
@@ -125,9 +126,12 @@ struct VmRecord {
     replicated: bool,
 }
 
-/// Per-slot bookkeeping, kept densely as `[host][slot]`.
-#[derive(Debug, Clone)]
+/// One guest slot and the cloud's bookkeeping for it, kept densely as
+/// `[host][slot]`.
+#[derive(Debug)]
 struct SlotRecord {
+    /// The replica's VMM slot; every call hands it its host's devices.
+    slot: GuestSlot,
     /// The VM this slot runs a replica of.
     vm: usize,
     /// The replica's index in that VM's replica list.
@@ -377,8 +381,8 @@ pub struct Cloud {
     clients: Vec<ClientRecord>,
     client_by_endpoint: FxHashMap<EndpointId, usize>,
     ingress_seq: u64,
-    /// `[host][slot]`: which replica of which VM each slot runs, its
-    /// pending wake and its pending timer events.
+    /// `[host][slot]`: each guest slot, which replica of which VM it
+    /// runs, its pending wake and its pending timer events.
     slots: Vec<Vec<SlotRecord>>,
     /// `[vm][sender]`: each replica's PGM proposal stream to its peers.
     /// Empty for a VM that is not replicated.
@@ -426,6 +430,11 @@ impl Cloud {
         &self.hosts[idx]
     }
 
+    /// Slot `s` of host `h`.
+    pub fn slot(&self, h: usize, s: usize) -> &GuestSlot {
+        &self.slots[h][s].slot
+    }
+
     /// The replica placements of a VM.
     pub fn vm_replicas(&self, vm: VmHandle) -> &[(usize, usize)] {
         &self.vms[vm.index].replicas
@@ -434,8 +443,8 @@ impl Cloud {
     /// The slot counters summed over every replica of every VM.
     pub fn slot_totals(&self) -> SlotCounts {
         let mut total = SlotCounts::default();
-        for &(h, s) in self.vms.iter().flat_map(|vm| vm.replicas.iter()) {
-            total += self.hosts[h].slot(s).counters();
+        for record in self.slots.iter().flatten() {
+            total += record.slot.counters();
         }
         total
     }
@@ -443,14 +452,14 @@ impl Cloud {
     /// The `(ingress seq, virtual delivery)` log of one replica.
     pub fn delivered_log(&self, vm: VmHandle, replica: usize) -> Vec<(u64, VirtNanos)> {
         let (h, s) = self.vms[vm.index].replicas[replica];
-        self.hosts[h].slot(s).delivered_log().to_vec()
+        self.slots[h][s].slot.delivered_log().to_vec()
     }
 
     /// Downcasts a guest replica's program to its concrete type.
     pub fn guest_program<T: 'static>(&mut self, vm: VmHandle, replica: usize) -> Option<&mut T> {
         let (h, s) = self.vms[vm.index].replicas[replica];
-        self.hosts[h]
-            .slot_mut(s)
+        self.slots[h][s]
+            .slot
             .program_mut()
             .as_any_mut()?
             .downcast_mut::<T>()
@@ -482,7 +491,8 @@ impl Cloud {
     }
 
     fn boot(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        match self.hosts[h].boot_slot(s, sim.now()) {
+        let (host, slot) = (&mut self.hosts[h], &mut self.slots[h][s].slot);
+        match slot.boot(&host.profile, &mut host.cache, sim.now()) {
             Ok(outputs) => {
                 self.handle_outputs(sim, h, s, outputs);
                 self.reschedule_wake(sim, h, s);
@@ -492,9 +502,9 @@ impl Cloud {
     }
 
     fn reschedule_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        let now = sim.now();
-        let target = self.hosts[h].next_wake(s, now);
-        let wake = &mut self.slots[h][s].wake;
+        let record = &mut self.slots[h][s];
+        let target = record.slot.next_wake(&self.hosts[h].profile, sim.now());
+        let wake = &mut record.wake;
         if let Some((old, at)) = *wake {
             // The pending wake already fires at the right time: keep it
             // instead of churning a cancelled event plus a fresh one
@@ -509,8 +519,10 @@ impl Cloud {
     }
 
     fn slot_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        self.slots[h][s].wake = None;
-        match self.hosts[h].process_slot(s, sim.now()) {
+        let (host, record) = (&mut self.hosts[h], &mut self.slots[h][s]);
+        record.wake = None;
+        let slot = &mut record.slot;
+        match slot.process(&host.profile, &mut host.cache, sim.now()) {
             Ok(outputs) => {
                 self.handle_outputs(sim, h, s, outputs);
                 self.reschedule_wake(sim, h, s);
@@ -523,7 +535,7 @@ impl Cloud {
         for output in outputs {
             match output {
                 SlotOutput::DiskSubmit { op_id, request } => {
-                    let done = self.hosts[h].submit_disk(request, sim.now());
+                    let done = self.hosts[h].disk.submit(request, sim.now());
                     sim.post(done, CloudEvent::DiskDone { h, s, op_id });
                 }
                 SlotOutput::TimerArm { fire_seq, deadline } => {
@@ -554,8 +566,9 @@ impl Cloud {
     }
 
     fn disk_done(&mut self, sim: &mut Engine, h: usize, s: usize, op_id: u64) {
-        let outcome = self.hosts[h].disk_ready(s, sim.now(), op_id).map(Some);
-        self.settled(sim, h, s, ChannelKind::Disk, op_id, outcome);
+        let slot = &mut self.slots[h][s].slot;
+        let outcome = slot.disk_ready(&self.hosts[h].profile, sim.now(), op_id);
+        self.settled(sim, h, s, ChannelKind::Disk, op_id, outcome.map(Some));
     }
 
     /// Acts on slot `(h, s)`'s settlement of `kind`'s event `seq`, the
@@ -597,8 +610,10 @@ impl Cloud {
         deadline: VirtNanos,
     ) {
         let now = sim.now();
-        let at = self.hosts[h].timer_event_time(s, now, deadline).max(now);
-        let timers = &mut self.slots[h][s].timers;
+        let profile = &self.hosts[h].profile;
+        let record = &mut self.slots[h][s];
+        let at = record.slot.phys_at_virt(profile, now, deadline).max(now);
+        let timers = &mut record.timers;
         let place = timers.binary_search_by_key(&fire_seq, |t| t.fire_seq);
         if let Ok(i) = place {
             if timers[i].at == at {
@@ -623,7 +638,10 @@ impl Cloud {
         if let Ok(i) = timers.binary_search_by_key(&fire_seq, |t| t.fire_seq) {
             timers.remove(i);
         }
-        let outcome = self.hosts[h].timer_elapsed(s, sim.now(), fire_seq);
+        let host = &mut self.hosts[h];
+        let delay = host.sched.dispatch_delay(s, busy_slots(&self.slots[h]));
+        let slot = &mut self.slots[h][s].slot;
+        let outcome = slot.timer_elapsed(&host.profile, sim.now(), fire_seq, delay);
         self.settled(sim, h, s, ChannelKind::Timer, fire_seq, outcome);
     }
 
@@ -644,7 +662,8 @@ impl Cloud {
             replica: replica_idx,
             ..
         } = self.slots[h][s];
-        if self.hosts[h].add_proposals(s, sim.now(), [(kind, seq, proposal)]) > 0 {
+        let slot = &mut self.slots[h][s].slot;
+        if slot.add_proposals(&self.hosts[h].profile, sim.now(), [(kind, seq, proposal)]) > 0 {
             self.reschedule_wake(sim, h, s);
         }
         self.multicast_proposal(sim, vm_idx, replica_idx, kind, seq, proposal);
@@ -659,7 +678,7 @@ impl Cloud {
         packet: Packet,
     ) {
         let vm = self.slots[h][s].vm;
-        let host_node = self.hosts[h].id();
+        let host_node = self.hosts[h].id;
         if self.vms[vm].replicated {
             // Tunnel to the egress node over TCP (Sec. VI); it forwards on
             // the second copy.
@@ -793,7 +812,7 @@ impl Cloud {
             // packet itself is cloned once per scheduled copy only.
             for ri in 0..self.vms[vm_idx].replicas.len() {
                 let (h, s) = self.vms[vm_idx].replicas[ri];
-                let node = self.hosts[h].id();
+                let node = self.hosts[h].id;
                 if let Some(arrive) =
                     self.fabric
                         .transmit(sim.now(), self.ingress_node, node, packet.wire_bytes())
@@ -813,7 +832,8 @@ impl Cloud {
         seq: u64,
         packet: Packet,
     ) {
-        let outcome = self.hosts[h].packet_arrival(s, sim.now(), seq, packet);
+        let slot = &mut self.slots[h][s].slot;
+        let outcome = slot.on_packet_arrival(&self.hosts[h].profile, sim.now(), seq, packet);
         self.settled(sim, h, s, ChannelKind::Net, seq, Ok(Some(outcome)));
     }
 
@@ -829,12 +849,12 @@ impl Cloud {
         self.counts[CloudCounter::proposals(kind) as usize] += 1;
         let msg = ProposalMsg::new(kind, seq, proposal);
         let mut pgm_pkt = Some(self.pgm_tx[vm][sender].send(msg));
-        let from_node = self.hosts[self.vms[vm].replicas[sender].0].id();
+        let from_node = self.hosts[self.vms[vm].replicas[sender].0].id;
         let mut peers = (0..self.vms[vm].replicas.len())
             .filter(|&peer| peer != sender)
             .peekable();
         while let Some(receiver) = peers.next() {
-            let to_node = self.hosts[self.vms[vm].replicas[receiver].0].id();
+            let to_node = self.hosts[self.vms[vm].replicas[receiver].0].id;
             if let Some(arrive) =
                 self.fabric
                     .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
@@ -879,7 +899,8 @@ impl Cloud {
             // is recomputed once at the end if any delivery time got
             // fixed.
             let batch = self.pgm_out.delivered.iter().map(|msg| msg.parts());
-            if self.hosts[h].add_proposals(s, now, batch) > 0 {
+            let slot = &mut self.slots[h][s].slot;
+            if slot.add_proposals(&self.hosts[h].profile, now, batch) > 0 {
                 self.reschedule_wake(sim, h, s);
             }
         }
@@ -899,8 +920,8 @@ impl Cloud {
     ) {
         self.counts[CloudCounter::PgmNaks as usize] += 1;
         let replicas = &self.vms[vm].replicas;
-        let from_node = self.hosts[replicas[receiver].0].id();
-        let to_node = self.hosts[replicas[sender].0].id();
+        let from_node = self.hosts[replicas[receiver].0].id;
+        let to_node = self.hosts[replicas[sender].0].id;
         if let Some(arrive) = self
             .fabric
             .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
@@ -929,8 +950,8 @@ impl Cloud {
     ) {
         let tx = &self.pgm_tx[vm][sender];
         let replicas = &self.vms[vm].replicas;
-        let from_node = self.hosts[replicas[sender].0].id();
-        let to_node = self.hosts[replicas[receiver].0].id();
+        let from_node = self.hosts[replicas[sender].0].id;
+        let to_node = self.hosts[replicas[receiver].0].id;
         for &seq in missing {
             let Some(packet) = tx.retransmit(seq) else {
                 continue;
@@ -985,9 +1006,13 @@ impl Cloud {
         for h in 0..self.hosts.len() {
             // The host scheduling tick rides the same heartbeat: rotate
             // each host's vCPU run queue past its busy slots.
-            self.hosts[h].sched_tick();
-            if self.hosts[h].refresh_activity() {
-                for s in 0..self.hosts[h].slot_count() {
+            let host = &mut self.hosts[h];
+            host.sched.tick(busy_slots(&self.slots[h]));
+            // `is_busy` reads the action queue directly, which only
+            // changes inside `process()` — no per-slot clock sync is
+            // needed here.
+            if host.refresh_activity(busy_slots(&self.slots[h]).count()) {
+                for s in 0..self.slots[h].len() {
                     self.reschedule_wake(sim, h, s);
                 }
                 // The phys↔virt mapping of this host just changed:
@@ -1017,7 +1042,8 @@ impl Cloud {
             let mut second: Option<u64> = None;
             for i in 0..self.vms[vm_idx].replicas.len() {
                 let (h, s) = self.vms[vm_idx].replicas[i];
-                let v = self.hosts[h].virt_of(s, now).as_nanos();
+                let slot = &self.slots[h][s].slot;
+                let v = slot.virt_at(&self.hosts[h].profile, now).as_nanos();
                 match fastest {
                     Some((fv, _)) if v <= fv => second = Some(second.map_or(v, |s2| s2.max(v))),
                     Some((fv, _)) => {
@@ -1030,7 +1056,8 @@ impl Cloud {
             if let (Some((fv, fi)), Some(sv)) = (fastest, second) {
                 if fv - sv > pacing.max_gap_ns {
                     let (h, s) = self.vms[vm_idx].replicas[fi];
-                    self.hosts[h].stall_slot(s, now, now + pacing.heartbeat);
+                    let slot = &mut self.slots[h][s].slot;
+                    slot.stall_until(&self.hosts[h].profile, now, now + pacing.heartbeat);
                     self.reschedule_wake(sim, h, s);
                 }
             }
@@ -1073,6 +1100,17 @@ impl Cloud {
     }
 }
 
+/// Indices of the busy slots among one host's records, ascending: the
+/// vCPU scheduler's run queue, read in place on every tick and wake-up,
+/// never collected.
+fn busy_slots(records: &[SlotRecord]) -> impl Iterator<Item = usize> + '_ {
+    records
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.slot.is_busy())
+        .map(|(i, _)| i)
+}
+
 /// A VM awaiting construction: (replica hosts, one program per replica,
 /// the defense mode its slots run under).
 type PendingVm = (Vec<usize>, Vec<Box<dyn GuestProgram>>, DefenseMode);
@@ -1083,7 +1121,8 @@ pub struct CloudBuilder {
     host_count: usize,
     vms: Vec<PendingVm>,
     clients: Vec<Box<dyn ClientApp>>,
-    cache_geometry: Option<(u64, usize)>,
+    /// Every host's shared-LLC `(sets, ways)`.
+    cache_geometry: (u64, usize),
 }
 
 impl CloudBuilder {
@@ -1099,15 +1138,15 @@ impl CloudBuilder {
             host_count,
             vms: Vec::new(),
             clients: Vec::new(),
-            cache_geometry: None,
+            cache_geometry: (64, 8),
         }
     }
 
     /// Sets the shared-LLC geometry of every host (sets × ways). Cache
     /// workloads call this from `install` so their probe space matches
-    /// the platform; unset, hosts keep the default geometry.
+    /// the platform; unset, every host's LLC has 64 sets of 8 ways.
     pub fn set_cache_geometry(&mut self, sets: u64, ways: usize) {
-        self.cache_geometry = Some((sets, ways));
+        self.cache_geometry = (sets, ways);
     }
 
     /// The configuration this builder was created with.
@@ -1202,26 +1241,27 @@ impl CloudBuilder {
     pub fn build(self) -> CloudSim {
         let cfg = self.cfg;
         let root = SimRng::new(cfg.seed);
-        let mut hosts = Vec::with_capacity(self.host_count);
-        for h in 0..self.host_count {
-            let profile = SpeedProfile::new(
-                cfg.base_ips,
-                cfg.ips_jitter,
-                cfg.speed_epoch,
-                root.stream_indexed("host-speed", h),
-            );
-            let model: Box<dyn AccessModel> = match cfg.disk {
-                DiskKind::Rotating => Box::new(RotatingDisk::testbed()),
-                DiskKind::Ssd => Box::new(Ssd::sata()),
-            };
-            let disk = DiskDevice::new(model, root.stream_indexed("host-disk", h));
-            let mut host = HostMachine::new(NetNode(h), profile, disk);
-            if let Some((sets, ways)) = self.cache_geometry {
-                host.set_cache(vmm::cache::CacheModel::new(sets, ways));
-            }
-            host.set_scheduler(VcpuScheduler::new(cfg.timeslice));
-            hosts.push(host);
-        }
+        let (sets, ways) = self.cache_geometry;
+        let hosts: Vec<HostMachine> = (0..self.host_count)
+            .map(|h| {
+                let model: Box<dyn AccessModel> = match cfg.disk {
+                    DiskKind::Rotating => Box::new(RotatingDisk::testbed()),
+                    DiskKind::Ssd => Box::new(Ssd::sata()),
+                };
+                HostMachine {
+                    id: NetNode(h),
+                    profile: SpeedProfile::new(
+                        cfg.base_ips,
+                        cfg.ips_jitter,
+                        cfg.speed_epoch,
+                        root.stream_indexed("host-speed", h),
+                    ),
+                    disk: DiskDevice::new(model, root.stream_indexed("host-disk", h)),
+                    cache: CacheModel::new(sets, ways),
+                    sched: VcpuScheduler::new(cfg.timeslice),
+                }
+            })
+            .collect();
         let ingress_node = NetNode(self.host_count);
         let egress_node = NetNode(self.host_count + 1);
         let fabric = {
@@ -1247,7 +1287,7 @@ impl CloudBuilder {
             .collect();
 
         let mut vms = Vec::new();
-        let mut slots: Vec<Vec<SlotRecord>> = vec![Vec::new(); self.host_count];
+        let mut slots: Vec<Vec<SlotRecord>> = (0..self.host_count).map(|_| Vec::new()).collect();
         let mut by_endpoint = FxHashMap::default();
         for (vm_idx, (host_list, programs, mode)) in self.vms.into_iter().enumerate() {
             let endpoint = EndpointId(1000 + vm_idx as u64);
@@ -1269,15 +1309,14 @@ impl CloudBuilder {
                     VirtualClock::new(start, cfg.slope),
                     image.clone(), // the replicated disk image
                 );
-                let s = hosts[h].add_slot(slot);
-                debug_assert_eq!(s, slots[h].len(), "slots are numbered densely");
                 slots[h].push(SlotRecord {
+                    slot,
                     vm: vm_idx,
                     replica: replicas.len(),
                     wake: None,
                     timers: Vec::new(),
                 });
-                replicas.push((h, s));
+                replicas.push((h, slots[h].len() - 1));
             }
             by_endpoint.insert(endpoint, vm_idx);
             vms.push(VmRecord {
@@ -1722,19 +1761,82 @@ mod tests {
         let retargeted = timer_records(&sim.cloud, h, s);
         assert_eq!(retargeted.len(), 4);
         for (&(fire_seq, at, deadline), &(_, before, _)) in retargeted.iter().zip(&armed) {
-            assert_eq!(at, sim.cloud.host(h).timer_event_time(s, now, deadline));
+            let profile = &sim.cloud.host(h).profile;
+            assert_eq!(
+                at,
+                sim.cloud.slot(h, s).phys_at_virt(profile, now, deadline)
+            );
             assert!(at > before, "fire {fire_seq} slowed by contention");
         }
 
         sim.run_until(SimTime::from_millis(500));
         assert!(timer_records(&sim.cloud, h, s).is_empty());
-        let counts = sim.cloud.host(h).slot(s).counters();
+        let counts = sim.cloud.slot(h, s).counters();
         assert_eq!(counts[SlotCounter::TimerArms], 4);
         assert_eq!(
             counts[SlotCounter::VtimerIrq],
             3,
             "the cancelled fire is not delivered"
         );
+    }
+
+    /// Guest that computes this many branches at boot (1 ms per million
+    /// at the default speed), busy until they retire.
+    struct Compute(u64);
+    impl GuestProgram for Compute {
+        fn on_boot(&mut self, env: &mut GuestEnv) {
+            env.compute(self.0);
+        }
+    }
+
+    #[test]
+    fn a_busy_slot_raises_only_its_own_hosts_contention() {
+        // No heartbeat: the test makes each pacing tick itself.
+        let mut cfg = CloudConfig::fast_test();
+        cfg.pacing = None;
+        let mut b = CloudBuilder::new(cfg, 2);
+        b.add_baseline_vm(0, Box::new(Compute(50_000_000)));
+        b.add_baseline_vm(1, Box::new(IdleGuest));
+        let mut sim = b.build();
+        let contention = |sim: &CloudSim, h: usize| sim.cloud.host(h).profile.contention();
+        sim.run_until(SimTime::from_millis(1));
+        sim.cloud.pacing_tick(&mut sim.sim);
+        assert_eq!(contention(&sim, 0), 0.25);
+        assert_eq!(contention(&sim, 1), 0.0);
+        sim.run_until(SimTime::from_millis(200));
+        assert!(!sim.cloud.slot(0, 0).is_busy(), "the burst retired");
+        sim.cloud.pacing_tick(&mut sim.sim);
+        assert_eq!(contention(&sim, 0), 0.0);
+        assert_eq!(contention(&sim, 1), 0.0);
+    }
+
+    /// Guest that arms one timer 5 ms after boot.
+    struct ArmOnce;
+    impl GuestProgram for ArmOnce {
+        fn on_boot(&mut self, env: &mut GuestEnv) {
+            env.set_timer(0, env.now + VirtOffset::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn a_timer_fire_waits_one_slice_behind_a_busy_coresident() {
+        for (coresident, preemptions) in [(true, 1), (false, 0)] {
+            let mut b = CloudBuilder::new(CloudConfig::fast_test(), 1);
+            let vm = b.add_baseline_vm(0, Box::new(ArmOnce));
+            if coresident {
+                b.add_baseline_vm(0, Box::new(Compute(1_000_000_000)));
+            }
+            let mut sim = b.build();
+            sim.run_until(SimTime::from_millis(100));
+            let (h, s) = sim.cloud.vm_replicas(vm)[0];
+            let counts = sim.cloud.slot(h, s).counters();
+            assert_eq!(
+                counts[SlotCounter::SchedPreemptions],
+                preemptions,
+                "coresident: {coresident}"
+            );
+            assert_eq!(counts[SlotCounter::VtimerIrq], 1);
+        }
     }
 
     #[test]
@@ -1749,7 +1851,8 @@ mod tests {
         let mut virts: Vec<u64> = (0..3)
             .map(|r| {
                 let (h, s) = sim.cloud.vm_replicas(vm)[r];
-                sim.cloud.host(h).virt_of(s, now).as_nanos()
+                let profile = &sim.cloud.host(h).profile;
+                sim.cloud.slot(h, s).virt_at(profile, now).as_nanos()
             })
             .collect();
         virts.sort_unstable();

@@ -1,8 +1,9 @@
 //! A shared last-level cache model — the substrate of the coresidency
 //! channel (paper Sec. III).
 //!
-//! Each [`crate::host::HostMachine`] owns one [`CacheModel`] that every
-//! guest slot on that host touches: a set/way-indexed line array with
+//! Each [`crate::host::HostMachine`] holds one [`CacheModel`] (its
+//! `cache` field), which the cloud hands every guest slot on that host
+//! when the slot boots or runs. It is a set/way-indexed line array with
 //! **deterministic LRU eviction** (ties broken by way index), per-owner
 //! occupancy accounting, and a probe-latency readout (hit vs. miss). The
 //! model is driven purely by the access sequence, so a scenario replays

@@ -32,11 +32,11 @@
 //!   guest-programmable virtual timers, and **one** `open` and one
 //!   `settle` per channel event, feeding one replica-median agreement
 //!   path shared by every timing channel;
-//! * [`host`] — a physical machine aggregating slots, a disk, a vCPU
-//!   scheduler, and a speed profile.
+//! * [`host`] — the devices a physical machine's guest slots share: a
+//!   speed profile, a disk, an LLC and a vCPU scheduler.
 //!
-//! Cross-host coordination (proposal exchange, pacing, ingress/egress
-//! wiring) lives one level up, in `stopwatch-core`.
+//! The table of slots and cross-host coordination (proposal exchange,
+//! pacing, ingress/egress wiring) live one level up, in `stopwatch-core`.
 
 pub mod actions;
 pub mod cache;

@@ -387,11 +387,6 @@ impl GuestSlot {
         }
     }
 
-    /// The guest's endpoint identity.
-    pub fn endpoint(&self) -> EndpointId {
-        self.cfg.endpoint
-    }
-
     /// Slot telemetry, one count per [`SlotCounter`].
     pub fn counters(&self) -> &SlotCounts {
         &self.counters
@@ -410,24 +405,14 @@ impl GuestSlot {
         &mut *self.program
     }
 
-    /// The guest's logical branch position.
-    pub fn pc(&self) -> u64 {
-        self.pc
-    }
-
     /// `true` while the guest has queued work (it is computing or doing
     /// I/O rather than idling) — the signal that drives host contention.
     pub fn is_busy(&self) -> bool {
         !self.actions.is_empty()
     }
 
-    /// Physical branches retired as of the last sync.
-    pub fn branches(&self) -> u64 {
-        self.branches
-    }
-
     /// Physical branch count at arbitrary `now` (read-only projection).
-    pub fn branches_at(&self, profile: &SpeedProfile, now: SimTime) -> u64 {
+    fn branches_at(&self, profile: &SpeedProfile, now: SimTime) -> u64 {
         let start = self.synced_at.max(self.resume_at);
         if now <= start {
             return self.branches;
@@ -443,7 +428,7 @@ impl GuestSlot {
     /// Virtual time as of the last guest-caused VM exit before `now` —
     /// what the network device model reads from shared memory when
     /// computing a proposal (Fig. 3).
-    pub fn virt_at_last_exit(&self, profile: &SpeedProfile, now: SimTime) -> VirtNanos {
+    fn virt_at_last_exit(&self, profile: &SpeedProfile, now: SimTime) -> VirtNanos {
         let b = self.branches_at(profile, now);
         self.clock.virt(b - b % self.cfg.exit_every)
     }

@@ -282,7 +282,7 @@ mod tests {
         assert_eq!(w.arrivals().len(), 1, "{name} must complete");
         let runtime_ms = w.arrivals()[0].as_millis_f64();
         let (h, s) = sim.cloud.vm_replicas(vm)[0];
-        let disk_irqs = sim.cloud.host(h).slot(s).counters()[SlotCounter::DiskIrq];
+        let disk_irqs = sim.cloud.slot(h, s).counters()[SlotCounter::DiskIrq];
         (runtime_ms, disk_irqs)
     }
 
