@@ -107,6 +107,29 @@ fn describe_lists_channel_kinds_per_workload() {
     );
 }
 
+/// `describe`'s whole catalogue — every knob, defense arm, workload and
+/// parameter with its type, default and doc — is pinned in
+/// `tests/describe.txt`, so a change that adds, drops or alters one shows
+/// up as a diff of that file. A change meant to alter the catalogue
+/// updates the file in the same change, like a golden digest.
+#[test]
+fn describe_prints_the_pinned_catalogue() {
+    let out = swbench(&["describe"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let got: Vec<&str> = stdout.lines().collect();
+    let want: Vec<&str> = include_str!("describe.txt").lines().collect();
+    if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+        panic!(
+            "`swbench describe` line {} differs from tests/describe.txt\n  \
+             pinned:  {:?}\n  printed: {:?}",
+            i + 1,
+            want.get(i),
+            got.get(i)
+        );
+    }
+}
+
 #[test]
 fn describe_lists_every_defense_arm_with_its_knobs() {
     let out = swbench(&["describe"]);

@@ -26,7 +26,7 @@ use netsim::pgm::{PgmPacket, PgmReceiver, PgmSender, RxOutput};
 use simkit::engine::{Event, EventId, Sim};
 use simkit::fxhash::FxHashMap;
 use simkit::rng::SimRng;
-use simkit::time::{SimDuration, SimTime, VirtNanos};
+use simkit::time::{SimDuration, SimTime, VirtNanos, VirtOffset};
 use storage::block::DiskImage;
 use storage::device::DiskDevice;
 use storage::model::{AccessModel, RotatingDisk, Ssd};
@@ -35,8 +35,6 @@ use vmm::channel::ChannelKind;
 use vmm::clock::VirtualClock;
 use vmm::counter::SlotCounts;
 use vmm::guest::GuestProgram;
-use vmm::host::HostMachine;
-use vmm::sched::VcpuScheduler;
 use vmm::slot::{ArrivalOutcome, DefenseMode, GuestSlot, SlotConfig, SlotError, SlotOutput};
 use vmm::speed::SpeedProfile;
 
@@ -126,8 +124,59 @@ struct VmRecord {
     replicated: bool,
 }
 
-/// One guest slot and the cloud's bookkeeping for it, kept densely as
-/// `[host][slot]`.
+/// One physical machine `h` (network node `NetNode(h)`): the devices its
+/// guest slots share — one execution-speed profile, one disk FIFO and one
+/// last-level cache (the paper's testbed ran up to `c` one-vCPU guests
+/// per multicore machine) — and the records of those slots. Every slot
+/// call gets its host's profile (and LLC); cross-guest interference
+/// enters through the shared contention factor, cache, disk queue and
+/// run queue.
+struct Host {
+    /// Branch↔time mapping of every slot on this host, slowed by the
+    /// contention factor [`Host::refresh_activity`] sets.
+    profile: SpeedProfile,
+    /// The disk every slot's requests queue on, first come first served.
+    disk: DiskDevice<Box<dyn AccessModel>>,
+    /// The LLC every slot touches, so coresident slots see each other's
+    /// evictions.
+    cache: CacheModel,
+    /// Each guest slot on this host, which replica of which VM it runs,
+    /// its pending wake and its pending timer events.
+    slots: Vec<SlotRecord>,
+    /// When this host's last tunneled output copy reaches the egress.
+    tunnel_last: SimTime,
+}
+
+impl Host {
+    /// How many of this host's slots are busy: the vCPU run queue.
+    /// `is_busy` reads the action queue directly, which only changes
+    /// inside `process()`, so no per-slot clock sync is needed.
+    fn busy(&self) -> usize {
+        self.slots.iter().filter(|r| r.slot.is_busy()).count()
+    }
+
+    /// Sets the host's contention factor from its count of `busy` slots —
+    /// a quarter per busy guest, capped at 0.9 — slowing *all* guests;
+    /// returns `true` when it changed (callers then recompute pending
+    /// wakes). This is how one guest's load perturbs the timing of its
+    /// coresident guests: the cross-VM interference access-driven attacks
+    /// feed on, and the lever of the Sec. IX collaborating-attacker load
+    /// attack.
+    fn refresh_activity(&mut self, busy: usize) -> bool {
+        // `set_contention` runs even when the value does not change, and
+        // that is part of the output: its generation bump drops every
+        // slot's `next_wake` memo, whose instant was inverted from the
+        // first probe's `now`. A fresh inversion from a later `now` can
+        // land a few ns away, so skipping an unchanged value moves report
+        // bytes (delta-n, nfs-load and defense-shootout cells among them).
+        let before = self.profile.contention();
+        self.profile.set_contention((busy as f64 * 0.25).min(0.9));
+        (self.profile.contention() - before).abs() > 1e-12
+    }
+}
+
+/// One guest slot and the cloud's bookkeeping for it, kept in its host's
+/// record.
 #[derive(Debug)]
 struct SlotRecord {
     /// The replica's VMM slot; every call hands it its host's devices.
@@ -371,7 +420,8 @@ impl Event<Cloud> for CloudEvent {
 /// The simulated cloud (the `Sim` world type).
 pub struct Cloud {
     cfg: CloudConfig,
-    hosts: Vec<HostMachine>,
+    /// Each host's shared devices and slot records, indexed by host.
+    hosts: Vec<Host>,
     fabric: Fabric,
     ingress_node: NetNode,
     egress: EgressNode,
@@ -381,9 +431,6 @@ pub struct Cloud {
     clients: Vec<ClientRecord>,
     client_by_endpoint: FxHashMap<EndpointId, usize>,
     ingress_seq: u64,
-    /// `[host][slot]`: each guest slot, which replica of which VM it
-    /// runs, its pending wake and its pending timer events.
-    slots: Vec<Vec<SlotRecord>>,
     /// `[vm][sender]`: each replica's PGM proposal stream to its peers.
     /// Empty for a VM that is not replicated.
     pgm_tx: Vec<Vec<PgmSender<ProposalMsg>>>,
@@ -395,8 +442,6 @@ pub struct Cloud {
     pgm_out: RxOutput<ProposalMsg>,
     /// The packets of queued packet events.
     parked: ParkedPackets,
-    /// Per host: when its last tunneled output copy reaches the egress.
-    tunnel_last: Vec<SimTime>,
     /// Background broadcast chatter through the ingress, if configured.
     broadcast: Option<BroadcastSource>,
     /// First structured slot failure, if any: a malformed scenario fails
@@ -425,14 +470,9 @@ impl Cloud {
         &self.egress
     }
 
-    /// Immutable host access.
-    pub fn host(&self, idx: usize) -> &HostMachine {
-        &self.hosts[idx]
-    }
-
     /// Slot `s` of host `h`.
     pub fn slot(&self, h: usize, s: usize) -> &GuestSlot {
-        &self.slots[h][s].slot
+        &self.hosts[h].slots[s].slot
     }
 
     /// The replica placements of a VM.
@@ -443,7 +483,7 @@ impl Cloud {
     /// The slot counters summed over every replica of every VM.
     pub fn slot_totals(&self) -> SlotCounts {
         let mut total = SlotCounts::default();
-        for record in self.slots.iter().flatten() {
+        for record in self.hosts.iter().flat_map(|host| &host.slots) {
             total += record.slot.counters();
         }
         total
@@ -452,13 +492,13 @@ impl Cloud {
     /// The `(ingress seq, virtual delivery)` log of one replica.
     pub fn delivered_log(&self, vm: VmHandle, replica: usize) -> Vec<(u64, VirtNanos)> {
         let (h, s) = self.vms[vm.index].replicas[replica];
-        self.slots[h][s].slot.delivered_log().to_vec()
+        self.hosts[h].slots[s].slot.delivered_log().to_vec()
     }
 
     /// Downcasts a guest replica's program to its concrete type.
     pub fn guest_program<T: 'static>(&mut self, vm: VmHandle, replica: usize) -> Option<&mut T> {
         let (h, s) = self.vms[vm.index].replicas[replica];
-        self.slots[h][s]
+        self.hosts[h].slots[s]
             .slot
             .program_mut()
             .as_any_mut()?
@@ -491,7 +531,8 @@ impl Cloud {
     }
 
     fn boot(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        let (host, slot) = (&mut self.hosts[h], &mut self.slots[h][s].slot);
+        let host = &mut self.hosts[h];
+        let slot = &mut host.slots[s].slot;
         match slot.boot(&host.profile, &mut host.cache, sim.now()) {
             Ok(outputs) => {
                 self.handle_outputs(sim, h, s, outputs);
@@ -502,8 +543,9 @@ impl Cloud {
     }
 
     fn reschedule_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        let record = &mut self.slots[h][s];
-        let target = record.slot.next_wake(&self.hosts[h].profile, sim.now());
+        let host = &mut self.hosts[h];
+        let record = &mut host.slots[s];
+        let target = record.slot.next_wake(&host.profile, sim.now());
         let wake = &mut record.wake;
         if let Some((old, at)) = *wake {
             // The pending wake already fires at the right time: keep it
@@ -519,9 +561,9 @@ impl Cloud {
     }
 
     fn slot_wake(&mut self, sim: &mut Engine, h: usize, s: usize) {
-        let (host, record) = (&mut self.hosts[h], &mut self.slots[h][s]);
-        record.wake = None;
-        let slot = &mut record.slot;
+        let host = &mut self.hosts[h];
+        host.slots[s].wake = None;
+        let slot = &mut host.slots[s].slot;
         match slot.process(&host.profile, &mut host.cache, sim.now()) {
             Ok(outputs) => {
                 self.handle_outputs(sim, h, s, outputs);
@@ -566,8 +608,9 @@ impl Cloud {
     }
 
     fn disk_done(&mut self, sim: &mut Engine, h: usize, s: usize, op_id: u64) {
-        let slot = &mut self.slots[h][s].slot;
-        let outcome = slot.disk_ready(&self.hosts[h].profile, sim.now(), op_id);
+        let host = &mut self.hosts[h];
+        let slot = &mut host.slots[s].slot;
+        let outcome = slot.disk_ready(&host.profile, sim.now(), op_id);
         self.settled(sim, h, s, ChannelKind::Disk, op_id, outcome.map(Some));
     }
 
@@ -610,9 +653,10 @@ impl Cloud {
         deadline: VirtNanos,
     ) {
         let now = sim.now();
-        let profile = &self.hosts[h].profile;
-        let record = &mut self.slots[h][s];
-        let at = record.slot.phys_at_virt(profile, now, deadline).max(now);
+        let host = &mut self.hosts[h];
+        let record = &mut host.slots[s];
+        let at = record.slot.phys_at_virt(&host.profile, now, deadline);
+        let at = at.max(now);
         let timers = &mut record.timers;
         let place = timers.binary_search_by_key(&fire_seq, |t| t.fire_seq);
         if let Ok(i) = place {
@@ -633,14 +677,23 @@ impl Cloud {
         }
     }
 
+    /// Slot `(h, s)`'s hardware timer event for `fire_seq` elapsed. The
+    /// host's one modelled core runs its busy slots round robin, so the
+    /// woken vCPU joins the tail of the run queue and is dispatched only
+    /// after every busy coresident has run one timeslice: the fire waits
+    /// `timeslice × busy coresidents` (never behind the waker itself).
+    /// That wait is the scheduler-beat timing channel the timer workload
+    /// measures; `timer_elapsed` adds it to the locally observed fire.
     fn timer_fire(&mut self, sim: &mut Engine, h: usize, s: usize, fire_seq: u64) {
-        let timers = &mut self.slots[h][s].timers;
+        let host = &mut self.hosts[h];
+        let timers = &mut host.slots[s].timers;
         if let Ok(i) = timers.binary_search_by_key(&fire_seq, |t| t.fire_seq) {
             timers.remove(i);
         }
-        let host = &mut self.hosts[h];
-        let delay = host.sched.dispatch_delay(s, busy_slots(&self.slots[h]));
-        let slot = &mut self.slots[h][s].slot;
+        let coresidents = host.busy() - usize::from(host.slots[s].slot.is_busy());
+        let slice = self.cfg.timeslice.as_nanos();
+        let delay = VirtOffset::from_nanos(slice.saturating_mul(coresidents as u64));
+        let slot = &mut host.slots[s].slot;
         let outcome = slot.timer_elapsed(&host.profile, sim.now(), fire_seq, delay);
         self.settled(sim, h, s, ChannelKind::Timer, fire_seq, outcome);
     }
@@ -657,13 +710,14 @@ impl Cloud {
         seq: u64,
         proposal: VirtNanos,
     ) {
+        let host = &mut self.hosts[h];
         let SlotRecord {
             vm: vm_idx,
             replica: replica_idx,
             ..
-        } = self.slots[h][s];
-        let slot = &mut self.slots[h][s].slot;
-        if slot.add_proposals(&self.hosts[h].profile, sim.now(), [(kind, seq, proposal)]) > 0 {
+        } = host.slots[s];
+        let slot = &mut host.slots[s].slot;
+        if slot.add_proposals(&host.profile, sim.now(), [(kind, seq, proposal)]) > 0 {
             self.reschedule_wake(sim, h, s);
         }
         self.multicast_proposal(sim, vm_idx, replica_idx, kind, seq, proposal);
@@ -677,8 +731,8 @@ impl Cloud {
         out_seq: u64,
         packet: Packet,
     ) {
-        let vm = self.slots[h][s].vm;
-        let host_node = self.hosts[h].id;
+        let vm = self.hosts[h].slots[s].vm;
+        let host_node = NetNode(h);
         if self.vms[vm].replicated {
             // Tunnel to the egress node over TCP (Sec. VI); it forwards on
             // the second copy.
@@ -689,7 +743,7 @@ impl Cloud {
             {
                 // The tunnel runs over TCP (Sec. VI): per-replica copies
                 // reach the egress in emission order.
-                let last = &mut self.tunnel_last[h];
+                let last = &mut self.hosts[h].tunnel_last;
                 let arrive = raw_arrive.max(*last + SimDuration::from_nanos(1));
                 *last = arrive;
                 let packet = self.parked.park(packet);
@@ -812,7 +866,7 @@ impl Cloud {
             // packet itself is cloned once per scheduled copy only.
             for ri in 0..self.vms[vm_idx].replicas.len() {
                 let (h, s) = self.vms[vm_idx].replicas[ri];
-                let node = self.hosts[h].id;
+                let node = NetNode(h);
                 if let Some(arrive) =
                     self.fabric
                         .transmit(sim.now(), self.ingress_node, node, packet.wire_bytes())
@@ -832,8 +886,9 @@ impl Cloud {
         seq: u64,
         packet: Packet,
     ) {
-        let slot = &mut self.slots[h][s].slot;
-        let outcome = slot.on_packet_arrival(&self.hosts[h].profile, sim.now(), seq, packet);
+        let host = &mut self.hosts[h];
+        let slot = &mut host.slots[s].slot;
+        let outcome = slot.on_packet_arrival(&host.profile, sim.now(), seq, packet);
         self.settled(sim, h, s, ChannelKind::Net, seq, Ok(Some(outcome)));
     }
 
@@ -849,12 +904,12 @@ impl Cloud {
         self.counts[CloudCounter::proposals(kind) as usize] += 1;
         let msg = ProposalMsg::new(kind, seq, proposal);
         let mut pgm_pkt = Some(self.pgm_tx[vm][sender].send(msg));
-        let from_node = self.hosts[self.vms[vm].replicas[sender].0].id;
+        let from_node = NetNode(self.vms[vm].replicas[sender].0);
         let mut peers = (0..self.vms[vm].replicas.len())
             .filter(|&peer| peer != sender)
             .peekable();
         while let Some(receiver) = peers.next() {
-            let to_node = self.hosts[self.vms[vm].replicas[receiver].0].id;
+            let to_node = NetNode(self.vms[vm].replicas[receiver].0);
             if let Some(arrive) =
                 self.fabric
                     .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
@@ -899,8 +954,8 @@ impl Cloud {
             // is recomputed once at the end if any delivery time got
             // fixed.
             let batch = self.pgm_out.delivered.iter().map(|msg| msg.parts());
-            let slot = &mut self.slots[h][s].slot;
-            if slot.add_proposals(&self.hosts[h].profile, now, batch) > 0 {
+            let host = &mut self.hosts[h];
+            if host.slots[s].slot.add_proposals(&host.profile, now, batch) > 0 {
                 self.reschedule_wake(sim, h, s);
             }
         }
@@ -920,8 +975,8 @@ impl Cloud {
     ) {
         self.counts[CloudCounter::PgmNaks as usize] += 1;
         let replicas = &self.vms[vm].replicas;
-        let from_node = self.hosts[replicas[receiver].0].id;
-        let to_node = self.hosts[replicas[sender].0].id;
+        let from_node = NetNode(replicas[receiver].0);
+        let to_node = NetNode(replicas[sender].0);
         if let Some(arrive) = self
             .fabric
             .transmit(sim.now(), from_node, to_node, PROPOSAL_BYTES)
@@ -950,8 +1005,8 @@ impl Cloud {
     ) {
         let tx = &self.pgm_tx[vm][sender];
         let replicas = &self.vms[vm].replicas;
-        let from_node = self.hosts[replicas[sender].0].id;
-        let to_node = self.hosts[replicas[receiver].0].id;
+        let from_node = NetNode(replicas[sender].0);
+        let to_node = NetNode(replicas[receiver].0);
         for &seq in missing {
             let Some(packet) = tx.retransmit(seq) else {
                 continue;
@@ -1004,25 +1059,19 @@ impl Cloud {
     fn pacing_tick(&mut self, sim: &mut Engine) {
         let now = sim.now();
         for h in 0..self.hosts.len() {
-            // The host scheduling tick rides the same heartbeat: rotate
-            // each host's vCPU run queue past its busy slots.
             let host = &mut self.hosts[h];
-            host.sched.tick(busy_slots(&self.slots[h]));
-            // `is_busy` reads the action queue directly, which only
-            // changes inside `process()` — no per-slot clock sync is
-            // needed here.
-            if host.refresh_activity(busy_slots(&self.slots[h]).count()) {
-                for s in 0..self.slots[h].len() {
+            if host.refresh_activity(host.busy()) {
+                for s in 0..host.slots.len() {
                     self.reschedule_wake(sim, h, s);
                 }
                 // The phys↔virt mapping of this host just changed:
                 // re-target its pending virtual-timer hardware events,
                 // cancelled fires included, in `(slot, fire_seq)` order.
-                for s in 0..self.slots[h].len() {
-                    for i in 0..self.slots[h][s].timers.len() {
+                for s in 0..self.hosts[h].slots.len() {
+                    for i in 0..self.hosts[h].slots[s].timers.len() {
                         let TimerRecord {
                             fire_seq, deadline, ..
-                        } = self.slots[h][s].timers[i];
+                        } = self.hosts[h].slots[s].timers[i];
                         self.schedule_timer_fire(sim, h, s, fire_seq, deadline);
                     }
                 }
@@ -1042,8 +1091,8 @@ impl Cloud {
             let mut second: Option<u64> = None;
             for i in 0..self.vms[vm_idx].replicas.len() {
                 let (h, s) = self.vms[vm_idx].replicas[i];
-                let slot = &self.slots[h][s].slot;
-                let v = slot.virt_at(&self.hosts[h].profile, now).as_nanos();
+                let host = &self.hosts[h];
+                let v = host.slots[s].slot.virt_at(&host.profile, now).as_nanos();
                 match fastest {
                     Some((fv, _)) if v <= fv => second = Some(second.map_or(v, |s2| s2.max(v))),
                     Some((fv, _)) => {
@@ -1056,8 +1105,9 @@ impl Cloud {
             if let (Some((fv, fi)), Some(sv)) = (fastest, second) {
                 if fv - sv > pacing.max_gap_ns {
                     let (h, s) = self.vms[vm_idx].replicas[fi];
-                    let slot = &mut self.slots[h][s].slot;
-                    slot.stall_until(&self.hosts[h].profile, now, now + pacing.heartbeat);
+                    let host = &mut self.hosts[h];
+                    let slot = &mut host.slots[s].slot;
+                    slot.stall_until(&host.profile, now, now + pacing.heartbeat);
                     self.reschedule_wake(sim, h, s);
                 }
             }
@@ -1098,17 +1148,6 @@ impl Cloud {
         self.ingress_replicate(sim, packet);
         self.next_broadcast(sim);
     }
-}
-
-/// Indices of the busy slots among one host's records, ascending: the
-/// vCPU scheduler's run queue, read in place on every tick and wake-up,
-/// never collected.
-fn busy_slots(records: &[SlotRecord]) -> impl Iterator<Item = usize> + '_ {
-    records
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.slot.is_busy())
-        .map(|(i, _)| i)
 }
 
 /// A VM awaiting construction: (replica hosts, one program per replica,
@@ -1152,11 +1191,6 @@ impl CloudBuilder {
     /// The configuration this builder was created with.
     pub fn config(&self) -> &CloudConfig {
         &self.cfg
-    }
-
-    /// Number of hosts in the cloud under construction.
-    pub fn host_count(&self) -> usize {
-        self.host_count
     }
 
     /// The endpoint the *next* [`CloudBuilder::add_defended_vm`] /
@@ -1242,14 +1276,13 @@ impl CloudBuilder {
         let cfg = self.cfg;
         let root = SimRng::new(cfg.seed);
         let (sets, ways) = self.cache_geometry;
-        let hosts: Vec<HostMachine> = (0..self.host_count)
+        let mut hosts: Vec<Host> = (0..self.host_count)
             .map(|h| {
                 let model: Box<dyn AccessModel> = match cfg.disk {
                     DiskKind::Rotating => Box::new(RotatingDisk::testbed()),
                     DiskKind::Ssd => Box::new(Ssd::sata()),
                 };
-                HostMachine {
-                    id: NetNode(h),
+                Host {
                     profile: SpeedProfile::new(
                         cfg.base_ips,
                         cfg.ips_jitter,
@@ -1258,7 +1291,8 @@ impl CloudBuilder {
                     ),
                     disk: DiskDevice::new(model, root.stream_indexed("host-disk", h)),
                     cache: CacheModel::new(sets, ways),
-                    sched: VcpuScheduler::new(cfg.timeslice),
+                    slots: Vec::new(),
+                    tunnel_last: SimTime::ZERO,
                 }
             })
             .collect();
@@ -1287,7 +1321,6 @@ impl CloudBuilder {
             .collect();
 
         let mut vms = Vec::new();
-        let mut slots: Vec<Vec<SlotRecord>> = (0..self.host_count).map(|_| Vec::new()).collect();
         let mut by_endpoint = FxHashMap::default();
         for (vm_idx, (host_list, programs, mode)) in self.vms.into_iter().enumerate() {
             let endpoint = EndpointId(1000 + vm_idx as u64);
@@ -1309,14 +1342,15 @@ impl CloudBuilder {
                     VirtualClock::new(start, cfg.slope),
                     image.clone(), // the replicated disk image
                 );
-                slots[h].push(SlotRecord {
+                let slots = &mut hosts[h].slots;
+                slots.push(SlotRecord {
                     slot,
                     vm: vm_idx,
                     replica: replicas.len(),
                     wake: None,
                     timers: Vec::new(),
                 });
-                replicas.push((h, slots[h].len() - 1));
+                replicas.push((h, slots.len() - 1));
             }
             by_endpoint.insert(endpoint, vm_idx);
             vms.push(VmRecord {
@@ -1369,12 +1403,10 @@ impl CloudBuilder {
             clients,
             client_by_endpoint,
             ingress_seq: 0,
-            slots,
             pgm_tx,
             pgm_rx,
             pgm_out: RxOutput::default(),
             parked: ParkedPackets::default(),
-            tunnel_last: vec![SimTime::ZERO; self.host_count],
             broadcast,
             error: None,
             counts: [0; CloudCounter::NAMES.len()],
@@ -1731,7 +1763,7 @@ mod tests {
 
     /// `(fire_seq, at, deadline)` of slot `(h, s)`'s timer records.
     fn timer_records(cloud: &Cloud, h: usize, s: usize) -> Vec<(u64, SimTime, VirtNanos)> {
-        let timers = &cloud.slots[h][s].timers;
+        let timers = &cloud.hosts[h].slots[s].timers;
         timers
             .iter()
             .map(|t| (t.fire_seq, t.at, t.deadline))
@@ -1761,7 +1793,7 @@ mod tests {
         let retargeted = timer_records(&sim.cloud, h, s);
         assert_eq!(retargeted.len(), 4);
         for (&(fire_seq, at, deadline), &(_, before, _)) in retargeted.iter().zip(&armed) {
-            let profile = &sim.cloud.host(h).profile;
+            let profile = &sim.cloud.hosts[h].profile;
             assert_eq!(
                 at,
                 sim.cloud.slot(h, s).phys_at_virt(profile, now, deadline)
@@ -1798,7 +1830,7 @@ mod tests {
         b.add_baseline_vm(0, Box::new(Compute(50_000_000)));
         b.add_baseline_vm(1, Box::new(IdleGuest));
         let mut sim = b.build();
-        let contention = |sim: &CloudSim, h: usize| sim.cloud.host(h).profile.contention();
+        let contention = |sim: &CloudSim, h: usize| sim.cloud.hosts[h].profile.contention();
         sim.run_until(SimTime::from_millis(1));
         sim.cloud.pacing_tick(&mut sim.sim);
         assert_eq!(contention(&sim, 0), 0.25);
@@ -1810,32 +1842,78 @@ mod tests {
         assert_eq!(contention(&sim, 1), 0.0);
     }
 
-    /// Guest that arms one timer 5 ms after boot.
-    struct ArmOnce;
+    #[test]
+    fn activity_raises_contention() {
+        let mut sim = CloudBuilder::new(CloudConfig::fast_test(), 1).build();
+        let h = &mut sim.cloud.hosts[0];
+        assert!(!h.refresh_activity(0), "an idle host adds no contention");
+        assert_eq!(h.profile.contention(), 0.0);
+        for (busy, contention) in [(1, 0.25), (2, 0.5), (9, 0.9)] {
+            assert!(h.refresh_activity(busy));
+            assert_eq!(h.profile.contention(), contention);
+        }
+        assert!(!h.refresh_activity(9), "the cap holds");
+        // The busy guests retire: the host is quiet again.
+        assert!(h.refresh_activity(0));
+        assert_eq!(h.profile.contention(), 0.0);
+    }
+
+    /// Guest that arms one timer 5 ms after boot, computes through its
+    /// fire when `busy`, and records how late the fire's interrupt
+    /// timestamp reads against the deadline.
+    struct ArmOnce {
+        busy: bool,
+        deadline: VirtNanos,
+        late: Option<u64>,
+    }
     impl GuestProgram for ArmOnce {
         fn on_boot(&mut self, env: &mut GuestEnv) {
-            env.set_timer(0, env.now + VirtOffset::from_millis(5));
+            self.deadline = env.now + VirtOffset::from_millis(5);
+            env.set_timer(0, self.deadline);
+            if self.busy {
+                env.compute(1_000_000_000);
+            }
+        }
+        fn on_vtimer(&mut self, _timer_id: u64, env: &mut GuestEnv) {
+            self.late = Some((env.irq_timestamp - self.deadline).as_nanos());
+        }
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
         }
     }
 
     #[test]
     fn a_timer_fire_waits_one_slice_behind_a_busy_coresident() {
-        for (coresident, preemptions) in [(true, 1), (false, 0)] {
+        let slice = CloudConfig::fast_test().timeslice.as_nanos();
+        // (the waker computes through its fire, busy coresidents)
+        for (busy, coresidents) in [(false, 0), (false, 1), (false, 2), (true, 0)] {
             let mut b = CloudBuilder::new(CloudConfig::fast_test(), 1);
-            let vm = b.add_baseline_vm(0, Box::new(ArmOnce));
-            if coresident {
+            let waker = ArmOnce {
+                busy,
+                deadline: VirtNanos::ZERO,
+                late: None,
+            };
+            let vm = b.add_baseline_vm(0, Box::new(waker));
+            for _ in 0..coresidents {
                 b.add_baseline_vm(0, Box::new(Compute(1_000_000_000)));
             }
             let mut sim = b.build();
             sim.run_until(SimTime::from_millis(100));
+            let row = format!("busy waker: {busy}, coresidents: {coresidents}");
             let (h, s) = sim.cloud.vm_replicas(vm)[0];
             let counts = sim.cloud.slot(h, s).counters();
+            assert_eq!(counts[SlotCounter::VtimerIrq], 1, "{row}");
             assert_eq!(
                 counts[SlotCounter::SchedPreemptions],
-                preemptions,
-                "coresident: {coresident}"
+                u64::from(coresidents > 0),
+                "{row}"
             );
-            assert_eq!(counts[SlotCounter::VtimerIrq], 1);
+            let late = sim.cloud.guest_program::<ArmOnce>(vm, 0).unwrap().late;
+            let late = late.expect("the fire was delivered");
+            // One slice per busy coresident, plus the hardware event's
+            // nanosecond-scale projection lag.
+            assert_eq!(late / slice, coresidents, "{row}: {late} ns late");
+            assert!(late % slice < 1_000, "{row}: {late} ns late");
         }
     }
 
@@ -1851,7 +1929,7 @@ mod tests {
         let mut virts: Vec<u64> = (0..3)
             .map(|r| {
                 let (h, s) = sim.cloud.vm_replicas(vm)[r];
-                let profile = &sim.cloud.host(h).profile;
+                let profile = &sim.cloud.hosts[h].profile;
                 sim.cloud.slot(h, s).virt_at(profile, now).as_nanos()
             })
             .collect();

@@ -712,10 +712,12 @@ mod tests {
     #[test]
     fn knob_domains_reject_what_the_constructors_assert_on() {
         // (knob, out-of-domain value, in-domain neighbour). Each bad value
-        // would trip an assert in `GuestSlot`, `VcpuScheduler`,
-        // `SpeedProfile`, `VirtualClock` or `BroadcastSource`, re-post an
-        // event at the same instant forever, or (the arm knobs) run as a
-        // 1 ns epoch or bucket or as one level, if it reached a cloud.
+        // would trip an assert in `GuestSlot`, `SpeedProfile`,
+        // `VirtualClock` or `BroadcastSource`, re-post an event at the same
+        // instant forever, run a zero-length vCPU quantum (`timeslice_ms`:
+        // no busy coresident would delay a timer fire), or (the arm knobs)
+        // run as a 1 ns epoch or bucket or as one level, if it reached a
+        // cloud.
         for (key, bad, good) in [
             ("replicas", "2", "3"),
             ("replicas", "4", "5"),

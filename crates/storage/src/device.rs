@@ -32,8 +32,6 @@ pub struct DiskDevice<M> {
     rng: SimRng,
     busy_until: SimTime,
     head: u64,
-    completed: u64,
-    busy_time_ns: u64,
 }
 
 impl<M: AccessModel> DiskDevice<M> {
@@ -44,8 +42,6 @@ impl<M: AccessModel> DiskDevice<M> {
             rng,
             busy_until: SimTime::ZERO,
             head: 0,
-            completed: 0,
-            busy_time_ns: 0,
         }
     }
 
@@ -56,29 +52,7 @@ impl<M: AccessModel> DiskDevice<M> {
         let service = self.model.access_time(req.range, self.head, &mut self.rng);
         self.busy_until = start + service;
         self.head = req.range.end().0;
-        self.completed += 1;
-        self.busy_time_ns += service.as_nanos();
         self.busy_until
-    }
-
-    /// When the device becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Requests completed (== submitted; the device never fails).
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Total busy time accumulated, for utilization accounting.
-    pub fn busy_time(&self) -> simkit::time::SimDuration {
-        simkit::time::SimDuration::from_nanos(self.busy_time_ns)
-    }
-
-    /// The model's worst-case single-request time (sizes Δd).
-    pub fn worst_case(&self) -> simkit::time::SimDuration {
-        self.model.worst_case()
     }
 }
 
@@ -111,7 +85,6 @@ mod tests {
         );
         // 1 ms latency + 1 ms transfer.
         assert_eq!(done, SimTime::from_millis(12));
-        assert_eq!(d.completed(), 1);
     }
 
     #[test]
@@ -137,17 +110,5 @@ mod tests {
         d.submit(r, SimTime::ZERO);
         let late = d.submit(r, SimTime::from_secs(1));
         assert_eq!(late, SimTime::from_secs(1) + SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut d = dev();
-        let r = DiskRequest {
-            op: DiskOp::Read,
-            range: BlockRange::new(0, 1),
-        };
-        d.submit(r, SimTime::ZERO);
-        d.submit(r, SimTime::ZERO);
-        assert_eq!(d.busy_time(), SimDuration::from_millis(4));
     }
 }

@@ -1,9 +1,11 @@
 //! A shared last-level cache model — the substrate of the coresidency
 //! channel (paper Sec. III).
 //!
-//! Each [`crate::host::HostMachine`] holds one [`CacheModel`] (its
-//! `cache` field), which the cloud hands every guest slot on that host
-//! when the slot boots or runs. It is a set/way-indexed line array with
+//! Each host record of the cloud (`stopwatch_core::cloud`) holds one
+//! [`CacheModel`], which the cloud hands every guest slot on that host
+//! when the slot boots or runs. Its lines are allocated at the first
+//! touch, so a host whose guests never touch the LLC holds none. It is a
+//! set/way-indexed line array with
 //! **deterministic LRU eviction** (ties broken by way index), per-owner
 //! occupancy accounting, and a probe-latency readout (hit vs. miss). The
 //! model is driven purely by the access sequence, so a scenario replays
@@ -42,6 +44,7 @@ const EMPTY: CacheLine = CacheLine {
 pub struct CacheModel {
     sets: u64,
     ways: usize,
+    /// `sets × ways` lines once anything touched the cache, empty before.
     lines: Vec<CacheLine>,
     tick: u64,
 }
@@ -63,14 +66,9 @@ impl CacheModel {
         CacheModel {
             sets,
             ways,
-            lines: vec![EMPTY; sets as usize * ways],
+            lines: Vec::new(),
             tick: 0,
         }
-    }
-
-    /// `(sets, ways)` geometry.
-    pub fn geometry(&self) -> (u64, usize) {
-        (self.sets, self.ways)
     }
 
     /// Touches line `(owner, tag)` in `set` (indices wrap modulo the set
@@ -78,6 +76,9 @@ impl CacheModel {
     /// a miss evicts the least-recently-used line of the set (ties broken
     /// by lowest way index — deterministic) and installs the new one.
     pub fn touch(&mut self, owner: u64, set: u64, tag: u64) -> bool {
+        if self.lines.is_empty() {
+            self.lines = vec![EMPTY; self.sets as usize * self.ways];
+        }
         self.tick += 1;
         let base = (set % self.sets) as usize * self.ways;
         let ways = &mut self.lines[base..base + self.ways];
@@ -125,15 +126,6 @@ impl CacheModel {
             .filter(|l| l.valid && l.owner == owner)
             .count()
     }
-
-    /// Lines currently held by `owner` in one set.
-    pub fn set_occupancy(&self, owner: u64, set: u64) -> usize {
-        let base = (set % self.sets) as usize * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .filter(|l| l.valid && l.owner == owner)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -143,6 +135,7 @@ mod tests {
     #[test]
     fn fills_invalid_ways_before_evicting() {
         let mut c = CacheModel::new(4, 2);
+        assert!(c.lines.is_empty(), "no line before the first touch");
         assert!(!c.touch(1, 0, 10), "cold cache misses");
         assert!(!c.touch(1, 0, 11));
         assert!(c.touch(1, 0, 10), "both lines resident");
@@ -167,8 +160,8 @@ mod tests {
         assert!(!c.touch(1, 0, 7));
         assert!(!c.touch(2, 0, 7), "other owner's line is not a hit");
         assert!(c.touch(1, 0, 7));
-        assert_eq!(c.set_occupancy(1, 0), 1);
-        assert_eq!(c.set_occupancy(2, 0), 1);
+        assert_eq!(c.occupancy(1), 1);
+        assert_eq!(c.occupancy(2), 1);
     }
 
     #[test]
@@ -185,7 +178,7 @@ mod tests {
         let mut c = CacheModel::new(4, 1);
         c.touch(1, 9, 3); // lands in set 1
         assert!(c.touch(1, 1, 3));
-        assert_eq!(c.set_occupancy(1, 1), 1);
+        assert_eq!(c.occupancy(1), 1);
     }
 
     #[test]

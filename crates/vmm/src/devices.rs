@@ -8,15 +8,6 @@
 
 use simkit::time::VirtNanos;
 
-/// Which notion of time the platform exposes to the guest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimePolicy {
-    /// StopWatch: all clocks read virtual time.
-    Virtual,
-    /// Unmodified Xen: clocks track the host's real time.
-    Real,
-}
-
 /// The emulated clock devices for one guest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformClocks {

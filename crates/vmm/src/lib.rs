@@ -24,19 +24,16 @@
 //!   quantization, and the unprotected baseline, all lowered to a
 //!   [`defense::DefenseMode`] over the same channel core;
 //! * [`guest`] — the deterministic guest-program abstraction;
-//! * [`sched`] — the deterministic per-host vCPU scheduler (round-robin
-//!   timeslices, hypercraft-style `switch_vm_timer`/`htimedelta`
-//!   accounting) whose dispatch jitter is the timer channel's leak;
 //! * [`slot`] — the per-guest VMM machinery: guest-caused VM exits,
 //!   interrupt injection at VM entry, hidden device buffers,
 //!   guest-programmable virtual timers, and **one** `open` and one
 //!   `settle` per channel event, feeding one replica-median agreement
-//!   path shared by every timing channel;
-//! * [`host`] — the devices a physical machine's guest slots share: a
-//!   speed profile, a disk, an LLC and a vCPU scheduler.
+//!   path shared by every timing channel.
 //!
-//! The table of slots and cross-host coordination (proposal exchange,
-//! pacing, ingress/egress wiring) live one level up, in `stopwatch-core`.
+//! Each host's shared devices and slots, its vCPU run queue (a timer fire
+//! waits one timeslice per busy coresident) and cross-host coordination
+//! (proposal exchange, pacing, ingress/egress wiring) live one level up,
+//! in `stopwatch-core`.
 
 pub mod actions;
 pub mod cache;
@@ -46,9 +43,7 @@ pub mod counter;
 pub mod defense;
 pub mod devices;
 pub mod guest;
-pub mod host;
 mod pending;
-pub mod sched;
 pub mod slot;
 pub mod speed;
 
@@ -60,10 +55,8 @@ pub mod prelude {
     pub use crate::clock::VirtualClock;
     pub use crate::counter::SlotCounter;
     pub use crate::defense::{DefenseArm, DefenseKnobs, ReleaseRule};
-    pub use crate::devices::{PlatformClocks, TimePolicy};
+    pub use crate::devices::PlatformClocks;
     pub use crate::guest::{GuestAction, GuestEnv, GuestProgram, IdleGuest};
-    pub use crate::host::HostMachine;
-    pub use crate::sched::VcpuScheduler;
     pub use crate::slot::{
         ArrivalOutcome, DefenseMode, GuestSlot, SlotConfig, SlotError, SlotOutput,
     };

@@ -208,7 +208,7 @@ pub enum SlotOutput {
     /// The guest armed a virtual timer: the host must schedule a hardware
     /// timer event at this slot's physical projection of `deadline` and
     /// call back [`GuestSlot::timer_elapsed`] with `fire_seq` when it
-    /// elapses (the vCPU scheduler adds its dispatch delay there).
+    /// elapses (the cloud adds the run-queue wait there).
     TimerArm {
         /// Slot-local fire sequence number (identical across replicas).
         fire_seq: u64,

@@ -61,11 +61,6 @@ impl SpeedProfile {
         }
     }
 
-    /// The base rate, branches per second.
-    pub fn base_ips(&self) -> f64 {
-        self.base_ips
-    }
-
     /// Sets the coresident-load contention factor.
     ///
     /// # Panics
